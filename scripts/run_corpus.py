@@ -4,7 +4,9 @@
 Draws gluable pairs and standalone diagrams from a seed, then reports how
 often each identity was exercised nontrivially: gluing against composition,
 normalization invariance, and the determinant-functor comparison per
-coefficient ring.  Any mismatch aborts with a nonzero exit.
+coefficient ring.  It also checks the state-sum engine behind the
+invariant matrix against generator enumeration.  Any mismatch aborts with
+a nonzero exit.
 """
 
 import argparse
@@ -14,8 +16,16 @@ from dataclasses import dataclass
 
 from bsfloer import exterior as X
 from bsfloer.alexander import compare_bsda_alexander
-from bsfloer.bsda import bsda_z
+from bsfloer.bsda import (
+    bsda_z,
+    bsda_zh,
+    enumerate_generators,
+    generator_count,
+    gr_da,
+    weight_ring,
+)
 from bsfloer.diagram import GroupDescriptor, glue, normalize
+from bsfloer.rings import ZZ
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
 
@@ -56,6 +66,39 @@ def sweep_gluing(cfg: SweepConfig) -> str:
     return f"gluing: {cfg.pairs} pairs ok, {nonzero} nonzero composites"
 
 
+def enumerated_matrices(h):
+    """bsda_z and bsda_zh summed generator by generator: the slow oracle."""
+    ring = weight_ring(h)
+    z, zh = {}, {}
+    for x in enumerate_generators(h):
+        g = gr_da(h, x)
+        key = (g.o_r, g.obar_l)
+        s = -1 if g.total else 1
+        w = h.group.identity()
+        for p in x.points:
+            w = h.group.mul_weight(w, p.weight)
+        z[key] = z.get(key, 0) + s
+        zh[key] = ring.add(zh.get(key, ring.zero()),
+                           ring.monomial(w.monomial(), s))
+    return (X.GradedMap(ZZ, h.n0, h.n1, h.degree, z),
+            X.GradedMap(ring, h.n0, h.n1, h.degree, zh))
+
+
+def sweep_engine(cfg: SweepConfig) -> str:
+    rng = random.Random(cfg.seed * 7919 + 5)
+    checked = 0
+    for k in range(cfg.pairs):
+        glued = glue(*random_gluable_pair(rng))
+        h = random_diagram(rng, group=GROUPS[k % len(GROUPS)])
+        for d in (glued, normalize(glued), h, normalize(h)):
+            z, zh = enumerated_matrices(d)
+            if not (X.map_eq(bsda_z(d), z) and X.map_eq(bsda_zh(d), zh)
+                    and generator_count(d) == len(enumerate_generators(d))):
+                raise SystemExit(f"engine/enumeration mismatch at draw {k}")
+            checked += 1
+    return f"engine: {checked} diagrams match generator enumeration"
+
+
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
@@ -79,6 +122,7 @@ def main():
     cfg = SweepConfig(seed=args.seed, pairs=args.pairs,
                       diagrams_per_ring=args.per_ring)
     print(sweep_gluing(cfg))
+    print(sweep_engine(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

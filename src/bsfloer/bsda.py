@@ -9,7 +9,10 @@ out-arcs), and the correction (a + n1) * k, everything mod 2.
 
 The matrix of the invariant sends the incoming idempotent I to the outgoing
 idempotent J = unoccupied out-arcs, summing (-1)^grading, optionally times
-the product of the point weights.
+the product of the point weights.  Those sums come from one state-sum
+engine over sets of occupied alpha curves, without listing generators;
+enumerate_generators and gr_da list and grade them one by one, for the
+generators verb and as the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -89,23 +92,30 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
         raise ValueError("generator leaves an alpha circle unoccupied")
 
 
+def _idempotents(h: HeegaardDiagram, mask: int) -> tuple:
+    """Read the arcs off the alpha curves set in mask (bit q for position q
+    of the total alpha order): the 1-based occupied and unoccupied out-arcs
+    (o_l, obar_l) and in-arcs (o_r, obar_r), then the two grading terms a
+    generator's occupied set alone decides, inv(obar_l, o_l) and the
+    correction (a + n1) * k."""
+    first_in = h.n1 + h.a
+    o_l = tuple(j + 1 for j in range(h.n1) if mask >> j & 1)
+    obar_l = tuple(j + 1 for j in range(h.n1) if not mask >> j & 1)
+    o_r = tuple(i + 1 for i in range(h.n0) if mask >> (first_in + i) & 1)
+    obar_r = tuple(i + 1 for i in range(h.n0)
+                   if not mask >> (first_in + i) & 1)
+    inv_idem = X.cross_inversions(obar_l, o_l)
+    correction = (h.a + h.n1) * len(o_r) % 2
+    return o_l, obar_l, o_r, obar_r, inv_idem, correction
+
+
 def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
     _check_generator(h, x)
     i_sum = sum(1 for p in x.points if p.sign == -1)
     pos = {aid: i for i, aid in enumerate(h.alpha_order())}
     inv_sigma = X.perm_inversions([pos[p.alpha] for p in x.points])
-    occupied = set(x.alpha_ids())
-    o_l = tuple(j + 1 for j, (aid, _) in enumerate(h.alpha_out)
-                if aid in occupied)
-    obar_l = tuple(j + 1 for j, (aid, _) in enumerate(h.alpha_out)
-                   if aid not in occupied)
-    o_r = tuple(i + 1 for i, (aid, _) in enumerate(h.alpha_in)
-                if aid in occupied)
-    obar_r = tuple(i + 1 for i, (aid, _) in enumerate(h.alpha_in)
-                   if aid not in occupied)
-    k = len(o_r)
-    inv_idem = X.cross_inversions(obar_l, o_l)
-    correction = (h.a * k + h.n1 * k) % 2
+    mask = sum(1 << pos[p.alpha] for p in x.points)
+    o_l, obar_l, o_r, obar_r, inv_idem, correction = _idempotents(h, mask)
     total = (i_sum + inv_sigma + inv_idem + correction) % 2
     return GradingData(
         intersection_parity=i_sum % 2,
@@ -114,42 +124,95 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
         correction=correction,
         total=total,
         o_l=o_l, obar_l=obar_l, o_r=o_r, obar_r=obar_r,
-        k=k, l=len(obar_l),
+        k=len(o_r), l=len(obar_l),
     )
 
 
-def bsda_z(h: HeegaardDiagram) -> X.GradedMap:
-    """Integer matrix: entry (I, J) sums (-1)^grading over the generators
-    with occupied in-arcs I and unoccupied out-arcs J."""
-    entries: dict = {}
-    for x in enumerate_generators(h):
-        g = gr_da(h, x)
-        key = (g.o_r, g.obar_l)
-        entries[key] = entries.get(key, 0) + (1 if g.total % 2 == 0 else -1)
-    entries = {k: v for k, v in entries.items() if v}
-    return X.GradedMap(ZZ, h.n0, h.n1, h.degree, entries)
+def _state_sums(h: HeegaardDiagram, ring, coeff, signed: bool = True) -> dict:
+    """Sum the generators of h grouped by their occupied alpha curves.
+
+    A dynamic program over the beta circles in stored order.  The state is
+    the bitmask of occupied positions in the total alpha order; its value in
+    ring sums, over the partial generators with that mask, the product of
+    coeff(point) times (-1)^(inversions so far) when signed.  States that
+    can no longer cover every alpha circle are pruned, as in
+    enumerate_generators.  Zero coefficients and zero sums are kept, and
+    the maps and elements built from the result drop zeros only when they
+    are constructed, so the work depends only on which curves meet, not on
+    the signs or weights of the points.  Returns {final mask: value}; the
+    final mask fixes the generator's idempotents.
+    """
+    pos = {aid: q for q, aid in enumerate(h.alpha_order())}
+    circles = sum(1 << pos[aid] for aid in h.alpha_circles)
+    need = len(h.alpha_circles)
+    rows: dict = {bid: {} for bid in h.beta_ids()}
+    for p in h.points:
+        row = rows[p.beta]
+        q = pos[p.alpha]
+        row[q] = ring.add(row.get(q, ring.zero()), coeff(p))
+    left = len(rows)
+    if need > left:
+        return {}
+    states = {0: ring.one()}
+    for row in rows.values():
+        left -= 1
+        steps = [(q, 1 << q, c) for q, c in row.items()]
+        nxt: dict = {}
+        for mask, v in states.items():
+            for q, bit, c in steps:
+                if mask & bit:
+                    continue
+                new = mask | bit
+                if need - (new & circles).bit_count() > left:
+                    continue
+                t = ring.mul(v, c)
+                if signed and (mask >> (q + 1)).bit_count() & 1:
+                    t = ring.neg(t)
+                nxt[new] = ring.add(nxt.get(new, ring.zero()), t)
+        states = nxt
+    return states
 
 
 def weight_ring(h: HeegaardDiagram) -> GroupRing:
     return GroupRing(h.group.free_rank, h.group.torsion_order)
 
 
+def point_coefficients(h: HeegaardDiagram, weighted: bool) -> tuple:
+    """The ring of the invariant and each point's coefficient in it: its
+    sign over Z, or its sign times its weight over Z[H]."""
+    if not weighted:
+        return ZZ, lambda p: p.sign
+    ring = weight_ring(h)
+    return ring, lambda p: ring.monomial(p.weight.monomial(),
+                                         ring.coeff.from_int(p.sign))
+
+
+def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
+    ring, coeff = point_coefficients(h, weighted)
+    entries = {}
+    for mask, v in _state_sums(h, ring, coeff).items():
+        _, obar_l, o_r, _, inv_idem, correction = _idempotents(h, mask)
+        if (inv_idem + correction) & 1:
+            v = ring.neg(v)
+        entries[(o_r, obar_l)] = v
+    return X.GradedMap(ring, h.n0, h.n1, h.degree, entries)
+
+
+def bsda_z(h: HeegaardDiagram) -> X.GradedMap:
+    """Integer matrix: entry (I, J) sums (-1)^grading over the generators
+    with occupied in-arcs I and unoccupied out-arcs J."""
+    return _matrix(h, weighted=False)
+
+
 def bsda_zh(h: HeegaardDiagram) -> X.GradedMap:
     """Weighted matrix over Z[H]: each generator contributes its sign times
     the product of its point weights."""
-    ring = weight_ring(h)
-    entries: dict = {}
-    for x in enumerate_generators(h):
-        g = gr_da(h, x)
-        w = h.group.identity()
-        for p in x.points:
-            w = h.group.mul_weight(w, p.weight)
-        term = ring.monomial(w.monomial(),
-                             ring.coeff.from_int(1 if g.total % 2 == 0 else -1))
-        key = (g.o_r, g.obar_l)
-        entries[key] = ring.add(entries.get(key, ring.zero()), term)
-    entries = {k: v for k, v in entries.items() if not ring.is_zero(v)}
-    return X.GradedMap(ring, h.n0, h.n1, h.degree, entries)
+    return _matrix(h, weighted=True)
+
+
+def generator_count(h: HeegaardDiagram) -> int:
+    """Number of generators, without listing them."""
+    return sum(_state_sums(h, ZZ, lambda p: 1, signed=False).values())
 
 
 def map_transform(f: X.GradedMap, new_ring, fn) -> X.GradedMap:
@@ -173,15 +236,13 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
 
     Each generator lands on the basis monomial indexed by its unoccupied
     in-arcs and (shifted) unoccupied out-arcs; the sign is the one-sided
-    grading plus the basis correction |unoccupied in-arcs|.
+    grading plus the basis correction |unoccupied in-arcs|.  In the
+    one-sided diagram those arcs are exactly its unoccupied out-arcs.
     """
     hdd = reinterpret_one_sided(h)
-    n0 = h.n0
     terms: dict = {}
-    for x in enumerate_generators(h):
-        g = gr_da(h, x)
-        gdd = gr_da(hdd, x)
-        key = g.obar_r + tuple(n0 + j for j in g.obar_l)
-        sign = 1 if (gdd.total + len(g.obar_r)) % 2 == 0 else -1
-        terms[key] = terms.get(key, 0) + sign
+    for mask, v in _state_sums(hdd, *point_coefficients(hdd, False)).items():
+        _, obar, _, _, inv_idem, correction = _idempotents(hdd, mask)
+        unoccupied_in = sum(1 for j in obar if j <= h.n0)
+        terms[obar] = -v if (inv_idem + correction + unoccupied_in) & 1 else v
     return X.ExtElement(ZZ, h.n0 + h.n1, terms)

@@ -12,7 +12,7 @@ import sys
 
 from . import exterior as X
 from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
-from .bsda import bsda_z, enumerate_generators, gr_da
+from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
 from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized_roles
 from .fixtures import fixture_library
 from .homology import k_element, kernel_istar, presentation_matrix, vfn_sut
@@ -85,7 +85,7 @@ def _emit_diagram(h, output, comment=None):
     text = dumps(h, comment=comment)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         return f"wrote {output}", 0
     return text, 0
 
@@ -108,7 +108,7 @@ def _cmd_validate(args):
         (f"group: free rank {h.group.free_rank}, "
          f"torsion order {h.group.torsion_order}"),
         f"degree: {h.degree}",
-        f"generators: {len(enumerate_generators(h))}",
+        f"generators: {generator_count(h)}",
         "ok",
     ]
     return "\n".join(out), 0
@@ -219,7 +219,7 @@ def _cmd_fixtures(args):
             h, comment = lib[name]
             path = os.path.join(args.output, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps(h, comment=comment) + "\n")
+                fh.write(dumps(h, comment=comment))
         return f"wrote {len(lib)} fixtures to {args.output}", 0
     return "\n".join(f"{name}: {lib[name][1]}" for name in sorted(lib)), 0
 

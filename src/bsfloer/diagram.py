@@ -686,6 +686,8 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
         for key in ("alpha", "beta", "sign"):
             if key not in e:
                 raise ValueError(f"missing {key} in points[]")
+        if type(e["sign"]) is not int:
+            raise ValueError(f"point sign {e['sign']!r} is not an integer")
         w = parse_weight(group, e.get("weight", "1"))
         points.append(Point(str(e["alpha"]), str(e["beta"]), e["sign"], w))
     return make_diagram(group, zl, zr, alpha_out, circles, alpha_in,

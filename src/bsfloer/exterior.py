@@ -252,18 +252,6 @@ def identity_map(ring: Ring, n: int) -> GradedMap:
     return GradedMap(ring, n, n, 0, {(I, I): ring.one() for I in subsets(n)})
 
 
-def map_add(f: GradedMap, g: GradedMap) -> GradedMap:
-    _same_shape(f, g)
-    out = dict(f.entries)
-    for k, c in g.entries.items():
-        s = f.ring.add(out.get(k, f.ring.zero()), c)
-        if f.ring.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return GradedMap(f.ring, f.source_rank, f.target_rank, f.degree, out)
-
-
 def map_neg(f: GradedMap) -> GradedMap:
     return GradedMap(f.ring, f.source_rank, f.target_rank, f.degree,
                      {k: f.ring.neg(c) for k, c in f.entries.items()})

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exterior as X
+from .bsda import _state_sums, point_coefficients
 from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
@@ -183,25 +184,10 @@ def vfn_sut(h_norm: HeegaardDiagram) -> X.GradedMap:
 def generator_sum(h: HeegaardDiagram, ring: str = "z"):
     """Sum over generators of (-1)^(intersection + permutation) parity,
     optionally weighted."""
-    from .bsda import enumerate_generators, gr_da
-
     if ring not in ("z", "zh"):
         raise ValueError("ring must be z or zh")
-    R = GroupRing(h.group.free_rank, h.group.torsion_order)
-    total_z = 0
-    total_h = R.zero()
-    for x in enumerate_generators(h):
-        g = gr_da(h, x)
-        s = 1 if (g.intersection_parity + g.inv_sigma_x) % 2 == 0 else -1
-        if ring == "z":
-            total_z += s
-        else:
-            w = h.group.identity()
-            for p in x.points:
-                w = h.group.mul_weight(w, p.weight)
-            total_h = R.add(total_h,
-                            R.monomial(w.monomial(), R.coeff.from_int(s)))
-    return total_z if ring == "z" else total_h
+    R, coeff = point_coefficients(h, weighted=ring == "zh")
+    return R.sum(_state_sums(h, R, coeff).values())
 
 
 def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):

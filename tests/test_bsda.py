@@ -1,6 +1,8 @@
 """Generator enumeration, grading arithmetic, and the invariant matrices."""
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +10,13 @@ from hypothesis import given, strategies as st
 from bsfloer import exterior as X
 from bsfloer.bsda import (
     Generator,
+    _state_sums,
     augment_map,
     bsda_z,
     bsda_zh,
     bsdd_element,
     enumerate_generators,
+    generator_count,
     gr_da,
     map_transform,
     weight_ring,
@@ -26,14 +30,19 @@ from bsfloer.diagram import (
     identity_diagram,
     interval_arcs,
     make_diagram,
+    normalize,
+    reinterpret_one_sided,
     reweight,
 )
 from bsfloer.fixtures import (
     annulus,
     braid_diagram,
+    fixture_library,
     mixed_2x2,
     ordinary_from_matrix,
 )
+from bsfloer.homology import generator_sum
+from bsfloer.selftest import random_diagram, random_gluable_pair
 from bsfloer.rings import ZZ, GroupDescriptor, GroupRing, parse_element
 
 Z1 = interval_arcs(1)
@@ -363,3 +372,87 @@ class TestOneSided:
                   glue(identity_diagram(Z1), identity_diagram(Z1))]:
             e = bsdd_element(h)
             assert e.homogeneous_degree() == h.n0 + h.degree
+
+
+def enumeration_oracle(h):
+    """The invariant's sums by listing every generator and grading it:
+    (bsda_z, bsda_zh, bsdd_element, generator sums over Z and Z[H], count)."""
+    ring = weight_ring(h)
+    hdd = reinterpret_one_sided(h)
+    z, zh, dd = {}, {}, {}
+    sum_z, sum_h = 0, ring.zero()
+    gens = enumerate_generators(h)
+    for x in gens:
+        g = gr_da(h, x)
+        w = h.group.identity()
+        for p in x.points:
+            w = h.group.mul_weight(w, p.weight)
+        key = (g.o_r, g.obar_l)
+        s = (-1) ** g.total
+        z[key] = z.get(key, 0) + s
+        zh[key] = ring.add(zh.get(key, ring.zero()),
+                           ring.monomial(w.monomial(), s))
+        dkey = g.obar_r + tuple(h.n0 + j for j in g.obar_l)
+        dd[dkey] = dd.get(dkey, 0) + (-1) ** (gr_da(hdd, x).total
+                                              + len(g.obar_r))
+        s = (-1) ** (g.intersection_parity + g.inv_sigma_x)
+        sum_z += s
+        sum_h = ring.add(sum_h, ring.monomial(w.monomial(), s))
+    return (X.GradedMap(ZZ, h.n0, h.n1, h.degree, z),
+            X.GradedMap(ring, h.n0, h.n1, h.degree, zh),
+            X.ExtElement(ZZ, h.n0 + h.n1, dd), sum_z, sum_h, len(gens))
+
+
+def differential_corpus():
+    """Every fixture, random diagrams over Z^0..2 x Z/1..3 and glued random
+    pairs, each also normalized."""
+    groups = [GroupDescriptor(r, m) for r in range(3) for m in (1, 2, 3)]
+    rng = random.Random(20260)
+    named = [(name, h) for name, (h, _) in sorted(fixture_library().items())]
+    named += [(f"random{k}", random_diagram(rng, group=groups[k % 9]))
+              for k in range(90)]
+    named += [(f"glued{k}", glue(*random_gluable_pair(rng)))
+              for k in range(30)]
+    return [pytest.param(g, id=name + suffix) for name, h in named
+            for suffix, g in (("", h), ("-normalized", normalize(h)))]
+
+
+class TestStateSumEngine:
+    """The state-sum engine against generator enumeration plus gr_da."""
+
+    @pytest.mark.parametrize("h", differential_corpus())
+    def test_matches_enumeration(self, h):
+        z, zh, dd, sum_z, sum_h, count = enumeration_oracle(h)
+        assert X.map_eq(bsda_z(h), z)
+        assert X.map_eq(bsda_zh(h), zh)
+        assert bsdd_element(h) == dd
+        assert generator_sum(h) == sum_z
+        assert weight_ring(h).eq(generator_sum(h, "zh"), sum_h)
+        assert generator_count(h) == count
+
+    def test_count_needs_every_circle(self):
+        g = GroupDescriptor(0)
+        h = make_diagram(g, None, None, [], ["A1"], [], [], [])
+        assert generator_count(h) == 0
+        assert bsda_z(h).entries == {}
+        assert generator_count(empty_diagram()) == 1
+
+    def test_cancelling_crossings_keep_their_state(self):
+        g = GroupDescriptor(0)
+        one = g.identity()
+        pts = [Point("A1", "B1", 1, one), Point("A1", "B1", -1, one)]
+        h = make_diagram(g, None, None, [], ["A1"], [], [("B1", None)], pts)
+        assert _state_sums(h, ZZ, lambda p: p.sign) == {1: 0}
+        assert bsda_z(h).is_zero()
+
+    def test_states_do_not_depend_on_signs(self):
+        # the engine's work is fixed by which curves meet
+        rng = random.Random(5)
+        diagrams = [random_diagram(rng) for _ in range(30)]
+        diagrams += [normalize(glue(*random_gluable_pair(rng)))
+                     for _ in range(10)]
+        for h in diagrams:
+            flipped = replace(h, points=tuple(
+                replace(p, sign=rng.choice((-1, 1))) for p in h.points))
+            assert (_state_sums(h, ZZ, lambda p: p.sign).keys()
+                    == _state_sums(flipped, ZZ, lambda p: p.sign).keys())

@@ -1,14 +1,16 @@
 """Command line behavior: exit codes, deterministic output, JSON shape,
 and the fixture round-trip."""
 
+import itertools
 import json
+import time
 
 import pytest
 
 from bsfloer.alexander import CompareReport
 from bsfloer.cli import main
-from bsfloer.diagram import loads
-from bsfloer.fixtures import fixture_library
+from bsfloer.diagram import dumps, loads
+from bsfloer.fixtures import fixture_library, ordinary_from_matrix
 from bsfloer.selftest import CriterionResult
 
 
@@ -17,6 +19,19 @@ def fxdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
     assert main(["fixtures", "--output", str(d)]) == 0
     return d
+
+
+def permanent(rows):
+    """Ryser's formula, for the generator count of an ordinary diagram."""
+    n = len(rows)
+    total = 0
+    for r in range(1, n + 1):
+        for cols in itertools.combinations(range(n), r):
+            prod = 1
+            for row in rows:
+                prod *= sum(row[j] for j in cols)
+            total += (-1) ** (n - r) * prod
+    return total
 
 
 def run(capsys, argv):
@@ -44,6 +59,19 @@ class TestExitCodes:
         code, _, err = run(capsys, ["validate", str(p)])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("sign", ["true", "1.0"])
+    def test_non_integer_sign_is_input_failure(self, capsys, tmp_path, sign):
+        p = tmp_path / "bad.json"
+        p.write_text('{"alpha": {"circles": ["A1"]}, '
+                     '"beta": {"circles": [{"id": "B1"}]}, '
+                     '"points": [{"alpha": "A1", "beta": "B1", '
+                     f'"sign": {sign}}}]}}')
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sign" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
@@ -120,6 +148,21 @@ class TestOutput:
         assert "unit: +1" in out
         assert "1 + t1 + t1^2" in out
 
+    def test_validate_counts_dense_generators_fast(self, capsys, tmp_path):
+        # Magnitudes 1 and 2 on a 9x9 circulant: |M|'s permanent is the
+        # generator count, far too many to list one by one.
+        n = 9
+        rows = [[(2 if (j - i) % n < n // 2 else 1) * (-1) ** (i * j + j)
+                 for j in range(n)] for i in range(n)]
+        p = tmp_path / "dense9.json"
+        p.write_text(dumps(ordinary_from_matrix(rows)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["validate", str(p)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        count = permanent([[abs(m) for m in r] for r in rows])
+        assert f"generators: {count}" in out
+
     def test_generators_listing(self, capsys, fxdir):
         code, out, _ = run(capsys, ["generators",
                                     str(fxdir / "bordered_mixed.json")])
@@ -194,6 +237,18 @@ class TestFileFlow:
         assert code == 0
         h = loads(out_path.read_text())
         assert h.n0 == 0 and h.n1 == 0
+
+    def test_output_file_ends_in_one_newline(self, capsys, fxdir, tmp_path):
+        out_path = tmp_path / "out.json"
+        code, _, _ = run(capsys, ["normalize", str(fxdir / "identity_n1.json"),
+                                  "--output", str(out_path)])
+        assert code == 0
+        text = out_path.read_text()
+        assert text.endswith("}\n") and not text.endswith("\n\n")
+
+    def test_fixture_files_end_in_one_newline(self, fxdir):
+        for path in fxdir.iterdir():
+            assert not path.read_text().endswith("\n\n"), path.name
 
     def test_fixture_files_round_trip(self, fxdir):
         lib = fixture_library()
