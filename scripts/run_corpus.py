@@ -5,14 +5,16 @@ Draws gluable pairs and standalone diagrams from a seed, then reports how
 often each identity was exercised nontrivially: gluing against composition,
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
-invariant matrix against generator enumeration.  Any mismatch aborts with
-a nonzero exit.
+invariant matrix against generator enumeration, and the determinant built
+on the same state sum against a Leibniz sum over permutations.  Any
+mismatch aborts with a nonzero exit.
 """
 
 import argparse
 import random
 import sys
 from dataclasses import dataclass
+from itertools import permutations
 
 from bsfloer import exterior as X
 from bsfloer.alexander import compare_bsda_alexander
@@ -25,7 +27,7 @@ from bsfloer.bsda import (
     weight_ring,
 )
 from bsfloer.diagram import GroupDescriptor, glue, normalize
-from bsfloer.rings import ZZ
+from bsfloer.rings import ZZ, GroupRing, QHRing, det_exact
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
 
@@ -99,6 +101,66 @@ def sweep_engine(cfg: SweepConfig) -> str:
     return f"engine: {checked} diagrams match generator enumeration"
 
 
+def leibniz_det(ring, entries):
+    """Sum over all permutations of signed products: the independent
+    oracle for det_exact."""
+    n = len(entries)
+    acc = ring.zero()
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n)
+                  if perm[i] > perm[j])
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = ring.mul(term, entries[i][j])
+        acc = ring.add(acc, ring.neg(term) if inv & 1 else term)
+    return acc
+
+
+def group_ring_draw(ring):
+    """A random element of ring with one or two terms, exponents -1..1."""
+    def draw(rng):
+        x = ring.zero()
+        for _ in range(rng.choice((1, 1, 2))):
+            free = [rng.randint(-1, 1) for _ in range(ring.free_rank)]
+            c = rng.choice((-2, -1, 1, 2))
+            x = ring.add(x, ring.monomial(
+                (*free, rng.randrange(ring.torsion_order)), c))
+        return x
+    return draw
+
+
+def det_rings():
+    """(name, ring, draw) for Z, Z[G], Z[Z^r x Z/m] and Q[H]."""
+    zg = GroupRing(2, 1)
+    zh = GroupRing(1, 3)
+    qh = QHRing(GroupDescriptor(1, 3))
+    draw_zh = group_ring_draw(zh)
+    return [
+        ("Z", ZZ, lambda rng: rng.randint(-3, 3)),
+        ("Z[Z^2]", zg, group_ring_draw(zg)),
+        ("Z[Z x Z/3]", zh, draw_zh),
+        ("Q[Z x Z/3]", qh, lambda rng: qh.from_zh(draw_zh(rng))),
+    ]
+
+
+def sweep_det(cfg: SweepConfig) -> str:
+    rng = random.Random(cfg.seed * 7919 + 6)
+    checked = nonzero = 0
+    for name, ring, draw in det_rings():
+        for n in range(7):
+            for density in (0.3, 1.0):
+                for _ in range(2):
+                    m = [[draw(rng) if rng.random() < density else ring.zero()
+                          for _ in range(n)] for _ in range(n)]
+                    d = det_exact(ring, m)
+                    if not ring.eq(d, leibniz_det(ring, m)):
+                        raise SystemExit(
+                            f"det_exact/Leibniz mismatch over {name} at n={n}")
+                    checked += 1
+                    nonzero += not ring.is_zero(d)
+    return f"det: {checked} matrices match the Leibniz sum, {nonzero} nonzero"
+
+
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
@@ -123,6 +185,7 @@ def main():
                       diagrams_per_ring=args.per_ring)
     print(sweep_gluing(cfg))
     print(sweep_engine(cfg))
+    print(sweep_det(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

@@ -2,15 +2,18 @@
 
 The function takes a deficiency-d presentation and d vectors in row
 coordinates and returns the determinant of the matrix with those vectors
-appended as columns; it is declared zero when the presentation map has a
-kernel (componentwise over Q[H]).
+appended as columns.  Over an integral domain that determinant is already
+zero when the presentation map has a kernel, since its columns are then
+dependent; Q[H] is a product of domains, so the same holds per component.
 
 The functor evaluates the function on the normalized diagram's presentation
 with the new-beta unit vectors standing in for the boundary classes: both
 the incoming rows (for I, ascending) and the outgoing rows (for the
 complement of J, ascending) are appended with sign -1, and the entry carries
 the sign (-1)^(inv(J, J^c) + c*(n1 - |J|)).  The identity fixture then
-reproduces its invariant matrix on the nose.
+reproduces its invariant matrix on the nose.  Over Z[G] and Q[H] the
+functor is evaluated over Z[H] and mapped entrywise by the ring change the
+invariant uses; ring maps commute with determinants.
 """
 
 from __future__ import annotations
@@ -22,15 +25,7 @@ from . import exterior as X
 from .bsda import bsda_z, bsda_zh, map_transform
 from .diagram import HeegaardDiagram, normalize, normalized_roles
 from .homology import Presentation, presentation_matrix
-from .rings import (
-    ZZ,
-    GroupRing,
-    Matrix,
-    QHRing,
-    det_exact,
-    integer_kernel_is_zero,
-    rank_over_fractions,
-)
+from .rings import GroupRing, Matrix, QHRing, det_exact
 
 RING_TAGS = ("z", "zg", "qh")
 
@@ -49,17 +44,10 @@ def _coerce(ring, x):
     return ring.from_int(x) if isinstance(x, int) else x
 
 
-def _injective_domain(ring, entries, cols: int) -> bool:
-    if cols == 0:
-        return True
-    if ring is ZZ:
-        return integer_kernel_is_zero(entries)
-    return rank_over_fractions(ring, entries) == cols
-
-
 def alexander_function(pres, u):
     """det of the presentation with the deficiency-many vectors appended as
-    columns on the right; zero whenever the presentation is not injective."""
+    columns on the right.  Over a domain, or per component of Q[H], it is
+    zero whenever the presentation is not injective."""
     m = pres.matrix if isinstance(pres, Presentation) else pres
     ring = m.ring
     rows, cols = m.rows, m.cols
@@ -72,24 +60,6 @@ def alexander_function(pres, u):
         if len(v) != rows:
             raise ValueError("appended vector has wrong length")
 
-    if isinstance(ring, QHRing):
-        out = []
-        for ci, comp in enumerate(ring.components):
-            centries = [[e[ci] for e in row] for row in m.entries]
-            if not _injective_domain(comp, centries, cols):
-                out.append(comp.zero())
-                continue
-            square = [
-                centries[i]
-                + [_coerce(comp, v[i]) if not isinstance(v[i], tuple)
-                   else v[i][ci] for v in u]
-                for i in range(rows)
-            ]
-            out.append(det_exact(comp, square))
-        return tuple(out)
-
-    if not _injective_domain(ring, m.entries, cols):
-        return ring.zero()
     square = [
         list(m.entries[i]) + [_coerce(ring, v[i]) for v in u]
         for i in range(rows)
@@ -97,19 +67,14 @@ def alexander_function(pres, u):
     return det_exact(ring, square)
 
 
-def _presentation_in_ring(h_norm: HeegaardDiagram, ring_tag: str):
-    if ring_tag == "z":
-        return presentation_matrix(h_norm, "z")
-    pres = presentation_matrix(h_norm, "zh")
-    zh = pres.matrix
+def _ring_change(group, ring_tag: str) -> tuple:
+    """The zg or qh coefficient ring and the ring map into it from Z[H]."""
     if ring_tag == "zg":
-        R = GroupRing(h_norm.group.free_rank, 1)
-        entries = [[to_free_part(e) for e in row] for row in zh.entries]
-    else:
-        R = QHRing(h_norm.group)
-        entries = [[R.from_zh(e) for e in row] for row in zh.entries]
-    m = Matrix(R, entries, list(zh.row_labels), list(zh.col_labels))
-    return Presentation(m, pres.roles)
+        return GroupRing(group.free_rank, 1), to_free_part
+    if ring_tag == "qh":
+        R = QHRing(group)
+        return R, R.from_zh
+    raise ValueError(f"unknown ring tag {ring_tag!r}")
 
 
 def entry_vectors(h_norm: HeegaardDiagram) -> dict:
@@ -141,21 +106,23 @@ def alexander_functor(h_norm: HeegaardDiagram,
                       ring_tag: str = "z") -> X.GradedMap:
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
-    pres = _presentation_in_ring(h_norm, ring_tag)
+    pres = presentation_matrix(h_norm, "z" if ring_tag == "z" else "zh")
     ring = pres.matrix.ring
     n0, n1 = h_norm.n0, h_norm.n1
     c = h_norm.degree
     entries: dict = {}
-    if pres.matrix.rows < pres.matrix.cols:
-        return X.GradedMap(ring, n0, n1, c, entries)
-    for (I, J), u in entry_vectors(h_norm).items():
-        val = alexander_function(pres, u)
-        if ring.is_zero(val):
-            continue
-        jc = tuple(j for j in range(1, n1 + 1) if j not in J)
-        exp = X.cross_inversions(J, jc) + c * (n1 - len(J))
-        entries[(I, J)] = val if exp % 2 == 0 else ring.neg(val)
-    return X.GradedMap(ring, n0, n1, c, entries)
+    if pres.matrix.rows >= pres.matrix.cols:
+        for (I, J), u in entry_vectors(h_norm).items():
+            val = alexander_function(pres, u)
+            if ring.is_zero(val):
+                continue
+            jc = tuple(j for j in range(1, n1 + 1) if j not in J)
+            exp = X.cross_inversions(J, jc) + c * (n1 - len(J))
+            entries[(I, J)] = val if exp % 2 == 0 else ring.neg(val)
+    f = X.GradedMap(ring, n0, n1, c, entries)
+    if ring_tag == "z":
+        return f
+    return map_transform(f, *_ring_change(h_norm.group, ring_tag))
 
 
 def bsda_map(h: HeegaardDiagram, ring_tag: str) -> X.GradedMap:
@@ -165,13 +132,7 @@ def bsda_map(h: HeegaardDiagram, ring_tag: str) -> X.GradedMap:
     f = bsda_zh(h)
     if ring_tag == "zh":
         return f
-    if ring_tag == "zg":
-        R = GroupRing(h.group.free_rank, 1)
-        return map_transform(f, R, to_free_part)
-    if ring_tag == "qh":
-        R = QHRing(h.group)
-        return map_transform(f, R, R.from_zh)
-    raise ValueError(f"unknown ring tag {ring_tag!r}")
+    return map_transform(f, *_ring_change(h.group, ring_tag))
 
 
 def random_equivalent_presentation(pres: Presentation, seed: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, reinterpret_one_sided
-from .rings import ZZ, GroupRing, augmentation
+from .rings import ZZ, GroupRing, augmentation, state_sums
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,10 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
 def _state_sums(h: HeegaardDiagram, ring, coeff, signed: bool = True) -> dict:
     """Sum the generators of h grouped by their occupied alpha curves.
 
-    A dynamic program over the beta circles in stored order.  The state is
-    the bitmask of occupied positions in the total alpha order; its value in
-    ring sums, over the partial generators with that mask, the product of
-    coeff(point) times (-1)^(inversions so far) when signed.  States that
-    can no longer cover every alpha circle are pruned, as in
+    This is rings.state_sums with one row per beta circle in stored order
+    and one column per position in the total alpha order.  A row's
+    coefficient in a column adds coeff(point) over the points of that
+    (beta, alpha) pair, and every alpha circle must be covered, as in
     enumerate_generators.  Zero coefficients and zero sums are kept, and
     the maps and elements built from the result drop zeros only when they
     are constructed, so the work depends only on which curves meet, not on
@@ -143,34 +142,13 @@ def _state_sums(h: HeegaardDiagram, ring, coeff, signed: bool = True) -> dict:
     final mask fixes the generator's idempotents.
     """
     pos = {aid: q for q, aid in enumerate(h.alpha_order())}
-    circles = sum(1 << pos[aid] for aid in h.alpha_circles)
-    need = len(h.alpha_circles)
     rows: dict = {bid: {} for bid in h.beta_ids()}
     for p in h.points:
         row = rows[p.beta]
         q = pos[p.alpha]
         row[q] = ring.add(row.get(q, ring.zero()), coeff(p))
-    left = len(rows)
-    if need > left:
-        return {}
-    states = {0: ring.one()}
-    for row in rows.values():
-        left -= 1
-        steps = [(q, 1 << q, c) for q, c in row.items()]
-        nxt: dict = {}
-        for mask, v in states.items():
-            for q, bit, c in steps:
-                if mask & bit:
-                    continue
-                new = mask | bit
-                if need - (new & circles).bit_count() > left:
-                    continue
-                t = ring.mul(v, c)
-                if signed and (mask >> (q + 1)).bit_count() & 1:
-                    t = ring.neg(t)
-                nxt[new] = ring.add(nxt.get(new, ring.zero()), t)
-        states = nxt
-    return states
+    circles = sum(1 << pos[aid] for aid in h.alpha_circles)
+    return state_sums(ring, list(rows.values()), circles, signed)
 
 
 def weight_ring(h: HeegaardDiagram) -> GroupRing:

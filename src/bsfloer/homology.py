@@ -21,7 +21,6 @@ from .bsda import _state_sums, point_coefficients
 from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
-    GroupRing,
     Matrix,
     integer_kernel_is_zero,
     integer_rank,
@@ -58,24 +57,14 @@ def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Presentation:
         raise ValueError("ring must be z or zh")
     circle_col = {aid: i for i, aid in enumerate(h.alpha_circles)}
     beta_row = {bid: j for j, bid in enumerate(h.beta_ids())}
-    if ring == "z":
-        R: object = ZZ
-        rows = [[0] * len(h.alpha_circles) for _ in h.beta_circles]
-        for p in h.points:
-            i = circle_col.get(p.alpha)
-            if i is None:
-                continue
-            rows[beta_row[p.beta]][i] += p.sign
-    else:
-        R = GroupRing(h.group.free_rank, h.group.torsion_order)
-        rows = [[R.zero() for _ in h.alpha_circles] for _ in h.beta_circles]
-        for p in h.points:
-            i = circle_col.get(p.alpha)
-            if i is None:
-                continue
-            j = beta_row[p.beta]
-            term = R.monomial(p.weight.monomial(), R.coeff.from_int(p.sign))
-            rows[j][i] = R.add(rows[j][i], term)
+    R, coeff = point_coefficients(h, weighted=ring == "zh")
+    rows = [[R.zero() for _ in h.alpha_circles] for _ in h.beta_circles]
+    for p in h.points:
+        i = circle_col.get(p.alpha)
+        if i is None:
+            continue
+        j = beta_row[p.beta]
+        rows[j][i] = R.add(rows[j][i], coeff(p))
     m = Matrix(R, rows, row_labels=h.beta_ids(),
                col_labels=tuple(h.alpha_circles))
     return Presentation(m, tuple(role for _, role in h.beta_circles))
@@ -198,9 +187,7 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
     pres = presentation_matrix(h, "z")
     b1 = pres.matrix.rows - pres.rank()
     s = generator_sum(h, ring)
-    if ring == "z":
-        return s if b1 % 2 == 0 else -s
-    R = GroupRing(h.group.free_rank, h.group.torsion_order)
+    R, _ = point_coefficients(h, weighted=ring == "zh")
     return s if b1 % 2 == 0 else R.neg(s)
 
 

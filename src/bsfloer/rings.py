@@ -5,9 +5,9 @@ group rings of finitely generated abelian groups H = Z^r x Z/m (Laurent
 polynomials in t1..tr with an order-m generator s), cyclotomic fields
 Q(zeta_d), Laurent rings over those fields, and the full rational group
 algebra of H presented componentwise by characters of the torsion part.
-Also: Smith normal form over Z, exact determinants (cofactor for small
-matrices, fraction-free Bareiss above that), and unit-orbit normalization
-used for all "equal up to a unit" comparisons.
+Also: Smith normal form over Z, exact division-free determinants (one
+state sum over occupied column sets, for every ring and size), and
+unit-orbit normalization used for all "equal up to a unit" comparisons.
 
 No floating point anywhere.
 """
@@ -553,8 +553,9 @@ class GroupRing(Ring):
         """Greedy division by the lex-leading term; exact quotients only.
 
         Valid whenever the quotient exists in the ring (the only way this is
-        called: Bareiss pivots, unit division).  Torsion monomials are not
-        ordered compatibly, so division requires m = 1 or b a single monomial.
+        called: fraction-free pivots in rank_over_fractions, unit division).
+        Torsion monomials are not ordered compatibly, so division requires
+        m = 1 or b a single monomial.
         """
         if self.is_zero(b):
             raise ZeroDivisionError("division by zero")
@@ -930,96 +931,62 @@ def integer_kernel_is_zero(entries) -> bool:
     return integer_rank(entries) == cols
 
 
-def det_cofactor(ring: Ring, entries):
-    n = len(entries)
-    if n == 0:
-        return ring.one()
-    if any(len(r) != n for r in entries):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return entries[0][0]
-    acc = ring.zero()
-    sign = 1
-    minor_rows = entries[1:]
-    for j in range(n):
-        a = entries[0][j]
-        if not ring.is_zero(a):
-            sub = [row[:j] + row[j + 1:] for row in minor_rows]
-            term = ring.mul(a, det_cofactor(ring, sub))
-            acc = ring.add(acc, term if sign > 0 else ring.neg(term))
-        sign = -sign
-    return acc
+def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
+    """Sum the partial transversals of a sparse matrix, grouped by the set of
+    columns they occupy.
 
-
-def _det_bareiss(ring: Ring, entries):
-    """Fraction-free Bareiss elimination; divisions are exact in a domain."""
-    n = len(entries)
-    A = [list(r) for r in entries]
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        if ring.is_zero(A[k][k]):
-            # pivot search
-            found = False
-            for i in range(k + 1, n):
-                if not ring.is_zero(A[i][k]):
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    found = True
-                    break
-            if not found:
-                return ring.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(ring.mul(A[i][j], A[k][k]), ring.mul(A[i][k], A[k][j]))
-                A[i][j] = ring.exact_div(num, prev)
-            A[i][k] = ring.zero()
-        prev = A[k][k]
-    det = A[n - 1][n - 1]
-    return det if sign > 0 else ring.neg(det)
+    rows is a sequence of {column: coefficient} dicts with nonnegative int
+    columns.  A dynamic program picks one column per row, in row order,
+    never one already occupied; the state is the bitmask of occupied
+    columns, and its value sums the products of the picked coefficients,
+    each pick times (-1)^(occupied columns to its right) when signed, so a
+    full transversal carries the sign of its permutation.  States that can
+    no longer cover every column of the bitmask required are pruned.  Zero
+    coefficients and zero sums are kept, so the work depends only on which
+    entries are present, not on their values.  There is no division, so any
+    commutative ring works.  Returns {mask: value} over the masks reached
+    after the last row; no rows give {0: one}.
+    """
+    need = required.bit_count()
+    left = len(rows)
+    if need > left:
+        return {}
+    states = {0: ring.one()}
+    for row in rows:
+        left -= 1
+        steps = [(q, 1 << q, c) for q, c in row.items()]
+        nxt: dict = {}
+        for mask, v in states.items():
+            for q, bit, c in steps:
+                if mask & bit:
+                    continue
+                new = mask | bit
+                if need - (new & required).bit_count() > left:
+                    continue
+                t = ring.mul(v, c)
+                if signed and (mask >> (q + 1)).bit_count() & 1:
+                    t = ring.neg(t)
+                nxt[new] = ring.add(nxt.get(new, ring.zero()), t)
+        states = nxt
+    return states
 
 
 def det_exact(ring: Ring, entries):
-    """Exact determinant: cofactor for n <= 6, Bareiss above.
-
-    Laurent-ring input is cleared to polynomial form row by row (the cleared
-    monomials are units and multiply back in) so Bareiss divisions stay in a
-    polynomial ring.  0 x 0 gives 1.
-    """
+    """Exact determinant over any commutative ring: the full-mask value of
+    state_sums over the nonzero entries.  0 x 0 gives 1."""
     n = len(entries)
-    if n == 0:
-        return ring.one()
     if any(len(r) != n for r in entries):
         raise ValueError("determinant of a non-square matrix")
-    if n <= 6:
-        return det_cofactor(ring, entries)
-    if isinstance(ring, QHRing):
-        comps = []
-        for idx, comp in enumerate(ring.components):
-            comps.append(det_exact(comp, [[e[idx] for e in row] for row in entries]))
-        return tuple(comps)
-    if isinstance(ring, GroupRing):
-        if ring.torsion_order != 1:
-            raise ArithmeticError("large determinants need an integral domain")
-        unit = ring.one()
-        cleared = []
-        for row in entries:
-            monos = [g for e in row for g in e]
-            if monos:
-                shift = tuple(min(g[i] for g in monos) for i in range(ring.free_rank))
-                if any(shift):
-                    gshift = {ring.mono(shift, 0): ring.coeff.one()}
-                    unit = ring.mul(unit, gshift)
-                    ginv = {ring.mono_inv(ring.mono(shift, 0)): ring.coeff.one()}
-                    row = [ring.mul(ginv, e) for e in row]
-            cleared.append(list(row))
-        return ring.mul(unit, _det_bareiss(ring, cleared))
-    return _det_bareiss(ring, entries)
+    rows = [{j: e for j, e in enumerate(r) if not ring.is_zero(e)}
+            for r in entries]
+    full = (1 << n) - 1
+    return state_sums(ring, rows, full).get(full, ring.zero())
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:
     """Column rank over the fraction field of an integral domain, by
-    fraction-free elimination with full pivoting."""
+    fraction-free elimination with full pivoting.  No library code calls
+    it; perfbench/tracer.py still lists it as a traced target."""
     A = [list(r) for r in entries]
     rows = len(A)
     cols = len(A[0]) if A else 0

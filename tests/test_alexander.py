@@ -96,6 +96,27 @@ class TestFunction:
         assert alexander_function(pres, [(0, 0, 1)]) == 0
         assert alexander_function(pres, [(5, -3, 7)]) == 0
 
+    def test_dependent_columns_give_zero_over_laurent(self):
+        # second column = t1 * first column
+        a = parse_element(LAUR, "1 - t1")
+        col = [a, LAUR.one(), LAUR.zero()]
+        m = Matrix(LAUR, [[x, LAUR.mul(T1, x)] for x in col])
+        pres = Presentation(m, ())
+        for u in [(0, 0, 1), (T1, 3, parse_element(LAUR, "2 + t1^-1"))]:
+            assert LAUR.is_zero(alexander_function(pres, [u]))
+
+    def test_dependent_columns_give_zero_per_qh_component(self):
+        # columns (1, s, 0) and (1, 1, 0) meet when s -> 1 only
+        zh = GroupRing(0, 2)
+        R = QHRing(GroupDescriptor(0, 2))
+        s = R.from_zh(zh.monomial((1,)))
+        m = Matrix(R, [[R.one(), R.one()], [s, R.one()],
+                       [R.zero(), R.zero()]])
+        val = alexander_function(Presentation(m, ()), [(0, 0, 1)])
+        assert R.divisors == [1, 2]
+        assert R.components[0].is_zero(val[0])
+        assert val[1] == R.components[1].from_int(2)
+
     @given(
         st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
                  min_size=3, max_size=3),

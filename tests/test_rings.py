@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -385,27 +386,33 @@ class TestDeterminants:
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                     min_size=3, max_size=3))
-    def test_cofactor_vs_brute_int(self, entries):
-        assert R.det_cofactor(R.ZZ, entries) == brute_det(R.ZZ, entries)
-        assert R._det_bareiss(R.ZZ, entries) == brute_det(R.ZZ, entries)
+    def test_det_exact_vs_brute_int(self, entries):
+        assert R.det_exact(R.ZZ, entries) == brute_det(R.ZZ, entries)
 
     @given(st.lists(st.lists(gr_elements(1, 1, max_exp=1, max_terms=2,
                                          max_coeff=3),
                              min_size=3, max_size=3),
                     min_size=3, max_size=3))
-    def test_cofactor_vs_brute_laurent(self, entries):
+    def test_det_exact_vs_brute_laurent(self, entries):
         Zt = R.GroupRing(1)
-        want = brute_det(Zt, entries)
-        assert Zt.eq(R.det_cofactor(Zt, entries), want)
-        assert Zt.eq(R._det_bareiss(Zt, entries), want)
+        assert Zt.eq(R.det_exact(Zt, entries), brute_det(Zt, entries))
 
     @given(st.lists(st.lists(gr_elements(0, 2, max_terms=2, max_coeff=3),
                              min_size=3, max_size=3),
                     min_size=3, max_size=3))
-    def test_cofactor_vs_brute_torsion(self, entries):
-        # Z[Z/2] is not a domain; only the cofactor route applies
+    def test_det_exact_vs_brute_torsion(self, entries):
+        # Z[Z/2] is not a domain; the state sum never divides
         Zs = R.GroupRing(0, 2)
-        assert Zs.eq(R.det_cofactor(Zs, entries), brute_det(Zs, entries))
+        assert Zs.eq(R.det_exact(Zs, entries), brute_det(Zs, entries))
+
+    @given(st.lists(st.lists(gr_elements(1, 3, max_exp=1, max_terms=2,
+                                         max_coeff=3),
+                             min_size=3, max_size=3),
+                    min_size=3, max_size=3))
+    def test_det_exact_vs_brute_qh(self, entries):
+        qh = R.QHRing(R.GroupDescriptor(1, 3))
+        m = [[qh.from_zh(e) for e in row] for row in entries]
+        assert qh.eq(R.det_exact(qh, m), brute_det(qh, m))
 
     def test_four_by_four_vs_brute(self):
         entries = [[(i * 7 + j * 3) % 5 - 2 for j in range(4)] for i in range(4)]
@@ -430,11 +437,15 @@ class TestDeterminants:
         # triangular: product of the diagonal, total exponent 0
         assert Zt.eq(det, Zt.one())
 
-    def test_large_torsion_rejected(self):
+    def test_large_torsion_vs_brute(self):
         Zs = R.GroupRing(0, 2)
-        entries = [[Zs.one()] * 7 for _ in range(7)]
-        with pytest.raises(ArithmeticError):
-            R.det_exact(Zs, entries)
+        rnd = random.Random(1)
+        pool = ("1 + s", "s", "2 - s", "0", "1", "-1")
+        entries = [[R.parse_element(Zs, rnd.choice(pool)) for _ in range(7)]
+                   for _ in range(7)]
+        det = R.det_exact(Zs, entries)
+        assert Zs.eq(det, brute_det(Zs, entries))
+        assert not Zs.is_zero(det)
 
     def test_qh_componentwise(self):
         G = R.GroupDescriptor(0, 2)
