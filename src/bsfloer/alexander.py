@@ -25,7 +25,7 @@ from . import exterior as X
 from .bsda import bsda_z, bsda_zh, map_transform
 from .diagram import HeegaardDiagram, normalize, normalized_roles
 from .homology import Presentation, presentation_matrix
-from .rings import GroupRing, Matrix, QHRing, det_exact
+from .rings import ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact
 
 RING_TAGS = ("z", "zg", "qh")
 
@@ -35,9 +35,8 @@ def to_free_part(zh_elem: dict) -> dict:
     free-part Laurent ring (torsion coordinate pinned to 0)."""
     out: dict = {}
     for g, c in zh_elem.items():
-        key = (*g[:-1], 0)
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+        accumulate(ZZ, out, (*g[:-1], 0), c)
+    return out
 
 
 def _coerce(ring, x):
@@ -114,8 +113,6 @@ def alexander_functor(h_norm: HeegaardDiagram,
     if pres.matrix.rows >= pres.matrix.cols:
         for (I, J), u in entry_vectors(h_norm).items():
             val = alexander_function(pres, u)
-            if ring.is_zero(val):
-                continue
             jc = tuple(j for j in range(1, n1 + 1) if j not in J)
             exp = X.cross_inversions(J, jc) + c * (n1 - len(J))
             entries[(I, J)] = val if exp % 2 == 0 else ring.neg(val)

@@ -194,13 +194,9 @@ def generator_count(h: HeegaardDiagram) -> int:
 
 
 def map_transform(f: X.GradedMap, new_ring, fn) -> X.GradedMap:
-    """Entrywise ring change; zero images are dropped."""
-    entries = {}
-    for k, v in f.entries.items():
-        w = fn(v)
-        if not new_ring.is_zero(w):
-            entries[k] = w
-    return X.GradedMap(new_ring, f.source_rank, f.target_rank, f.degree, entries)
+    """Entrywise ring change; the GradedMap drops zero images."""
+    return X.GradedMap(new_ring, f.source_rank, f.target_rank, f.degree,
+                       {k: fn(v) for k, v in f.entries.items()})
 
 
 def augment_map(f_zh: X.GradedMap) -> X.GradedMap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .rings import Ring, values_eq_up_to_unit
+from .rings import Ring, accumulate, values_eq_up_to_unit
 
 
 def subset_key(indices) -> tuple:
@@ -72,16 +72,7 @@ class ExtElement:
                 raise ValueError(f"repeated index in {S!r}")
             if key and not (1 <= key[0] and key[-1] <= self.rank):
                 raise ValueError(f"index out of range in {S!r}")
-            if self.ring.is_zero(c):
-                continue
-            if key in clean:
-                s = self.ring.add(clean[key], c)
-                if self.ring.is_zero(s):
-                    del clean[key]
-                else:
-                    clean[key] = s
-            else:
-                clean[key] = c
+            accumulate(self.ring, clean, key, c)
         self.terms = clean
 
     def is_zero(self) -> bool:
@@ -108,11 +99,7 @@ def ext_add(x: ExtElement, y: ExtElement) -> ExtElement:
     _same_algebra(x, y)
     out = dict(x.terms)
     for S, c in y.terms.items():
-        s = x.ring.add(out.get(S, x.ring.zero()), c)
-        if x.ring.is_zero(s):
-            out.pop(S, None)
-        else:
-            out[S] = s
+        accumulate(x.ring, out, S, c)
     return ExtElement(x.ring, x.rank, out)
 
 
@@ -152,12 +139,7 @@ def wedge(x: ExtElement, y: ExtElement) -> ExtElement:
             c = ring.mul(a, b)
             if cross_inversions(I, J) % 2:
                 c = ring.neg(c)
-            K = tuple(sorted(I + J))
-            s = ring.add(out.get(K, ring.zero()), c)
-            if ring.is_zero(s):
-                out.pop(K, None)
-            else:
-                out[K] = s
+            accumulate(ring, out, tuple(sorted(I + J)), c)
     return ExtElement(ring, x.rank, out)
 
 
@@ -224,17 +206,7 @@ class GradedMap:
             if len(J) - len(I) != self.degree:
                 raise ValueError(
                     f"entry ({I}, {J}) breaks homogeneity of degree {self.degree}")
-            if self.ring.is_zero(c):
-                continue
-            key = (I, J)
-            if key in clean:
-                s = self.ring.add(clean[key], c)
-                if self.ring.is_zero(s):
-                    del clean[key]
-                else:
-                    clean[key] = s
-            else:
-                clean[key] = c
+            accumulate(self.ring, clean, (I, J), c)
         self.entries = clean
 
     def is_zero(self) -> bool:
@@ -286,13 +258,8 @@ def apply_map(f: GradedMap, x: ExtElement) -> ExtElement:
     out: dict = {}
     for (I, J), c in f.entries.items():
         a = x.terms.get(I)
-        if a is None:
-            continue
-        s = ring.add(out.get(J, ring.zero()), ring.mul(c, a))
-        if ring.is_zero(s):
-            out.pop(J, None)
-        else:
-            out[J] = s
+        if a is not None:
+            accumulate(ring, out, J, ring.mul(c, a))
     return ExtElement(ring, f.target_rank, out)
 
 
@@ -306,14 +273,8 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     out: dict = {}
     for (I, J), a in f.entries.items():
         for (J2, K), b in g.entries.items():
-            if J2 != J:
-                continue
-            key = (I, K)
-            s = ring.add(out.get(key, ring.zero()), ring.mul(b, a))
-            if ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if J2 == J:
+                accumulate(ring, out, (I, K), ring.mul(b, a))
     return GradedMap(ring, f.source_rank, g.target_rank,
                      f.degree + g.degree, out)
 
@@ -336,11 +297,7 @@ def super_tensor(f: GradedMap, g: GradedMap) -> GradedMap:
                 c = ring.neg(c)
             key = (I + shift_subset(I2, f.source_rank),
                    J + shift_subset(J2, f.target_rank))
-            s = ring.add(out.get(key, ring.zero()), c)
-            if ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(ring, out, key, c)
     return GradedMap(ring, f.source_rank + g.source_rank,
                      f.target_rank + g.target_rank,
                      f.degree + g.degree, out)
@@ -358,12 +315,7 @@ def monoidal_phi(x: ExtElement, y: ExtElement, d: int = 0) -> ExtElement:
             c = ring.mul(a, b)
             if (d * len(J)) % 2:
                 c = ring.neg(c)
-            key = I + shift_subset(J, x.rank)
-            s = ring.add(out.get(key, ring.zero()), c)
-            if ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(ring, out, I + shift_subset(J, x.rank), c)
     return ExtElement(ring, x.rank + y.rank, out)
 
 
@@ -438,13 +390,7 @@ def compose_eps_tensor(element: ExtElement, n0: int, n1: int,
         aset = set(A)
         I = tuple(i for i in range(1, n0 + 1) if i not in aset)
         sign = n0 * len(B) + cross_inversions(I, A)
-        coeff = c if sign % 2 == 0 else ring.neg(c)
-        key = (I, B)
-        s = ring.add(out.get(key, ring.zero()), coeff)
-        if ring.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+        accumulate(ring, out, (I, B), c if sign % 2 == 0 else ring.neg(c))
     if degree is None:
         k = element.homogeneous_degree()
         if k is None and element.terms:

@@ -5,9 +5,10 @@ group rings of finitely generated abelian groups H = Z^r x Z/m (Laurent
 polynomials in t1..tr with an order-m generator s), cyclotomic fields
 Q(zeta_d), Laurent rings over those fields, and the full rational group
 algebra of H presented componentwise by characters of the torsion part.
-Also: Smith normal form over Z, exact division-free determinants (one
-state sum over occupied column sets, for every ring and size), and
-unit-orbit normalization used for all "equal up to a unit" comparisons.
+Also: the one sparse accumulate step (add a term to a dict, drop the key
+when the sum is zero), one polynomial kernel over Z and Q, limits on H, Smith normal form over Z, exact
+division-free determinants (one state sum over occupied column sets, for
+every ring and size), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -24,6 +25,14 @@ from math import gcd
 # groups and group elements
 
 
+# Limits on H, checked before any weight tuple or character component is
+# built: weights hold free_rank exponents, and Q[H] builds one cyclotomic
+# field per divisor of torsion_order.  Fixtures and tests use rank <= 2 and
+# order <= 4.
+MAX_FREE_RANK = 32
+MAX_TORSION_ORDER = 1000
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
     """H = Z^free_rank x Z/torsion_order, torsion_order 1 meaning torsion-free."""
@@ -32,10 +41,16 @@ class GroupDescriptor:
     torsion_order: int = 1
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise ValueError("free_rank must be >= 0")
-        if self.torsion_order < 1:
-            raise ValueError("torsion_order must be >= 1")
+        if (type(self.free_rank) is not int
+                or not 0 <= self.free_rank <= MAX_FREE_RANK):
+            raise ValueError(
+                f"free_rank must be an integer from 0 to {MAX_FREE_RANK}, "
+                f"got {self.free_rank!r}")
+        if (type(self.torsion_order) is not int
+                or not 1 <= self.torsion_order <= MAX_TORSION_ORDER):
+            raise ValueError(
+                f"torsion_order must be an integer from 1 to "
+                f"{MAX_TORSION_ORDER}, got {self.torsion_order!r}")
 
     def identity(self) -> "HWeight":
         return HWeight((0,) * self.free_rank, 0)
@@ -69,8 +84,17 @@ class HWeight:
         return self.tors == 0 and all(e == 0 for e in self.free)
 
 
-def divisors(m: int):
-    return [d for d in range(1, m + 1) if m % d == 0]
+def divisors(m: int) -> list:
+    """The positive divisors of m, ascending, by trial division up to sqrt(m)."""
+    small, large = [], []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            small.append(d)
+            if d * d != m:
+                large.append(m // d)
+        d += 1
+    return small + large[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +158,19 @@ class Ring:
         for e in elems:
             acc = self.add(acc, e)
         return acc
+
+
+def accumulate(ring: Ring, out: dict, key, c) -> None:
+    """out[key] += c in ring, removing the key when the sum is zero; a zero
+    c on an absent key adds nothing.  Group-ring elements, exterior elements
+    and graded maps are summed through this step; state_sums keeps zero
+    sums on purpose and does not use it."""
+    old = out.get(key)
+    s = c if old is None else ring.add(old, c)
+    if ring.is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 class IntegerRing(Ring):
@@ -240,6 +277,7 @@ def _poly_trim(c: list) -> list:
 
 
 def _poly_mul(a, b):
+    """Product of ascending coefficient lists over Z or Q (ints or Fractions)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -249,27 +287,6 @@ def _poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _poly_trim(out)
-
-
-def _poly_divexact(a, b):
-    """Quotient of integer polynomials when b divides a exactly."""
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while _poly_trim(a) and len(a) >= len(b):
-        if a[-1] % b[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        c = a[-1] // b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        _poly_trim(a)
-    if _poly_trim(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _poly_trim(q)
 
 
 _CYCLO_CACHE: dict = {}
@@ -287,7 +304,10 @@ def cyclotomic_polynomial(d: int) -> list:
     den = [1]
     for e in divisors(d)[:-1]:
         den = _poly_mul(den, cyclotomic_polynomial(e))
-    out = _poly_divexact(num, den)
+    q, r = _qpoly_divmod(num, den)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    out = [int(c) for c in q]
     _CYCLO_CACHE[d] = list(out)
     return out
 
@@ -305,9 +325,7 @@ class CycloField(Ring):
         return (Fraction(0),) * self.degree
 
     def from_int(self, n: int):
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(n)
-        return tuple(v)
+        return self.from_fraction(n)
 
     def from_fraction(self, q) -> tuple:
         v = [Fraction(0)] * self.degree
@@ -340,13 +358,7 @@ class CycloField(Ring):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return self._reduce(out)
+        return self._reduce(_poly_mul(a, b))
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -365,7 +377,7 @@ class CycloField(Ring):
         while r1:
             q, r = _qpoly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+            s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
         # r0 is the gcd, a nonzero constant since Phi_d is irreducible
         c = r0[0]
         return self._reduce([x / c for x in s0])
@@ -418,16 +430,6 @@ def _qpoly_divmod(a, b):
             a[d + i] -= c * y
         _poly_trim(a)
     return _poly_trim(q), _poly_trim(a)
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
 
 
 def _qpoly_sub(a, b):
@@ -514,11 +516,7 @@ class GroupRing(Ring):
         self._shape_check(b)
         out = dict(a)
         for g, c in b.items():
-            s = self.coeff.add(out.get(g, self.coeff.zero()), c)
-            if self.coeff.is_zero(s):
-                out.pop(g, None)
-            else:
-                out[g] = s
+            accumulate(self.coeff, out, g, c)
         return out
 
     def neg(self, a):
@@ -530,16 +528,9 @@ class GroupRing(Ring):
         out: dict = {}
         for g, c in a.items():
             for h, d in b.items():
-                k = self.mono_mul(g, h)
-                s = self.coeff.add(out.get(k, self.coeff.zero()), self.coeff.mul(c, d))
-                if self.coeff.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                accumulate(self.coeff, out, self.mono_mul(g, h),
+                           self.coeff.mul(c, d))
         return out
-
-    def scale(self, c, a):
-        return self.mul({self.mono((0,) * self.free_rank, 0): c} if not self.coeff.is_zero(c) else {}, a)
 
     def is_zero(self, a) -> bool:
         return not a
@@ -770,11 +761,10 @@ class QHRing(Ring):
         out = []
         for d, comp in zip(self.divisors, self.components):
             F = comp.coeff
-            acc = comp.zero()
+            acc: dict = {}
             for g, c in zh_elem.items():
-                mono = (*g[:-1], 0)
-                coeff = F.mul(F.from_fraction(Fraction(c)), F.zeta_power(g[-1]))
-                acc = comp.add(acc, {mono: coeff} if not F.is_zero(coeff) else {})
+                accumulate(F, acc, (*g[:-1], 0),
+                           F.mul(F.from_int(c), F.zeta_power(g[-1])))
             out.append(acc)
         return tuple(out)
 
@@ -1023,44 +1013,33 @@ def rank_over_fractions(ring: Ring, entries) -> int:
 # up-to-unit comparisons
 
 
-def eq_up_to_unit(ring: Ring, a, b):
-    """Decide a = u*b for a single unit u of the ring; returns (bool, u or None).
+def values_eq_up_to_unit(ring: Ring, pairs):
+    """Decide a = u*b for one unit u common to every (a, b) pair; returns
+    (True, u) or (False, None).
 
-    Unit groups: {1,-1} over Z, +-monomials over integer group rings,
-    (nonzero scalar)*monomial per component over Q[H].
+    u is the ratio of the units unit_normalize splits off a and b in the
+    first pair whose b is nonzero (one if there is none); every pair is
+    then checked as a = u*b.  Unit groups: {1,-1} over Z, +-monomials over
+    integer group rings, (nonzero scalar)*monomial per component over Q[H].
+    Q[H] is compared per component, since a component can be zero in the
+    first pair and nonzero in a later one.
     """
-    ok, unit = _values_eq_up_to_unit(ring, [(a, b)])
-    return ok, unit
-
-
-def _values_eq_up_to_unit(ring: Ring, pairs):
-    """One common unit u with a = u*b for every (a, b) pair."""
+    pairs = list(pairs)
     if isinstance(ring, QHRing):
         units = []
         for idx, comp in enumerate(ring.components):
-            ok, u = _values_eq_up_to_unit(comp, [(a[idx], b[idx]) for a, b in pairs])
+            ok, u = values_eq_up_to_unit(comp, [(a[idx], b[idx]) for a, b in pairs])
             if not ok:
                 return False, None
             units.append(u)
         return True, tuple(units)
-    unit = None
+    unit = ring.one()
     for a, b in pairs:
-        az, bz = ring.is_zero(a), ring.is_zero(b)
-        if az != bz:
-            return False, None
-        if az:
-            continue
-        ua, ca = ring.unit_normalize(a)
-        ub, cb = ring.unit_normalize(b)
-        if not ring.eq(ca, cb):
-            return False, None
-        r = ring.mul(ua, ring.unit_inv(ub))
-        if unit is None:
-            unit = r
-        elif not ring.eq(unit, r):
-            return False, None
-    return True, unit if unit is not None else ring.one()
-
-
-def values_eq_up_to_unit(ring: Ring, pairs):
-    return _values_eq_up_to_unit(ring, list(pairs))
+        if not ring.is_zero(b):
+            ua, _ = ring.unit_normalize(a)
+            ub, _ = ring.unit_normalize(b)
+            unit = ring.mul(ua, ring.unit_inv(ub))
+            break
+    if all(ring.eq(a, ring.mul(unit, b)) for a, b in pairs):
+        return True, unit
+    return False, None

@@ -73,6 +73,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sign" in err
 
+    @pytest.mark.parametrize("verb, group", [
+        ("validate", '{"free_rank": true}'),
+        ("validate", '{"free_rank": "2"}'),
+        ("validate", '{"free_rank": 1000000000}'),
+        ("bsda", '{"torsion_order": 1000000000000}'),
+    ])
+    def test_hostile_group_is_input_failure(self, capsys, tmp_path, verb, group):
+        p = tmp_path / "bad.json"
+        p.write_text(f'{{"group": {group}, "alpha": {{"circles": ["A1"]}}, '
+                     '"beta": {"circles": [{"id": "B1"}]}, '
+                     '"points": [{"alpha": "A1", "beta": "B1", "sign": 1}]}')
+        argv = [verb, str(p)] + (["--ring", "qh"] if verb == "bsda" else [])
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "free_rank" in err or "torsion_order" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
         assert code == 1

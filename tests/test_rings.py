@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bsfloer import rings as R
 
@@ -23,6 +23,37 @@ def brute_det(ring, entries):
             term = ring.mul(term, entries[i][perm[i]])
         acc = ring.add(acc, term if inv % 2 == 0 else ring.neg(term))
     return acc
+
+
+def normalize_every_pair(ring, pairs):
+    """The earlier up-to-unit comparison, the oracle: split a and b of every
+    pair into unit * canonical form, and require equal canonical forms and
+    one common unit ratio (Q[H] per component)."""
+    if isinstance(ring, R.QHRing):
+        units = []
+        for idx, comp in enumerate(ring.components):
+            ok, u = normalize_every_pair(comp, [(a[idx], b[idx]) for a, b in pairs])
+            if not ok:
+                return False, None
+            units.append(u)
+        return True, tuple(units)
+    unit = None
+    for a, b in pairs:
+        az, bz = ring.is_zero(a), ring.is_zero(b)
+        if az != bz:
+            return False, None
+        if az:
+            continue
+        ua, ca = ring.unit_normalize(a)
+        ub, cb = ring.unit_normalize(b)
+        if not ring.eq(ca, cb):
+            return False, None
+        r = ring.mul(ua, ring.unit_inv(ub))
+        if unit is None:
+            unit = r
+        elif not ring.eq(unit, r):
+            return False, None
+    return True, unit if unit is not None else ring.one()
 
 
 def gr_elements(r, m, max_exp=2, max_terms=4, max_coeff=5):
@@ -64,6 +95,22 @@ class TestGroupDescriptor:
             R.GroupDescriptor(0, 0)
         with pytest.raises(ValueError):
             R.GroupDescriptor(2).make_weight((1,))
+
+    @pytest.mark.parametrize("free_rank, torsion_order", [
+        (True, 1), ("2", 1), (2.0, 1), (R.MAX_FREE_RANK + 1, 1), (10**9, 1),
+        (0, True), (0, "3"), (0, R.MAX_TORSION_ORDER + 1), (0, 10**12),
+    ])
+    def test_rejects_non_integers_and_oversized(self, free_rank, torsion_order):
+        with pytest.raises(ValueError):
+            R.GroupDescriptor(free_rank, torsion_order)
+
+    def test_limits_are_inclusive(self):
+        G = R.GroupDescriptor(R.MAX_FREE_RANK, R.MAX_TORSION_ORDER)
+        assert len(G.identity().free) == R.MAX_FREE_RANK
+
+    def test_divisors_match_brute_force(self):
+        for m in range(1, 301):
+            assert R.divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +154,29 @@ class TestRingOps:
 
 
 # ---------------------------------------------------------------------------
+# the accumulate step
+
+
+@pytest.mark.parametrize("ring", [R.ZZ, R.cyclo_field(3)], ids=["Z", "Q(zeta_3)"])
+class TestAccumulate:
+    def test_zero_sum_removes_key(self, ring):
+        x = ring.from_int(3)
+        if ring is not R.ZZ:
+            x = ring.add(x, ring.zeta_power(1))
+        out = {"k": x, "j": ring.one()}
+        R.accumulate(ring, out, "k", ring.neg(x))
+        assert list(out) == ["j"] and ring.eq(out["j"], ring.one())
+
+    def test_zero_on_absent_key_adds_nothing(self, ring):
+        out: dict = {}
+        R.accumulate(ring, out, "k", ring.zero())
+        assert out == {}
+        R.accumulate(ring, out, "k", ring.one())
+        R.accumulate(ring, out, "k", ring.one())
+        assert list(out) == ["k"] and ring.eq(out["k"], ring.from_int(2))
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic polynomials and fields
 
 
@@ -119,11 +189,13 @@ class TestCyclotomic:
         assert R.cyclotomic_polynomial(6) == [1, -1, 1]
         assert R.cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
 
-    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("m", range(1, 41))
     def test_product_over_divisors(self, m):
         prod = [1]
         for d in R.divisors(m):
-            prod = R._poly_mul(prod, R.cyclotomic_polynomial(d))
+            phi = R.cyclotomic_polynomial(d)
+            assert all(type(c) is int for c in phi)
+            prod = R._poly_mul(prod, phi)
         want = [0] * (m + 1)
         want[0], want[m] = -1, 1
         assert prod == want
@@ -469,33 +541,83 @@ class TestDeterminants:
 # unit comparisons
 
 
+UNIT_RINGS = {
+    "Z": R.ZZ,
+    "Z[Z x Z/3]": R.GroupRing(1, 3),
+    "Q[Z x Z/3]": R.QHRing(R.GroupDescriptor(1, 3)),
+}
+
+
+@st.composite
+def ring_units(draw, name):
+    ring = UNIT_RINGS[name]
+    if name == "Z":
+        return draw(st.sampled_from([1, -1]))
+    if name == "Z[Z x Z/3]":
+        e, j = draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+        return ring.monomial((e, j), draw(st.sampled_from([1, -1])))
+    units = []
+    for comp in ring.components:
+        F = comp.coeff
+        q = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                  Fraction(-1, 3)]))
+        c = F.mul(F.from_fraction(q), F.zeta_power(draw(st.integers(0, 2))))
+        units.append(comp.monomial((draw(st.integers(-2, 2)), 0), c))
+    return tuple(units)
+
+
+@st.composite
+def unit_pairs(draw, name):
+    """Pairs (u*b, b) for one unit u, or for u and then a second unit v,
+    optionally with a zero put on one side of one pair and an all-zero
+    first pair."""
+    ring = UNIT_RINGS[name]
+    if name == "Z":
+        elems = st.integers(-4, 4)
+    else:
+        zh = gr_elements(1, 3, max_terms=3)
+        elems = zh if name == "Z[Z x Z/3]" else zh.map(ring.from_zh)
+    bs = draw(st.lists(elems, min_size=1, max_size=4))
+    u = draw(ring_units(name))
+    v = draw(ring_units(name)) if draw(st.booleans()) else u
+    k = draw(st.integers(0, len(bs)))
+    pairs = [(ring.mul(u if i < k else v, b), b) for i, b in enumerate(bs)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        a, b = pairs[i]
+        pairs[i] = (ring.zero(), b) if draw(st.booleans()) else (a, ring.zero())
+    if draw(st.booleans()):
+        pairs.insert(0, (ring.zero(), ring.zero()))
+    return pairs
+
+
 class TestUnits:
     def test_int_example(self):
-        ok, u = R.eq_up_to_unit(R.ZZ, 5, -5)
+        ok, u = R.values_eq_up_to_unit(R.ZZ, [(5, -5)])
         assert ok and u == -1
-        ok, _ = R.eq_up_to_unit(R.ZZ, 5, 4)
+        ok, _ = R.values_eq_up_to_unit(R.ZZ, [(5, 4)])
         assert not ok
 
     def test_laurent_example_true(self):
         Zt = R.GroupRing(1)
         a = R.parse_element(Zt, "2 - 3*t1")
         b = R.parse_element(Zt, "-2*t1^5 + 3*t1^6")
-        ok, u = R.eq_up_to_unit(Zt, a, b)
+        ok, u = R.values_eq_up_to_unit(Zt, [(a, b)])
         assert ok
         assert Zt.eq(u, R.parse_element(Zt, "-t1^-5"))
         assert Zt.eq(a, Zt.mul(u, b))
 
     def test_laurent_example_false(self):
         Zt = R.GroupRing(1)
-        ok, u = R.eq_up_to_unit(Zt, R.parse_element(Zt, "1 + t1"),
-                                R.parse_element(Zt, "1 - t1"))
+        ok, u = R.values_eq_up_to_unit(Zt, [(R.parse_element(Zt, "1 + t1"),
+                                             R.parse_element(Zt, "1 - t1"))])
         assert not ok and u is None
 
     def test_zero_matching(self):
         Zt = R.GroupRing(1)
-        ok, u = R.eq_up_to_unit(Zt, Zt.zero(), Zt.zero())
+        ok, u = R.values_eq_up_to_unit(Zt, [(Zt.zero(), Zt.zero())])
         assert ok and Zt.eq(u, Zt.one())
-        ok, _ = R.eq_up_to_unit(Zt, Zt.zero(), Zt.one())
+        ok, _ = R.values_eq_up_to_unit(Zt, [(Zt.zero(), Zt.one())])
         assert not ok
 
     def test_common_unit_across_pairs(self):
@@ -522,7 +644,7 @@ class TestUnits:
         qh = R.QHRing(G)
         a = qh.from_zh(R.parse_element(Zh, "1 - s"))
         b = qh.from_zh(R.parse_element(Zh, "3 - 3*s"))
-        ok, u = R.eq_up_to_unit(qh, a, b)
+        ok, u = R.values_eq_up_to_unit(qh, [(a, b)])
         assert ok
         assert qh.eq(a, qh.mul(u, b))
         # d=1 components are both zero; the unit there is one
@@ -532,20 +654,60 @@ class TestUnits:
            st.integers(-2, 2), st.booleans())
     def test_equivalence_relation(self, a, e, flip):
         Zt = R.GroupRing(1)
-        ok, u = R.eq_up_to_unit(Zt, a, a)
+        ok, u = R.values_eq_up_to_unit(Zt, [(a, a)])
         assert ok and Zt.eq(u, Zt.one())
         unit = Zt.monomial((e, 0))
         if flip:
             unit = Zt.neg(unit)
         b = Zt.mul(unit, a)
-        ok1, u1 = R.eq_up_to_unit(Zt, a, b)
-        ok2, u2 = R.eq_up_to_unit(Zt, b, a)
+        ok1, u1 = R.values_eq_up_to_unit(Zt, [(a, b)])
+        ok2, u2 = R.values_eq_up_to_unit(Zt, [(b, a)])
         assert ok1 and ok2
         assert Zt.eq(a, Zt.mul(u1, b))
         assert Zt.eq(b, Zt.mul(u2, a))
         c = Zt.mul(unit, b)
-        ok3, u3 = R.eq_up_to_unit(Zt, a, c)
+        ok3, u3 = R.values_eq_up_to_unit(Zt, [(a, c)])
         assert ok3 and Zt.eq(a, Zt.mul(u3, c))
+
+    @pytest.mark.parametrize("name", sorted(UNIT_RINGS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_normalize_every_pair(self, name, data):
+        ring = UNIT_RINGS[name]
+        pairs = data.draw(unit_pairs(name))
+        ok, u = R.values_eq_up_to_unit(ring, pairs)
+        want_ok, want_u = normalize_every_pair(ring, pairs)
+        if ok:
+            assert all(ring.eq(a, ring.mul(u, b)) for a, b in pairs)
+        if want_ok:
+            assert ok and ring.eq(u, want_u)
+        if name != "Z[Z x Z/3]":
+            # Z and the Q[H] components are domains without torsion
+            # monomials, where the canonical form is a unit-orbit invariant
+            assert ok == want_ok
+
+    def test_torsion_ratio_check_finds_shifted_orbit(self):
+        # s*(1 + 2s^2) = 2 + s, but the two canonical forms differ because
+        # the torsion shift moves the least monomial; checking a = u*b
+        # accepts what comparing canonical forms rejects
+        Zh = UNIT_RINGS["Z[Z x Z/3]"]
+        s1 = R.parse_element(Zh, "s")
+        pairs = [(s1, Zh.one()),
+                 (R.parse_element(Zh, "2 + s"), R.parse_element(Zh, "1 + 2*s^2"))]
+        ok, u = R.values_eq_up_to_unit(Zh, pairs)
+        assert ok and Zh.eq(u, s1)
+        assert normalize_every_pair(Zh, pairs) == (False, None)
+
+    def test_qh_component_zero_only_in_first_pair(self):
+        qh = UNIT_RINGS["Q[Z x Z/3]"]
+        Zh = R.GroupRing(1, 3)
+        b0 = qh.from_zh(R.parse_element(Zh, "t1 - t1*s"))
+        b1 = qh.from_zh(R.parse_element(Zh, "2 + s"))
+        assert qh.components[0].is_zero(b0[0]) and not qh.is_zero(b0)
+        u = qh.from_zh(R.parse_element(Zh, "-t1^2*s"))
+        ok, got = R.values_eq_up_to_unit(qh, [(qh.mul(u, b0), b0),
+                                              (qh.mul(u, b1), b1)])
+        assert ok and qh.eq(got, u)
 
     @given(gr_elements(1, 1, max_terms=3))
     def test_unit_normalize_idempotent(self, a):
