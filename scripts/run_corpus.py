@@ -5,15 +5,18 @@ Draws gluable pairs and standalone diagrams from a seed, then reports how
 often each identity was exercised nontrivially: gluing against composition,
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
-invariant matrix against generator enumeration, and the determinant built
-on the same state sum against a Leibniz sum over permutations.  Any
-mismatch aborts with a nonzero exit.
+invariant matrix against generator enumeration, the determinant built on
+the same state sum against a Leibniz sum over permutations, and the
+invariant of normalized identities and glued identity chains against the
+identity up to sign, at sizes where the engine's pruning decides the cost.
+Any mismatch aborts with a nonzero exit.
 """
 
 import argparse
 import random
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 from bsfloer import exterior as X
@@ -26,7 +29,13 @@ from bsfloer.bsda import (
     gr_da,
     weight_ring,
 )
-from bsfloer.diagram import GroupDescriptor, glue, normalize
+from bsfloer.diagram import (
+    GroupDescriptor,
+    glue,
+    identity_diagram,
+    interval_arcs,
+    normalize,
+)
 from bsfloer.rings import ZZ, GroupRing, QHRing, det_exact
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
@@ -66,6 +75,22 @@ def sweep_gluing(cfg: SweepConfig) -> str:
         if not glued.is_zero():
             nonzero += 1
     return f"gluing: {cfg.pairs} pairs ok, {nonzero} nonzero composites"
+
+
+def sweep_identities() -> str:
+    """bsda_z is +-1 times the identity on normalized identities, k = 1..10
+    arcs, and on glued identity chains of length 2..6 on k = 1..6 arcs."""
+    cases = [(f"normalized identity k={k}", k,
+              normalize(identity_diagram(interval_arcs(k))))
+             for k in range(1, 11)]
+    cases += [(f"identity chain L={length} k={k}", k,
+               reduce(glue, [identity_diagram(interval_arcs(k))] * length))
+              for length in range(2, 7) for k in range(1, 7)]
+    for name, k, h in cases:
+        ok, unit = X.eq_up_to_global_unit(bsda_z(h), X.identity_map(ZZ, k))
+        if not (ok and unit in (1, -1)):
+            raise SystemExit(f"identity mismatch: {name}")
+    return f"identities: {len(cases)} normalized identities and chains ok"
 
 
 def enumerated_matrices(h):
@@ -186,6 +211,7 @@ def main():
     print(sweep_gluing(cfg))
     print(sweep_engine(cfg))
     print(sweep_det(cfg))
+    print(sweep_identities())
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

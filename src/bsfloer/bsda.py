@@ -92,21 +92,29 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
         raise ValueError("generator leaves an alpha circle unoccupied")
 
 
-def _idempotents(h: HeegaardDiagram, mask: int) -> tuple:
-    """Read the arcs off the alpha curves set in mask (bit q for position q
-    of the total alpha order): the 1-based occupied and unoccupied out-arcs
-    (o_l, obar_l) and in-arcs (o_r, obar_r), then the two grading terms a
-    generator's occupied set alone decides, inv(obar_l, o_l) and the
-    correction (a + n1) * k."""
-    first_in = h.n1 + h.a
-    o_l = tuple(j + 1 for j in range(h.n1) if mask >> j & 1)
-    obar_l = tuple(j + 1 for j in range(h.n1) if not mask >> j & 1)
-    o_r = tuple(i + 1 for i in range(h.n0) if mask >> (first_in + i) & 1)
-    obar_r = tuple(i + 1 for i in range(h.n0)
-                   if not mask >> (first_in + i) & 1)
-    inv_idem = X.cross_inversions(obar_l, o_l)
-    correction = (h.a + h.n1) * len(o_r) % 2
-    return o_l, obar_l, o_r, obar_r, inv_idem, correction
+def _readout(h: HeegaardDiagram):
+    """The decoder of h's final masks (bit q for position q of the total
+    alpha order), with the arc counts read once.  decode(mask) gives the
+    1-based occupied and unoccupied out-arcs (o_l, obar_l) and in-arcs
+    (o_r, obar_r), then the two grading terms a generator's occupied set
+    alone decides, inv(obar_l, o_l) and the correction (a + n1) * k."""
+    n1, a = h.n1, h.a
+    outs = [(j + 1, 1 << j) for j in range(n1)]
+    ins = [(i + 1, 1 << (n1 + a + i)) for i in range(h.n0)]
+    all_out = (1 << n1) - 1
+    flip = (a + n1) & 1
+
+    def decode(mask: int) -> tuple:
+        o_l = tuple([j for j, bit in outs if mask & bit])
+        obar_l = tuple([j for j, bit in outs if not mask & bit])
+        o_r = tuple([i for i, bit in ins if mask & bit])
+        obar_r = tuple([i for i, bit in ins if not mask & bit])
+        # each occupied out-arc j is passed by the unoccupied ones above it
+        free = ~mask & all_out
+        inv_idem = sum([(free >> j).bit_count() for j in o_l])
+        return o_l, obar_l, o_r, obar_r, inv_idem, flip * len(o_r) & 1
+
+    return decode
 
 
 def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
@@ -115,7 +123,7 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
     pos = {aid: i for i, aid in enumerate(h.alpha_order())}
     inv_sigma = X.perm_inversions([pos[p.alpha] for p in x.points])
     mask = sum(1 << pos[p.alpha] for p in x.points)
-    o_l, obar_l, o_r, obar_r, inv_idem, correction = _idempotents(h, mask)
+    o_l, obar_l, o_r, obar_r, inv_idem, correction = _readout(h)(mask)
     total = (i_sum + inv_sigma + inv_idem + correction) % 2
     return GradingData(
         intersection_parity=i_sum % 2,
@@ -167,9 +175,10 @@ def point_coefficients(h: HeegaardDiagram, weighted: bool) -> tuple:
 
 def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
     ring, coeff = point_coefficients(h, weighted)
+    decode = _readout(h)
     entries = {}
     for mask, v in _state_sums(h, ring, coeff).items():
-        _, obar_l, o_r, _, inv_idem, correction = _idempotents(h, mask)
+        _, obar_l, o_r, _, inv_idem, correction = decode(mask)
         if (inv_idem + correction) & 1:
             v = ring.neg(v)
         entries[(o_r, obar_l)] = v
@@ -214,9 +223,10 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     one-sided diagram those arcs are exactly its unoccupied out-arcs.
     """
     hdd = reinterpret_one_sided(h)
+    decode = _readout(hdd)
     terms: dict = {}
     for mask, v in _state_sums(hdd, *point_coefficients(hdd, False)).items():
-        _, obar, _, _, inv_idem, correction = _idempotents(hdd, mask)
+        _, obar, _, _, inv_idem, correction = decode(mask)
         unoccupied_in = sum(1 for j in obar if j <= h.n0)
         terms[obar] = -v if (inv_idem + correction + unoccupied_in) & 1 else v
     return X.ExtElement(ZZ, h.n0 + h.n1, terms)

@@ -14,12 +14,21 @@ symbol past a degree-q symbol costs (-1)^{pq}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .rings import Ring, accumulate, values_eq_up_to_unit
 
 
 def subset_key(indices) -> tuple:
+    """The canonical key of a subset: its distinct indices as ints, in
+    increasing order.  Keys are immutable tuples, answered from a bounded
+    memo, so the canonical keys of existing maps are not sorted again."""
+    return _tuple_key(indices if type(indices) is tuple else tuple(indices))
+
+
+@lru_cache(maxsize=1 << 12)
+def _tuple_key(indices: tuple) -> tuple:
     return tuple(sorted({int(i) for i in indices}))
 
 

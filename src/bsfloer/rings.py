@@ -153,6 +153,10 @@ class Ring:
     def unit_inv(self, u):
         raise NotImplementedError
 
+    def unit_part(self, a):
+        """The unit unit_normalize splits off a nonzero a."""
+        return self.unit_normalize(a)[0]
+
     def sum(self, elems):
         acc = self.zero()
         for e in elems:
@@ -611,15 +615,17 @@ class GroupRing(Ring):
             out += f" {sign} {body}"
         return out
 
+    def unit_part(self, a):
+        """The least monomial of a nonzero a times the unit part of its
+        coefficient, read off without building the canonical form."""
+        g0 = min(a)
+        return {g0: self.coeff.unit_part(a[g0])}
+
     def unit_normalize(self, a):
         if not a:
             return self.from_int(1), {}
-        g0 = min(a)
-        c0 = a[g0]
-        uc, _ = self.coeff.unit_normalize(c0)
-        unit = {g0: uc}
-        inv = {self.mono_inv(g0): self.coeff.unit_inv(uc)}
-        return unit, self.mul(inv, a)
+        unit = self.unit_part(a)
+        return unit, self.mul(self.unit_inv(unit), a)
 
     def unit_inv(self, u):
         if len(u) != 1:
@@ -930,19 +936,38 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     never one already occupied; the state is the bitmask of occupied
     columns, and its value sums the products of the picked coefficients,
     each pick times (-1)^(occupied columns to its right) when signed, so a
-    full transversal carries the sign of its permutation.  States that can
-    no longer cover every column of the bitmask required are pruned.  Zero
-    coefficients and zero sums are kept, so the work depends only on which
-    entries are present, not on their values.  There is no division, so any
-    commutative ring works.  Returns {mask: value} over the masks reached
-    after the last row; no rows give {0: one}.
+    full transversal carries the sign of its permutation.  Every column of
+    the bitmask required must be covered, and two prunes drop the states
+    that no longer can: a state with fewer rows left than required columns
+    still empty, and (the frontier rule) a state that leaves a required
+    column empty after the last row with an entry in that column.  A
+    required column no row meets gives {} at once.  Zero coefficients and
+    zero sums are kept, so the work depends only on which entries are
+    present, not on their values.  There is no division, so any commutative
+    ring works.  Returns {mask: value} over the masks reached after the
+    last row; no rows give {0: one}.
     """
     need = required.bit_count()
     left = len(rows)
     if need > left:
         return {}
+    # closing[i]: the required columns whose last entry is in row i; the
+    # walk back stops once every required column has been seen
+    closing = [0] * left
+    later = 0
+    for i in range(left - 1, -1, -1):
+        if not required & ~later:
+            break
+        cols = 0
+        for q in rows[i]:
+            cols |= 1 << q
+        closing[i] = cols & required & ~later
+        later |= cols
+    if required & ~later:
+        return {}
+    mul, add, neg, zero = ring.mul, ring.add, ring.neg, ring.zero()
     states = {0: ring.one()}
-    for row in rows:
+    for row, close in zip(rows, closing):
         left -= 1
         steps = [(q, 1 << q, c) for q, c in row.items()]
         nxt: dict = {}
@@ -953,10 +978,12 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
                 new = mask | bit
                 if need - (new & required).bit_count() > left:
                     continue
-                t = ring.mul(v, c)
+                t = mul(v, c)
                 if signed and (mask >> (q + 1)).bit_count() & 1:
-                    t = ring.neg(t)
-                nxt[new] = ring.add(nxt.get(new, ring.zero()), t)
+                    t = neg(t)
+                nxt[new] = add(nxt.get(new, zero), t)
+        if close:
+            nxt = {m: v for m, v in nxt.items() if m & close == close}
         states = nxt
     return states
 
@@ -1017,12 +1044,17 @@ def values_eq_up_to_unit(ring: Ring, pairs):
     """Decide a = u*b for one unit u common to every (a, b) pair; returns
     (True, u) or (False, None).
 
-    u is the ratio of the units unit_normalize splits off a and b in the
-    first pair whose b is nonzero (one if there is none); every pair is
-    then checked as a = u*b.  Unit groups: {1,-1} over Z, +-monomials over
-    integer group rings, (nonzero scalar)*monomial per component over Q[H].
-    Q[H] is compared per component, since a component can be zero in the
-    first pair and nonzero in a later one.
+    The first candidate is the ratio of the unit parts (unit_part) of a and
+    b in the first pair whose b is nonzero (one if there is none), so only
+    that b's unit is inverted; every pair is then checked as a = u*b.  Unit
+    groups: {1,-1} over Z, (nonzero scalar)*monomial per component over
+    Q[H], and the trivial units +-t^f*s^k over integer group rings.  Over
+    Z[Z^r x Z/m] with m > 1 the least monomial does not fix the torsion
+    shift, so the candidate's free part f (fixed by the lex-least free
+    exponents) is kept and all 2m choices of sign and s^k are tried.  By
+    Higman's theorem the trivial units are the whole unit group only for m
+    in {1, 2, 3, 4, 6}.  Q[H] is compared per component, since a component
+    can be zero in the first pair and nonzero in a later one.
     """
     pairs = list(pairs)
     if isinstance(ring, QHRing):
@@ -1036,10 +1068,17 @@ def values_eq_up_to_unit(ring: Ring, pairs):
     unit = ring.one()
     for a, b in pairs:
         if not ring.is_zero(b):
-            ua, _ = ring.unit_normalize(a)
-            ub, _ = ring.unit_normalize(b)
-            unit = ring.mul(ua, ring.unit_inv(ub))
+            if ring.is_zero(a):
+                return False, None
+            unit = ring.mul(ring.unit_part(a), ring.unit_inv(ring.unit_part(b)))
             break
-    if all(ring.eq(a, ring.mul(unit, b)) for a, b in pairs):
-        return True, unit
+    candidates = [unit]
+    if isinstance(ring, GroupRing) and ring.torsion_order > 1:
+        (g, c), = unit.items()
+        m = ring.torsion_order
+        candidates = [{(*g[:-1], (g[-1] + k) % m): e}
+                      for k in range(m) for e in (c, ring.coeff.neg(c))]
+    for u in candidates:
+        if all(ring.eq(a, ring.mul(u, b)) for a, b in pairs):
+            return True, u
     return False, None

@@ -43,7 +43,13 @@ from bsfloer.fixtures import (
 )
 from bsfloer.homology import generator_sum
 from bsfloer.selftest import random_diagram, random_gluable_pair
-from bsfloer.rings import ZZ, GroupDescriptor, GroupRing, parse_element
+from bsfloer.rings import (
+    ZZ,
+    GroupDescriptor,
+    GroupRing,
+    IntegerRing,
+    parse_element,
+)
 
 Z1 = interval_arcs(1)
 Z2 = interval_arcs(2)
@@ -456,3 +462,22 @@ class TestStateSumEngine:
                 replace(p, sign=rng.choice((-1, 1))) for p in h.points))
             assert (_state_sums(h, ZZ, lambda p: p.sign).keys()
                     == _state_sums(flipped, ZZ, lambda p: p.sign).keys())
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_normalized_identity_work_is_output_sized(self, k):
+        # an out-arc left empty after its last beta circle ends its state,
+        # so the work follows the 2^k entries of the output
+        class CountingZZ(IntegerRing):
+            muls = 0
+
+            def mul(self, a, b):
+                self.muls += 1
+                return a * b
+
+        ring = CountingZZ()
+        h = normalize(identity_diagram(interval_arcs(k)))
+        sums = _state_sums(h, ring, lambda p: p.sign)
+        assert len(sums) == 2 ** k
+        assert ring.muls <= 4 * k * 2 ** k
+        ok, unit = X.eq_up_to_global_unit(bsda_z(h), X.identity_map(ZZ, k))
+        assert ok and unit in (1, -1)

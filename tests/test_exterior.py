@@ -38,6 +38,24 @@ class TestCombinatorics:
         assert X.subset_key([3, 1, 2]) == (1, 2, 3)
         assert X.subset_key(()) == ()
 
+    def test_subset_key_canonicalizes_every_input(self):
+        assert X.subset_key([2, 2, 1]) == (1, 2)
+        assert X.subset_key((3, 1, 3)) == (1, 3)
+        assert X.subset_key((1, 3)) == (1, 3)
+        assert X.subset_key(iter([4, 2])) == (2, 4)
+        key = X.subset_key((True, 2))
+        assert key == (1, 2) and all(type(i) is int for i in key)
+
+    def test_subset_key_memo_is_not_aliased(self):
+        # a list is read, never cached; equal tuples give equal keys
+        indices = [3, 1]
+        key = X.subset_key(indices)
+        indices.append(0)
+        assert key == (1, 3)
+        assert X.subset_key(tuple(indices)) == (0, 1, 3)
+        assert X.subset_key((3, 1)) == (1, 3)
+        assert key == (1, 3)
+
     def test_cross_inversions(self):
         assert X.cross_inversions((1, 3), (2,)) == 1
         assert X.cross_inversions((2,), (1,)) == 1

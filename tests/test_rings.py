@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -538,6 +538,76 @@ class TestDeterminants:
 
 
 # ---------------------------------------------------------------------------
+# state sums
+
+
+def unpruned_state_sums(ring, rows, required, signed=True):
+    """The oracle: every choice of pairwise distinct columns, one per row,
+    summed by its set of columns with the sign of the inversions of the
+    column sequence; the sets covering required are kept, zero sums too."""
+    out = {}
+    for cols in product(*rows):
+        if len(set(cols)) != len(cols):
+            continue
+        mask = sum(1 << q for q in cols)
+        if mask & required != required:
+            continue
+        t = ring.one()
+        for row, q in zip(rows, cols):
+            t = ring.mul(t, row[q])
+        if signed and sum(1 for i, q in enumerate(cols) for p in cols[i + 1:]
+                          if q > p) & 1:
+            t = ring.neg(t)
+        out[mask] = ring.add(out.get(mask, ring.zero()), t)
+    return out
+
+
+_ZH = gr_elements(1, 3, max_exp=1, max_terms=2, max_coeff=3)
+_QH = R.QHRing(R.GroupDescriptor(1, 3))
+STATE_SUM_RINGS = {
+    "Z": (R.ZZ, st.integers(-3, 3)),
+    "Z[Z x Z/3]": (R.GroupRing(1, 3), _ZH),
+    "Q[Z x Z/3]": (_QH, _ZH.map(_QH.from_zh)),
+}
+NO_ROW_COLUMN = 1 << 5  # the rows below use columns 0..4 only
+
+
+class TestStateSums:
+    @pytest.mark.parametrize("name", sorted(STATE_SUM_RINGS))
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_unpruned_oracle(self, name, data):
+        # sparse rows close most columns early, and rows may be empty
+        ring, elems = STATE_SUM_RINGS[name]
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, 4), elems, max_size=3),
+            max_size=5))
+        required = data.draw(st.integers(0, 31))
+        if data.draw(st.integers(0, 3)) == 0:
+            required |= NO_ROW_COLUMN
+        signed = data.draw(st.booleans())
+        got = R.state_sums(ring, rows, required, signed)
+        want = unpruned_state_sums(ring, rows, required, signed)
+        assert got.keys() == want.keys()
+        assert all(ring.eq(got[m], want[m]) for m in want)
+
+    def test_early_closed_column(self):
+        # column 0 is required and meets row 0 only, so row 0 must take it
+        rows = [{0: 2, 1: 3}, {1: 5, 2: 7}, {2: 1, 3: 1}]
+        assert R.state_sums(R.ZZ, rows, 0b0001) == {
+            0b0111: 10, 0b1011: 10, 0b1101: 14}
+        assert (R.state_sums(R.ZZ, rows, 0b0001)
+                == unpruned_state_sums(R.ZZ, rows, 0b0001))
+
+    def test_required_column_in_no_row(self):
+        assert R.state_sums(R.ZZ, [{0: 1}, {1: 1}], 0b101) == {}
+
+    def test_empty_row_ends_every_state(self):
+        assert R.state_sums(R.ZZ, [{0: 1}, {}], 0) == {}
+        assert R.state_sums(R.ZZ, [], 0) == {0: 1}
+
+
+# ---------------------------------------------------------------------------
 # unit comparisons
 
 
@@ -697,6 +767,34 @@ class TestUnits:
         ok, u = R.values_eq_up_to_unit(Zh, pairs)
         assert ok and Zh.eq(u, s1)
         assert normalize_every_pair(Zh, pairs) == (False, None)
+
+    @pytest.mark.parametrize("pairs", [
+        [("2 + s", "1 + 2*s^2")],
+        [("1 + s + s^2", "1 + s + s^2"), ("s", "1")],
+    ])
+    def test_torsion_shift_found(self, pairs):
+        # the least monomial does not fix the torsion part of the unit: in
+        # both cases u = s, which the lead-term ratio (u = 1) misses
+        Zh = R.GroupRing(0, 3)
+        pairs = [(R.parse_element(Zh, a), R.parse_element(Zh, b))
+                 for a, b in pairs]
+        ok, u = R.values_eq_up_to_unit(Zh, pairs)
+        assert ok and Zh.eq(u, R.parse_element(Zh, "s"))
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_torsion_answer_matches_trivial_unit_search(self, data):
+        # over Z[Z x Z/3] the answer is True exactly when a trivial unit
+        # +-t1^e*s^j works; the drawn units have |e| <= 2
+        ring = UNIT_RINGS["Z[Z x Z/3]"]
+        pairs = data.draw(unit_pairs("Z[Z x Z/3]"))
+        ok, u = R.values_eq_up_to_unit(ring, pairs)
+        units = [ring.monomial((e, j), c) for e in range(-2, 3)
+                 for j in range(3) for c in (1, -1)]
+        assert ok == any(all(ring.eq(a, ring.mul(w, b)) for a, b in pairs)
+                         for w in units)
+        if ok:
+            assert all(ring.eq(a, ring.mul(u, b)) for a, b in pairs)
 
     def test_qh_component_zero_only_in_first_pair(self):
         qh = UNIT_RINGS["Q[Z x Z/3]"]
