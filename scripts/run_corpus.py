@@ -8,7 +8,8 @@ coefficient ring.  It also checks the state-sum engine behind the
 invariant matrix against generator enumeration, the determinant built on
 the same state sum against a Leibniz sum over permutations, and the
 invariant of normalized identities and glued identity chains against the
-identity up to sign, at sizes where the engine's pruning decides the cost.
+identity up to sign, at sizes where the engine's pruning decides the cost,
+and the state-sum Alexander functor against one determinant per entry.
 Any mismatch aborts with a nonzero exit.
 """
 
@@ -20,7 +21,13 @@ from functools import reduce
 from itertools import permutations
 
 from bsfloer import exterior as X
-from bsfloer.alexander import compare_bsda_alexander
+from bsfloer.alexander import (
+    _ring_change,
+    alexander_function,
+    alexander_functor,
+    compare_bsda_alexander,
+    entry_vectors,
+)
 from bsfloer.bsda import (
     bsda_z,
     bsda_zh,
@@ -36,7 +43,8 @@ from bsfloer.diagram import (
     interval_arcs,
     normalize,
 )
-from bsfloer.rings import ZZ, GroupRing, QHRing, det_exact
+from bsfloer.homology import Presentation, presentation_matrix
+from bsfloer.rings import ZZ, GroupRing, Matrix, QHRing, det_exact
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
 
@@ -186,6 +194,42 @@ def sweep_det(cfg: SweepConfig) -> str:
     return f"det: {checked} matrices match the Leibniz sum, {nonzero} nonzero"
 
 
+def per_entry_functor(hn, tag):
+    """The Alexander functor one determinant per entry, on the presentation
+    mapped into the target ring: the oracle for alexander_functor."""
+    pres = presentation_matrix(hn, "z" if tag == "z" else "zh")
+    if tag != "z":
+        ring, fn = _ring_change(hn.group, tag)
+        pres = Presentation(Matrix(ring, [[fn(e) for e in row]
+                                          for row in pres.matrix.entries]), ())
+    ring = pres.matrix.ring
+    n1, c = hn.n1, hn.degree
+    entries = {}
+    if pres.matrix.rows >= pres.matrix.cols:
+        for (I, J), u in entry_vectors(hn).items():
+            jc = tuple(j for j in range(1, n1 + 1) if j not in J)
+            val = alexander_function(pres, u)
+            odd = (X.cross_inversions(J, jc) + c * len(jc)) % 2
+            entries[(I, J)] = ring.neg(val) if odd else val
+    return X.GradedMap(ring, hn.n0, n1, c, entries)
+
+
+def sweep_functor(cfg: SweepConfig) -> str:
+    rng = random.Random(cfg.seed * 7919 + 8)
+    nonzero = 0
+    for k in range(cfg.diagrams_per_ring):
+        hn = normalize(random_diagram(rng, group=GROUPS[k % len(GROUPS)]))
+        for tag in cfg.rings:
+            f = alexander_functor(hn, tag)
+            if not X.map_eq(f, per_entry_functor(hn, tag)):
+                raise SystemExit(
+                    f"functor/per-entry mismatch over {tag} at diagram {k}")
+            nonzero += not f.is_zero()
+    return (f"functor: {cfg.diagrams_per_ring} diagrams over "
+            f"{len(cfg.rings)} rings match the per-entry determinants, "
+            f"{nonzero} nonzero maps")
+
+
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
@@ -212,6 +256,7 @@ def main():
     print(sweep_engine(cfg))
     print(sweep_det(cfg))
     print(sweep_identities())
+    print(sweep_functor(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

@@ -6,14 +6,19 @@ appended as columns.  Over an integral domain that determinant is already
 zero when the presentation map has a kernel, since its columns are then
 dependent; Q[H] is a product of domains, so the same holds per component.
 
-The functor evaluates the function on the normalized diagram's presentation
-with the new-beta unit vectors standing in for the boundary classes: both
-the incoming rows (for I, ascending) and the outgoing rows (for the
-complement of J, ascending) are appended with sign -1, and the entry carries
-the sign (-1)^(inv(J, J^c) + c*(n1 - |J|)).  The identity fixture then
-reproduces its invariant matrix on the nose.  Over Z[G] and Q[H] the
-functor is evaluated over Z[H] and mapped entrywise by the ring change the
-invariant uses; ring maps commute with determinants.
+The functor is that function on the normalized diagram's presentation with
+the new-beta unit vectors standing in for the boundary classes: entry
+(I, J) appends -e(new-in row) for each element of I ascending, then
+-e(new-out row) for each element of J^c ascending, with the sign
+(-1)^(inv(J, J^c) + c*(n1 - |J|)); the identity fixture then reproduces its
+invariant matrix on the nose.  All entries come from one state sum over the
+transposed presentation (rows = alpha circles, columns = beta rows, core
+rows required): the new-in and new-out rows a final mask leaves free give I
+and J^c.  The entry is the mask's value times (-1)^(d + p + the sign's
+exponent), where p is the parity of carrying the signed sum on through the
+-e(r) rows, I first, then J^c: each adds the occupied rows above r.
+Over Z[G] and Q[H] the functor is evaluated over Z[H] and mapped entrywise
+by the ring change the invariant uses; ring maps commute with determinants.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from . import exterior as X
 from .bsda import bsda_z, bsda_zh, map_transform
 from .diagram import HeegaardDiagram, normalize, normalized_roles
 from .homology import Presentation, presentation_matrix
-from .rings import ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact
+from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
+                    state_sums)
 
 RING_TAGS = ("z", "zg", "qh")
 
@@ -103,20 +109,34 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
 
 def alexander_functor(h_norm: HeegaardDiagram,
                       ring_tag: str = "z") -> X.GradedMap:
+    """Every entry from one state sum; the rule is in the module docstring."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     pres = presentation_matrix(h_norm, "z" if ring_tag == "z" else "zh")
-    ring = pres.matrix.ring
-    n0, n1 = h_norm.n0, h_norm.n1
-    c = h_norm.degree
+    m, ring = pres.matrix, pres.matrix.ring
+    outs, cores, ins = normalized_roles(h_norm)
+    n1, c, d = h_norm.n1, h_norm.degree, pres.d
+    row_of = {bid: r for r, bid in enumerate(h_norm.beta_ids())}
+    in_rows = [(i, row_of[bid]) for i, bid in enumerate(ins, 1)]
+    out_rows = [(j, row_of[bid]) for j, bid in enumerate(outs, 1)]
+    alpha_rows = [{r: row[k] for r, row in enumerate(m.entries)
+                   if not ring.is_zero(row[k])} for k in range(m.cols)]
+    free_rows = in_rows + out_rows
+    required = sum(1 << row_of[bid] for bid in cores)
     entries: dict = {}
-    if pres.matrix.rows >= pres.matrix.cols:
-        for (I, J), u in entry_vectors(h_norm).items():
-            val = alexander_function(pres, u)
-            jc = tuple(j for j in range(1, n1 + 1) if j not in J)
-            exp = X.cross_inversions(J, jc) + c * (n1 - len(J))
-            entries[(I, J)] = val if exp % 2 == 0 else ring.neg(val)
-    f = X.GradedMap(ring, n0, n1, c, entries)
+    for mask, val in state_sums(ring, alpha_rows, required).items():
+        I = tuple(i for i, r in in_rows if not mask >> r & 1)
+        J = tuple(j for j, r in out_rows if mask >> r & 1)
+        jc = tuple(j for j, r in out_rows if not mask >> r & 1)
+        parity = d + X.cross_inversions(J, jc) + c * len(jc)
+        # carry the signed sum on through the appended -e_r rows: the rows
+        # a mask leaves free, in-rows (I) first, then out-rows (J^c)
+        for _, r in free_rows:
+            if not mask >> r & 1:
+                parity += (mask >> (r + 1)).bit_count()
+                mask |= 1 << r
+        entries[(I, J)] = ring.neg(val) if parity & 1 else val
+    f = X.GradedMap(ring, h_norm.n0, n1, c, entries)
     if ring_tag == "z":
         return f
     return map_transform(f, *_ring_change(h_norm.group, ring_tag))

@@ -95,9 +95,9 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
 def _readout(h: HeegaardDiagram):
     """The decoder of h's final masks (bit q for position q of the total
     alpha order), with the arc counts read once.  decode(mask) gives the
-    1-based occupied and unoccupied out-arcs (o_l, obar_l) and in-arcs
-    (o_r, obar_r), then the two grading terms a generator's occupied set
-    alone decides, inv(obar_l, o_l) and the correction (a + n1) * k."""
+    1-based occupied in-arcs o_r and unoccupied out-arcs obar_l, then the
+    parity of the two grading terms a generator's occupied set alone
+    decides, inv(obar_l, o_l) and the correction (a + n1) * k."""
     n1, a = h.n1, h.a
     outs = [(j + 1, 1 << j) for j in range(n1)]
     ins = [(i + 1, 1 << (n1 + a + i)) for i in range(h.n0)]
@@ -105,14 +105,13 @@ def _readout(h: HeegaardDiagram):
     flip = (a + n1) & 1
 
     def decode(mask: int) -> tuple:
-        o_l = tuple([j for j, bit in outs if mask & bit])
         obar_l = tuple([j for j, bit in outs if not mask & bit])
         o_r = tuple([i for i, bit in ins if mask & bit])
-        obar_r = tuple([i for i, bit in ins if not mask & bit])
         # each occupied out-arc j is passed by the unoccupied ones above it
         free = ~mask & all_out
-        inv_idem = sum([(free >> j).bit_count() for j in o_l])
-        return o_l, obar_l, o_r, obar_r, inv_idem, flip * len(o_r) & 1
+        inv_idem = sum([(free >> j).bit_count()
+                        for j, bit in outs if mask & bit])
+        return o_r, obar_l, (inv_idem + flip * len(o_r)) & 1
 
     return decode
 
@@ -123,8 +122,12 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
     pos = {aid: i for i, aid in enumerate(h.alpha_order())}
     inv_sigma = X.perm_inversions([pos[p.alpha] for p in x.points])
     mask = sum(1 << pos[p.alpha] for p in x.points)
-    o_l, obar_l, o_r, obar_r, inv_idem, correction = _readout(h)(mask)
-    total = (i_sum + inv_sigma + inv_idem + correction) % 2
+    o_r, obar_l, parity = _readout(h)(mask)
+    o_l = tuple(j for j in range(1, h.n1 + 1) if j not in obar_l)
+    obar_r = tuple(i for i in range(1, h.n0 + 1) if i not in o_r)
+    inv_idem = X.cross_inversions(obar_l, o_l)
+    correction = (h.a + h.n1) * len(o_r) % 2
+    total = (i_sum + inv_sigma + parity) % 2
     return GradingData(
         intersection_parity=i_sum % 2,
         inv_sigma_x=inv_sigma,
@@ -169,8 +172,7 @@ def point_coefficients(h: HeegaardDiagram, weighted: bool) -> tuple:
     if not weighted:
         return ZZ, lambda p: p.sign
     ring = weight_ring(h)
-    return ring, lambda p: ring.monomial(p.weight.monomial(),
-                                         ring.coeff.from_int(p.sign))
+    return ring, lambda p: {p.weight.monomial(): p.sign}
 
 
 def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
@@ -178,8 +180,8 @@ def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
     decode = _readout(h)
     entries = {}
     for mask, v in _state_sums(h, ring, coeff).items():
-        _, obar_l, o_r, _, inv_idem, correction = decode(mask)
-        if (inv_idem + correction) & 1:
+        o_r, obar_l, parity = decode(mask)
+        if parity:
             v = ring.neg(v)
         entries[(o_r, obar_l)] = v
     return X.GradedMap(ring, h.n0, h.n1, h.degree, entries)
@@ -226,7 +228,7 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     decode = _readout(hdd)
     terms: dict = {}
     for mask, v in _state_sums(hdd, *point_coefficients(hdd, False)).items():
-        _, obar, _, _, inv_idem, correction = decode(mask)
+        _, obar, parity = decode(mask)
         unoccupied_in = sum(1 for j in obar if j <= h.n0)
-        terms[obar] = -v if (inv_idem + correction + unoccupied_in) & 1 else v
+        terms[obar] = -v if (parity + unoccupied_in) & 1 else v
     return X.ExtElement(ZZ, h.n0 + h.n1, terms)

@@ -317,30 +317,32 @@ def cyclotomic_polynomial(d: int) -> list:
 
 
 class CycloField(Ring):
-    """Q(zeta_d) as Q[z]/Phi_d(z); elements are Fraction tuples of length phi(d)."""
+    """Q(zeta_d) as Q[z]/Phi_d(z); elements are coefficient tuples of length
+    phi(d), whose coefficients stay ints while integral: only inv and
+    from_fraction bring in Fractions."""
+
+    INV_MEMO_SIZE = 1024
 
     def __init__(self, d: int):
         self.d = d
-        self.modulus = [Fraction(c) for c in cyclotomic_polynomial(d)]
+        self.modulus = cyclotomic_polynomial(d)
         self.degree = len(self.modulus) - 1
         self.name = f"Q(zeta_{d})"
+        self._inv_memo: dict = {}
 
     def zero(self):
-        return (Fraction(0),) * self.degree
+        return (0,) * self.degree
 
     def from_int(self, n: int):
-        return self.from_fraction(n)
+        return (int(n),) + (0,) * (self.degree - 1)
 
     def from_fraction(self, q) -> tuple:
-        v = [Fraction(0)] * self.degree
-        v[0] = Fraction(q)
-        return tuple(v)
+        return (Fraction(q),) + (0,) * (self.degree - 1)
 
     def zeta_power(self, k: int):
         """zeta_d^k as a field element."""
         k %= self.d
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        return self._reduce(poly)
+        return self._reduce([0] * k + [1])
 
     def _reduce(self, poly) -> tuple:
         poly = list(poly)
@@ -352,7 +354,7 @@ class CycloField(Ring):
             d = len(poly) - n
             for i in range(n):
                 poly[d + i] -= c * self.modulus[i]
-        poly += [Fraction(0)] * (n - len(poly))
+        poly += [0] * (n - len(poly))
         return tuple(poly)
 
     def add(self, a, b):
@@ -371,7 +373,13 @@ class CycloField(Ring):
         return tuple(a) == tuple(b)
 
     def inv(self, a):
-        """Inverse via extended Euclid over Q[x] against Phi_d."""
+        """Inverse via extended Euclid over Q[x] against Phi_d, answered
+        from the memo when a was inverted before; the memo is emptied when
+        it holds INV_MEMO_SIZE entries."""
+        key = tuple(a)
+        memo = self._inv_memo
+        if key in memo:
+            return memo[key]
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         # r0 = Phi_d, r1 = a; track s-coefficients for a only
@@ -384,7 +392,10 @@ class CycloField(Ring):
             s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
         # r0 is the gcd, a nonzero constant since Phi_d is irreducible
         c = r0[0]
-        return self._reduce([x / c for x in s0])
+        if len(memo) >= self.INV_MEMO_SIZE:
+            memo.clear()
+        memo[key] = out = self._reduce([x / c for x in s0])
+        return out
 
     def exact_div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -481,9 +492,10 @@ class GroupRing(Ring):
         return (*free, int(tors) % self.torsion_order)
 
     def mono_mul(self, g: tuple, h: tuple) -> tuple:
-        return self.mono(
-            tuple(a + b for a, b in zip(g[:-1], h[:-1])), g[-1] + h[-1]
-        )
+        """Product of two canonical monomials, without mono's checks."""
+        out = [a + b for a, b in zip(g, h)]
+        out[-1] %= self.torsion_order
+        return tuple(out)
 
     def mono_inv(self, g: tuple) -> tuple:
         return self.mono(tuple(-a for a in g[:-1]), -g[-1])

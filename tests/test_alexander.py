@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from bsfloer import exterior as X
 from bsfloer.alexander import (
+    _ring_change,
     alexander_function,
     alexander_functor,
     bsda_map,
     compare_bsda_alexander,
+    entry_vectors,
     random_equivalent_presentation,
     to_free_part,
     transport_vector,
@@ -32,6 +34,7 @@ from bsfloer.fixtures import (
     fixture_library,
     halfproj_left,
     mixed_2x2,
+    ordinary_from_matrix,
     torsion_vanishing,
     weighted_torsion3,
 )
@@ -259,6 +262,70 @@ class TestFunctor:
         hn = normalize(mixed_2x2())
         with pytest.raises(ValueError):
             alexander_functor(hn, "zh")
+
+
+def per_entry_functor(hn, tag):
+    """The functor one determinant per entry: sign * alexander_function
+    over entry_vectors, on the presentation mapped entrywise into the
+    target ring.  The oracle for the state-sum alexander_functor."""
+    pres = presentation_matrix(hn, "z" if tag == "z" else "zh")
+    if tag != "z":
+        ring, fn = _ring_change(hn.group, tag)
+        pres = Presentation(Matrix(ring, [[fn(e) for e in row]
+                                          for row in pres.matrix.entries]), ())
+    ring = pres.matrix.ring
+    n1, c = hn.n1, hn.degree
+    entries = {}
+    if pres.matrix.rows >= pres.matrix.cols:
+        for (I, J), u in entry_vectors(hn).items():
+            jc = tuple(j for j in range(1, n1 + 1) if j not in J)
+            val = alexander_function(pres, u)
+            odd = (X.cross_inversions(J, jc) + c * (n1 - len(J))) % 2
+            entries[(I, J)] = ring.neg(val) if odd else val
+    return X.GradedMap(ring, hn.n0, n1, c, entries)
+
+
+def functor_matches_oracle(hn):
+    for tag in ("z", "zg", "qh"):
+        f, want = alexander_functor(hn, tag), per_entry_functor(hn, tag)
+        if not X.map_eq(f, want):
+            return tag
+    return None
+
+
+class TestStateSumFunctor:
+    """alexander_functor (one state sum) against the per-entry oracle."""
+
+    def test_fixtures(self):
+        for name, (h, _) in fixture_library().items():
+            assert functor_matches_oracle(normalize(h)) is None, name
+
+    def test_random_diagrams(self):
+        import random
+
+        from bsfloer.selftest import random_diagram
+
+        rng = random.Random(5)
+        groups = [GroupDescriptor(r, m) for r in range(3) for m in (1, 2, 3)]
+        nonzero = 0
+        for k in range(90):
+            hn = normalize(random_diagram(rng, group=groups[k % len(groups)]))
+            assert functor_matches_oracle(hn) is None, k
+            nonzero += not alexander_functor(hn, "qh").is_zero()
+        assert nonzero >= 20
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_normalized_identities(self, k):
+        hn = normalize(identity_diagram(interval_arcs(k)))
+        assert functor_matches_oracle(hn) is None
+        assert len(alexander_functor(hn, "z").entries) == 2 ** k
+
+    def test_more_columns_than_rows_gives_zero_map(self):
+        hn = normalize(ordinary_from_matrix([[1, 1]]))
+        assert len(hn.alpha_circles) > len(hn.beta_circles)
+        for tag in ("z", "zg", "qh"):
+            assert alexander_functor(hn, tag).is_zero()
+        assert functor_matches_oracle(hn) is None
 
 
 class TestBsdaMap:

@@ -137,6 +137,19 @@ class TestRingOps:
         want = F.add(F.neg(F.one()), F.neg(z))  # -1 - z
         assert F.eq(F.mul(z, z), want)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_mono_mul_is_canonical(self, m):
+        ring = R.GroupRing(2, m)
+        monos = [ring.mono(free, k) for free in product(range(-2, 3), repeat=2)
+                 for k in range(m)]
+        for g in monos:
+            for h in monos:
+                got = ring.mono_mul(g, h)
+                assert got == ring.mono(
+                    (g[0] + h[0], g[1] + h[1]), g[-1] + h[-1])
+                assert 0 <= got[-1] < m
+                assert all(type(e) is int for e in got)
+
     def test_mixed_ring_rejected(self):
         Z1 = R.GroupRing(1)
         Z2 = R.GroupRing(2)
@@ -209,6 +222,45 @@ class TestCyclotomic:
             if F.is_zero(a):
                 continue
             assert F.eq(F.mul(a, F.inv(a)), F.one())
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_integral_input_keeps_int_coefficients(self, d):
+        F = R.cyclo_field(d)
+        rng = random.Random(d)
+        qh = R.QHRing(R.GroupDescriptor(1, d))
+        zh = {(rng.randint(-2, 2), rng.randrange(d)): rng.choice((-2, -1, 1, 3))
+              for _ in range(4)}
+        elems = [F.zeta_power(k) for k in range(-d, 2 * d)]
+        elems += [F.from_int(n) for n in (-3, 0, 5)] + [F.zero(), F.one()]
+        assert qh.components[-1].coeff is F
+        elems.extend(qh.from_zh(zh)[-1].values())
+        for _ in range(20):
+            a, b = rng.choice(elems), rng.choice(elems)
+            elems += [F.mul(a, b), F.add(a, b), F.neg(a)]
+        for x in elems:
+            assert len(x) == F.degree
+            assert all(type(c) is int for c in x), x
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 12])
+    def test_memoized_inverse_matches_fresh_euclid(self, d):
+        F = R.cyclo_field(d)
+        z = F.zeta_power(1)
+        elems = [F.zeta_power(k) for k in range(d)]
+        elems += [F.add(F.one(), F.add(z, z)), F.from_int(-3)]
+        for a in elems:
+            mixed = tuple(Fraction(c) if i % 2 else c for i, c in enumerate(a))
+            for x in (a, mixed, a):
+                inv = F.inv(x)
+                assert F.eq(inv, R.CycloField(d).inv(a))
+                assert F.eq(F.mul(x, inv), F.one())
+
+    def test_inverse_memo_stays_bounded(self):
+        F = R.CycloField(1)
+        for n in range(1, F.INV_MEMO_SIZE + 50):
+            assert F.inv((n,)) == (Fraction(1, n),)
+            assert len(F._inv_memo) <= F.INV_MEMO_SIZE
+        with pytest.raises(ZeroDivisionError):
+            F.inv((0,))
 
     def test_zeta_order(self):
         F = R.cyclo_field(6)
