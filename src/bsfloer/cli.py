@@ -179,20 +179,12 @@ def _cmd_fn(args):
 
 def _cmd_glue(args):
     left, right = _load(args.left), _load(args.right)
-    try:
-        h = glue(left, right)
-    except ValueError as e:
-        raise CommandError(str(e))
-    return _emit_diagram(h, args.output)
+    return _emit_diagram(glue(left, right), args.output)
 
 
 def _cmd_disjoint(args):
     left, right = _load(args.left), _load(args.right)
-    try:
-        h = disjoint(left, right)
-    except ValueError as e:
-        raise CommandError(str(e))
-    return _emit_diagram(h, args.output)
+    return _emit_diagram(disjoint(left, right), args.output)
 
 
 def _cmd_normalize(args):
@@ -204,11 +196,7 @@ def _cmd_cap(args):
     h = _ensure_normalized(_load(args.file))
     I = _parse_subset(args.subset_in)
     J = _parse_subset(args.subset_out)
-    try:
-        capped = cap(h, I, J)
-    except ValueError as e:
-        raise CommandError(str(e))
-    return _emit_diagram(capped, args.output)
+    return _emit_diagram(cap(h, I, J), args.output)
 
 
 def _cmd_fixtures(args):
@@ -312,7 +300,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
-    except CommandError as e:
+    except (CommandError, ValueError) as e:
+        # a library ValueError is bad input the verb could not act on
         print(f"error: {e}", file=sys.stderr)
         return 1
     if text:

@@ -245,6 +245,8 @@ def map_scale(c, f: GradedMap) -> GradedMap:
 
 def map_eq(f: GradedMap, g: GradedMap) -> bool:
     _same_shape(f, g)
+    if f.degree != g.degree and f.entries and g.entries:
+        raise ValueError("maps of different degrees")
     if len(f.entries) != len(g.entries):
         return False
     return all(k in g.entries and f.ring.eq(c, g.entries[k])
@@ -256,8 +258,6 @@ def _same_shape(f: GradedMap, g: GradedMap) -> None:
         raise ValueError("maps of different shapes")
     if f.ring.name != g.ring.name:
         raise ValueError("maps over different rings")
-    if f.degree != g.degree and f.entries and g.entries:
-        raise ValueError("maps of different degrees")
 
 
 def apply_map(f: GradedMap, x: ExtElement) -> ExtElement:
@@ -342,7 +342,7 @@ def braiding(ring: Ring, n: int, n2: int) -> GradedMap:
 
 def eq_up_to_global_unit(f: GradedMap, g: GradedMap):
     """f = u*g for one unit u across all entries; returns (bool, u or None)."""
-    _same_shape_loose(f, g)
+    _same_shape(f, g)
     if f.is_zero() and g.is_zero():
         return True, f.ring.one()
     if f.degree != g.degree and f.entries and g.entries:
@@ -351,13 +351,6 @@ def eq_up_to_global_unit(f: GradedMap, g: GradedMap):
     zero = f.ring.zero()
     pairs = [(f.entries.get(k, zero), g.entries.get(k, zero)) for k in sorted(keys)]
     return values_eq_up_to_unit(f.ring, pairs)
-
-
-def _same_shape_loose(f: GradedMap, g: GradedMap) -> None:
-    if (f.source_rank, f.target_rank) != (g.source_rank, g.target_rank):
-        raise ValueError("maps of different shapes")
-    if f.ring.name != g.ring.name:
-        raise ValueError("maps over different rings")
 
 
 def map_lines(f: GradedMap) -> list:

@@ -5,10 +5,13 @@ group rings of finitely generated abelian groups H = Z^r x Z/m (Laurent
 polynomials in t1..tr with an order-m generator s), cyclotomic fields
 Q(zeta_d), Laurent rings over those fields, and the full rational group
 algebra of H presented componentwise by characters of the torsion part.
-Also: the one sparse accumulate step (add a term to a dict, drop the key
-when the sum is zero), one polynomial kernel over Z and Q, limits on H, Smith normal form over Z, exact
-division-free determinants (one state sum over occupied column sets, for
-every ring and size), and the one "equal up to a unit" comparison.
+The rings offer no division: determinants are state sums, and units are
+only read off (unit_part) and inverted (unit_inv) for the up-to-unit
+comparison.  Also: the one sparse accumulate step (add a term to a dict,
+drop the key when the sum is zero), one polynomial kernel over Z and Q,
+limits on H, Smith normal form over Z, exact determinants (one state sum
+over occupied column sets, for every ring and size), and the one "equal up
+to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -101,7 +104,10 @@ def divisors(m: int) -> list:
 # ring interface
 
 # Elements are plain data (ints, dicts, tuples); the ring object owns the
-# operations.  Mixed-ring use is rejected by shape checks where cheap.
+# operations.  Mixed-ring use is rejected by shape checks where cheap.  The
+# interface is what state_sums, accumulate, det_exact and
+# values_eq_up_to_unit call: ring arithmetic, is_zero, eq, to_str, and
+# unit_part / unit_inv on nonzero elements.
 
 
 class Ring:
@@ -134,28 +140,18 @@ class Ring:
     def eq(self, a, b) -> bool:
         raise NotImplementedError
 
-    def exact_div(self, a, b):
-        """a / b when the quotient lies in the ring; raises otherwise."""
-        raise NotImplementedError
-
     def to_str(self, a) -> str:
         raise NotImplementedError
 
-    def unit_normalize(self, a):
-        """Split a = unit * canonical with canonical a fixed orbit representative.
-
-        Zero maps to (one, zero).  The unit group depends on the ring: {+1,-1}
-        over Z, +-(monomials) over group rings with integer coefficients,
-        scalar * monomial over field-coefficient Laurent rings.
-        """
+    def unit_part(self, a):
+        """The unit u of a nonzero a whose cofactor mul(unit_inv(u), a) is
+        the canonical representative of a's orbit under the units: the sign
+        over Z, a itself over a field, the least monomial times its
+        coefficient's unit part over a group ring."""
         raise NotImplementedError
 
     def unit_inv(self, u):
         raise NotImplementedError
-
-    def unit_part(self, a):
-        """The unit unit_normalize splits off a nonzero a."""
-        return self.unit_normalize(a)[0]
 
     def sum(self, elems):
         acc = self.zero()
@@ -201,21 +197,11 @@ class IntegerRing(Ring):
     def eq(self, a, b) -> bool:
         return a == b
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact integer division")
-        return q
-
     def to_str(self, a) -> str:
         return str(a)
 
-    def unit_normalize(self, a):
-        if a == 0:
-            return 1, 0
-        return (1, a) if a > 0 else (-1, -a)
+    def unit_part(self, a):
+        return 1 if a > 0 else -1
 
     def unit_inv(self, u):
         if u not in (1, -1):
@@ -223,51 +209,7 @@ class IntegerRing(Ring):
         return u
 
 
-class RationalRing(Ring):
-    name = "Q"
-
-    def zero(self):
-        return Fraction(0)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
-
-    def to_str(self, a) -> str:
-        return str(a)
-
-    def unit_normalize(self, a):
-        if a == 0:
-            return Fraction(1), Fraction(0)
-        return Fraction(a), Fraction(1)
-
-    def unit_inv(self, u):
-        if u == 0:
-            raise ArithmeticError("zero is not a unit")
-        return 1 / Fraction(u)
-
-
 ZZ = IntegerRing()
-QQ = RationalRing()
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +339,6 @@ class CycloField(Ring):
         memo[key] = out = self._reduce([x / c for x in s0])
         return out
 
-    def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def to_str(self, a) -> str:
         if self.degree == 1:
             return str(a[0])
@@ -424,10 +363,8 @@ class CycloField(Ring):
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
 
-    def unit_normalize(self, a):
-        if self.is_zero(a):
-            return self.one(), self.zero()
-        return a, self.one()
+    def unit_part(self, a):
+        return a
 
     def unit_inv(self, u):
         return self.inv(u)
@@ -556,40 +493,6 @@ class GroupRing(Ring):
             return False
         return all(g in b and self.coeff.eq(c, b[g]) for g, c in a.items())
 
-    def exact_div(self, a, b):
-        """Greedy division by the lex-leading term; exact quotients only.
-
-        Valid whenever the quotient exists in the ring (the only way this is
-        called: fraction-free pivots in rank_over_fractions, unit division).
-        Torsion monomials are not ordered compatibly, so division requires
-        m = 1 or b a single monomial.
-        """
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero")
-        if len(b) == 1:
-            (g, c), = b.items()
-            gi = self.mono_inv(g)
-            out = {}
-            for h, d in a.items():
-                out[self.mono_mul(h, gi)] = self.coeff.exact_div(d, c)
-            return out
-        if self.torsion_order != 1:
-            raise ArithmeticError("division in a torsion group ring")
-        rem = dict(a)
-        quot: dict = {}
-        bl = max(b)
-        bc = b[bl]
-        bli = self.mono_inv(bl)
-        while rem:
-            rl = max(rem)
-            qg = self.mono_mul(rl, bli)
-            qc = self.coeff.exact_div(rem[rl], bc)
-            quot[qg] = qc
-            rem = self.sub(rem, self.mul({qg: qc}, b))
-            if rem and max(rem) >= rl:
-                raise ArithmeticError("inexact division")
-        return quot
-
     # -- printing and parsing
 
     def _var_names(self):
@@ -632,12 +535,6 @@ class GroupRing(Ring):
         coefficient, read off without building the canonical form."""
         g0 = min(a)
         return {g0: self.coeff.unit_part(a[g0])}
-
-    def unit_normalize(self, a):
-        if not a:
-            return self.from_int(1), {}
-        unit = self.unit_part(a)
-        return unit, self.mul(self.unit_inv(unit), a)
 
     def unit_inv(self, u):
         if len(u) != 1:
@@ -765,9 +662,6 @@ class QHRing(Ring):
     def eq(self, a, b) -> bool:
         return all(c.eq(x, y) for c, x, y in zip(self.components, a, b))
 
-    def exact_div(self, a, b):
-        return tuple(c.exact_div(x, y) for c, x, y in zip(self.components, a, b))
-
     def to_str(self, a) -> str:
         parts = []
         for d, c, x in zip(self.divisors, self.components, a):
@@ -785,18 +679,6 @@ class QHRing(Ring):
                            F.mul(F.from_int(c), F.zeta_power(g[-1])))
             out.append(acc)
         return tuple(out)
-
-    def unit_normalize(self, a):
-        units = []
-        canon = []
-        for comp, x in zip(self.components, a):
-            u, c = comp.unit_normalize(x)
-            units.append(u)
-            canon.append(c)
-        return tuple(units), tuple(canon)
-
-    def unit_inv(self, u):
-        return tuple(c.unit_inv(x) for c, x in zip(self.components, u))
 
 
 def character_map(group: GroupDescriptor, d: int, zh_elem):
@@ -1014,12 +896,14 @@ def det_exact(ring: Ring, entries):
 
 def rank_over_fractions(ring: Ring, entries) -> int:
     """Column rank over the fraction field of an integral domain, by
-    fraction-free elimination with full pivoting.  No library code calls
-    it; perfbench/tracer.py still lists it as a traced target."""
+    elimination with full pivoting that never divides: each later row
+    becomes pivot * row - (its pivot-column entry) * pivot row, which keeps
+    the rank because the pivot is nonzero in a domain.  Entries grow with
+    every step.  No library code calls it; perfbench/tracer.py still lists
+    it as a traced target."""
     A = [list(r) for r in entries]
     rows = len(A)
     cols = len(A[0]) if A else 0
-    prev = ring.one()
     rank = 0
     r0 = 0
     for _ in range(min(rows, cols)):
@@ -1039,10 +923,9 @@ def rank_over_fractions(ring: Ring, entries) -> int:
             row[r0], row[j0] = row[j0], row[r0]
         for i in range(r0 + 1, rows):
             for j in range(r0 + 1, cols):
-                num = ring.sub(ring.mul(A[i][j], A[r0][r0]), ring.mul(A[i][r0], A[r0][j]))
-                A[i][j] = ring.exact_div(num, prev)
+                A[i][j] = ring.sub(ring.mul(A[i][j], A[r0][r0]),
+                                   ring.mul(A[i][r0], A[r0][j]))
             A[i][r0] = ring.zero()
-        prev = A[r0][r0]
         rank += 1
         r0 += 1
     return rank

@@ -230,6 +230,20 @@ class TestFileFlow:
         assert code == 1
         assert "interface" in err
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["disjoint", "identity_n1.json", "weighted_torsion3.json"],
+         "group descriptors"),
+        (["cap", "identity_n1.json", "--in", "5"], "incoming arcs"),
+    ])
+    def test_library_value_error_is_one_error_line(self, capsys, fxdir,
+                                                   argv, fragment):
+        argv = [str(fxdir / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
     def test_disjoint_roundtrip(self, capsys, fxdir, tmp_path):
         out_path = tmp_path / "pair.json"
         code, _, _ = run(capsys, ["disjoint",

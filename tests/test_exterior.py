@@ -335,6 +335,18 @@ class TestGlobalUnit:
         ok, _ = X.eq_up_to_global_unit(f, g)
         assert not ok
 
+    def test_degree_mismatch(self):
+        # map_eq refuses to compare nonzero maps of different degrees;
+        # the up-to-unit comparison answers no instead
+        f = X.GradedMap(R.ZZ, 1, 1, 0, {((), ()): 1})
+        g = X.GradedMap(R.ZZ, 1, 1, 1, {((), (1,)): 1})
+        with pytest.raises(ValueError):
+            X.map_eq(f, g)
+        assert X.eq_up_to_global_unit(f, g) == (False, None)
+        assert X.map_eq(X.zero_map(R.ZZ, 1, 1, 0), X.zero_map(R.ZZ, 1, 1, 1))
+        with pytest.raises(ValueError):
+            X.eq_up_to_global_unit(f, X.GradedMap(R.ZZ, 2, 2, 0, {}))
+
 
 class TestRendering:
     def test_line_format(self):
