@@ -9,8 +9,10 @@ invariant matrix against generator enumeration, the determinant built on
 the same state sum against a Leibniz sum over permutations, and the
 invariant of normalized identities and glued identity chains against the
 identity up to sign, at sizes where the engine's pruning decides the cost,
-and the state-sum Alexander functor against one determinant per entry.
-Any mismatch aborts with a nonzero exit.
+the state-sum Alexander functor against one determinant per entry, and the
+core analysis of normalized diagrams against the Smith normal forms of the
+core rows and of the whole presentation.  Any mismatch aborts with a
+nonzero exit.
 """
 
 import argparse
@@ -43,8 +45,21 @@ from bsfloer.diagram import (
     interval_arcs,
     normalize,
 )
-from bsfloer.homology import Presentation, presentation_matrix
-from bsfloer.rings import ZZ, GroupRing, Matrix, QHRing, det_exact
+from bsfloer.fixtures import braid_diagram
+from bsfloer.homology import (
+    Presentation,
+    _core_analysis,
+    presentation_matrix,
+    torsion_order,
+)
+from bsfloer.rings import (
+    ZZ,
+    GroupRing,
+    Matrix,
+    QHRing,
+    det_exact,
+    integer_kernel_is_zero,
+)
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
 
@@ -230,6 +245,34 @@ def sweep_functor(cfg: SweepConfig) -> str:
             f"{nonzero} nonzero maps")
 
 
+def sweep_core(cfg: SweepConfig) -> str:
+    """The prefactor against the SNF of the core rows, and injectivity
+    (read only when star3 holds) against the SNF of the whole presentation,
+    on normalized random diagrams, glued random pairs and identity and
+    braid chains."""
+    rng = random.Random(cfg.seed * 7919 + 9)
+    diagrams = [random_diagram(rng, group=GROUPS[k % len(GROUPS)])
+                for k in range(cfg.diagrams_per_ring)]
+    diagrams += [glue(*random_gluable_pair(rng)) for _ in range(cfg.pairs)]
+    diagrams += [reduce(glue, [piece(interval_arcs(k))] * length)
+                 for piece in (identity_diagram, lambda z: braid_diagram(z, z))
+                 for k in range(1, 4) for length in range(2, 4)]
+    star3 = 0
+    for k, h in enumerate(diagrams):
+        hn = normalize(h)
+        data = _core_analysis(hn)
+        if data["prefactor"] != torsion_order(data["core"]):
+            raise SystemExit(f"core prefactor/SNF mismatch at diagram {k}")
+        if data["star3_ok"]:
+            star3 += 1
+            M = presentation_matrix(hn, "z").matrix.entries
+            if data["injective"] != (integer_kernel_is_zero(M) if M
+                                     else not hn.alpha_circles):
+                raise SystemExit(f"core injectivity/SNF mismatch at diagram {k}")
+    return (f"core: {len(diagrams)} normalized diagrams match the Smith "
+            f"normal forms, {star3} with star3")
+
+
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
@@ -257,6 +300,7 @@ def main():
     print(sweep_det(cfg))
     print(sweep_identities())
     print(sweep_functor(cfg))
+    print(sweep_core(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

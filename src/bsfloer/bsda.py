@@ -18,6 +18,7 @@ generators verb and as the reference the engine is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, reinterpret_one_sided
@@ -92,25 +93,35 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
         raise ValueError("generator leaves an alpha circle unoccupied")
 
 
+@lru_cache(maxsize=1 << 12)
+def _arcs(n: int, bits: int) -> tuple:
+    """One half of a final mask, n arcs at bits 0..n-1: the 1-based arcs
+    on and off, and the parity of #{(j on, i off) : i > j}, the shuffle
+    that moves the off arcs in front of the on ones.  Bounded and shared
+    by every diagram, since the halves repeat across diagrams while whole
+    masks rarely repeat within one (an identity-like map has a different
+    out-half for every mask)."""
+    on = tuple([j for j in range(1, n + 1) if bits >> (j - 1) & 1])
+    off = tuple([j for j in range(1, n + 1) if not bits >> (j - 1) & 1])
+    free = ~bits & ((1 << n) - 1)
+    return on, off, sum([(free >> j).bit_count() for j in on]) & 1
+
+
 def _readout(h: HeegaardDiagram):
     """The decoder of h's final masks (bit q for position q of the total
-    alpha order), with the arc counts read once.  decode(mask) gives the
-    1-based occupied in-arcs o_r and unoccupied out-arcs obar_l, then the
-    parity of the two grading terms a generator's occupied set alone
-    decides, inv(obar_l, o_l) and the correction (a + n1) * k."""
-    n1, a = h.n1, h.a
-    outs = [(j + 1, 1 << j) for j in range(n1)]
-    ins = [(i + 1, 1 << (n1 + a + i)) for i in range(h.n0)]
+    alpha order: out-arcs, then circles, then in-arcs).  decode(mask) gives
+    the 1-based occupied in-arcs o_r and unoccupied out-arcs obar_l, then
+    the parity of the two grading terms a generator's occupied set alone
+    decides, inv(obar_l, o_l) and the correction (a + n1) * k.  Each half
+    is read by _arcs."""
+    n0, n1 = h.n0, h.n1
     all_out = (1 << n1) - 1
-    flip = (a + n1) & 1
+    shift = n1 + h.a
+    flip = shift & 1
 
     def decode(mask: int) -> tuple:
-        obar_l = tuple([j for j, bit in outs if not mask & bit])
-        o_r = tuple([i for i, bit in ins if mask & bit])
-        # each occupied out-arc j is passed by the unoccupied ones above it
-        free = ~mask & all_out
-        inv_idem = sum([(free >> j).bit_count()
-                        for j, bit in outs if mask & bit])
+        _, obar_l, inv_idem = _arcs(n1, mask & all_out)
+        o_r = _arcs(n0, mask >> shift)[0]
         return o_r, obar_l, (inv_idem + flip * len(o_r)) & 1
 
     return decode

@@ -216,6 +216,8 @@ def _cmd_selftest(args):
     results = run_all(args.seed)
     out = []
     for r in results:
+        # timings vary run to run, so they go to stderr, off the table
+        print(f"criterion {r.number:>2}: {r.seconds:.3f} s", file=sys.stderr)
         status = "PASS" if r.ok else "FAIL"
         out.append(f"{r.number:>2} {status}  {r.title}")
         out.append(f"        {r.detail}")

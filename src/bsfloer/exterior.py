@@ -298,15 +298,15 @@ def super_tensor(f: GradedMap, g: GradedMap) -> GradedMap:
     if f.ring.name != g.ring.name:
         raise ValueError("maps over different rings")
     ring = f.ring
+    # each entry of g shifted, with its sign parity, once
+    shifted = [(shift_subset(I2, f.source_rank),
+                shift_subset(J2, f.target_rank), b, f.degree * len(I2) & 1)
+               for (I2, J2), b in g.entries.items()]
     out: dict = {}
     for (I, J), a in f.entries.items():
-        for (I2, J2), b in g.entries.items():
+        for I2, J2, b, odd in shifted:
             c = ring.mul(a, b)
-            if (f.degree * len(I2)) % 2:
-                c = ring.neg(c)
-            key = (I + shift_subset(I2, f.source_rank),
-                   J + shift_subset(J2, f.target_rank))
-            accumulate(ring, out, key, c)
+            accumulate(ring, out, (I + I2, J + J2), ring.neg(c) if odd else c)
     return GradedMap(ring, f.source_rank + g.source_rank,
                      f.target_rank + g.target_rank,
                      f.degree + g.degree, out)

@@ -15,6 +15,7 @@ that the acceptance suite compares against the invariant matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import exterior as X
 from .bsda import _state_sums, point_coefficients
@@ -22,7 +23,6 @@ from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
     Matrix,
-    integer_kernel_is_zero,
     integer_rank,
     smith_normal_form,
     snf_diagonal,
@@ -94,6 +94,16 @@ class KElement:
 
 
 def _core_analysis(h_norm: HeegaardDiagram):
+    """Everything about the presentation M of a normalized diagram, from
+    one Smith normal form U*C*V = D of its core rows C, with r nonzero
+    diagonal entries.  star3_ok means r equals the number of core rows;
+    then the prefactor (the order of coker C) is the product of those
+    entries, else 0.  The readings are the in/out rows of -M*V on the
+    columns r.. .  With the core rows first, M*V is [[U^-1 D_r, 0],
+    [X, -readings^T]] and V is unimodular, so under star3 rank M is
+    r + rank(readings), and M is injective when that is the column count.
+    Without star3 injective reads False; no caller reads it then.
+    """
     outs, cores, ins = normalized_roles(h_norm)
     pres = presentation_matrix(h_norm, "z")
     M = pres.matrix.entries
@@ -106,10 +116,11 @@ def _core_analysis(h_norm: HeegaardDiagram):
 
     if cores:
         _, D, V = smith_normal_form(C)
-        r = sum(1 for i in range(min(len(D), cols)) if D[i][i] != 0)
+        diagonal = [D[i][i] for i in range(min(len(D), cols)) if D[i][i] != 0]
     else:
         V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        r = 0
+        diagonal = []
+    r = len(diagonal)
     star3_ok = r == len(cores)
 
     readings: list = []
@@ -124,14 +135,14 @@ def _core_analysis(h_norm: HeegaardDiagram):
                 v[n0 + jj] = -sum(row[t] * V[t][j] for t in range(cols))
             readings.append(tuple(v))
     rank_ker = integer_rank([list(v) for v in readings]) if star3_ok else 0
-    injective = integer_kernel_is_zero(M) if M else cols == 0
     return {
         "core": C,
         "K": big_k,
         "star3_ok": star3_ok,
+        "prefactor": prod(diagonal) if star3_ok else 0,
         "readings": readings,
         "rank_ker": rank_ker,
-        "injective": injective,
+        "injective": star3_ok and r + rank_ker == cols,
     }
 
 
@@ -146,7 +157,7 @@ def kernel_istar(h_norm: HeegaardDiagram):
 
 def k_element(h_norm: HeegaardDiagram) -> KElement:
     data = _core_analysis(h_norm)
-    prefactor = torsion_order(data["core"])
+    prefactor = data["prefactor"]
     n = h_norm.n0 + h_norm.n1
     big_k = data["K"]
     ok = (prefactor > 0 and data["star3_ok"] and data["injective"]

@@ -18,6 +18,7 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -182,14 +183,10 @@ class IntegerRing(Ring):
     def from_int(self, n: int):
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    # the operator builtins, so the engines call C functions over Z
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -459,14 +456,19 @@ class GroupRing(Ring):
             return {}
         return {self.mono((0,) * self.free_rank, 0): c}
 
-    def _shape_check(self, a) -> None:
-        for g in a:
-            if len(g) != self.free_rank + 1:
-                raise ValueError("element from a different ring")
+    def _shape_check(self, a, b) -> None:
+        """Reject an element of another group ring by the key length of
+        one monomial per argument: this ring's operations never build an
+        element whose keys have two lengths."""
+        width = self.free_rank + 1
+        for x in (a, b):
+            for g in x:
+                if len(g) != width:
+                    raise ValueError("element from a different ring")
+                break
 
     def add(self, a, b):
-        self._shape_check(a)
-        self._shape_check(b)
+        self._shape_check(a, b)
         out = dict(a)
         for g, c in b.items():
             accumulate(self.coeff, out, g, c)
@@ -476,8 +478,7 @@ class GroupRing(Ring):
         return {g: self.coeff.neg(c) for g, c in a.items()}
 
     def mul(self, a, b):
-        self._shape_check(a)
-        self._shape_check(b)
+        self._shape_check(a, b)
         out: dict = {}
         for g, c in a.items():
             for h, d in b.items():

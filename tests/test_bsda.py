@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from bsfloer import exterior as X
 from bsfloer.bsda import (
     Generator,
+    _arcs,
+    _readout,
     _state_sums,
     augment_map,
     bsda_z,
@@ -183,6 +185,43 @@ class TestGrading:
             for x in enumerate_generators(h):
                 g = gr_da(h, x)
                 assert h.n1 - g.l + g.k == h.b - h.a
+
+
+class TestReadout:
+    """The mask decoder against the arcs a generator's points occupy."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_arcs_match_rebuild(self, n):
+        for bits in range(1 << n):
+            on = tuple(j for j in range(1, n + 1) if bits & 1 << (j - 1))
+            off = tuple(j for j in range(1, n + 1) if j not in on)
+            assert _arcs(n, bits) == (
+                on, off, X.cross_inversions(off, on) % 2)
+        assert _arcs.cache_info().maxsize == 1 << 12
+
+    def test_decode_matches_gr_da(self):
+        rng = random.Random(11)
+        corpus = [h for h in (random_diagram(rng) for _ in range(120))
+                  if h.n0 != h.n1]
+        corpus += [normalize(h) for h in corpus]
+        corpus += [half_identity(Z2, "in"), half_identity(Z2, "out")]
+        checked = 0
+        for h in corpus:
+            pos = {aid: q for q, aid in enumerate(h.alpha_order())}
+            decode = _readout(h)
+            for x in enumerate_generators(h):
+                occupied = set(x.alpha_ids())
+                o_r = tuple(i + 1 for i, (aid, _) in enumerate(h.alpha_in)
+                            if aid in occupied)
+                obar_l = tuple(j + 1 for j, (aid, _) in enumerate(h.alpha_out)
+                               if aid not in occupied)
+                g = gr_da(h, x)
+                parity = (g.inv_idempotent + g.correction) % 2
+                mask = sum(1 << pos[aid] for aid in occupied)
+                assert decode(mask) == (o_r, obar_l, parity)
+                assert (g.o_r, g.obar_l) == (o_r, obar_l)
+                checked += 1
+        assert checked > 100
 
 
 class TestBsdaZ:

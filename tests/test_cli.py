@@ -201,9 +201,23 @@ class TestOutput:
         assert "kernel element: 0" in out
 
     def test_selftest_summary(self, capsys):
-        code, out, _ = run(capsys, ["selftest", "--seed", "3"])
+        code, out, err = run(capsys, ["selftest", "--seed", "3"])
         assert code == 0
         assert "selftest: 12/12 passed (seed 3)" in out
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            f"criterion {n:>2}" for n in range(1, 13)]
+
+    def test_selftest_seconds_go_to_stderr(self, capsys, monkeypatch):
+        import bsfloer.cli as cli
+
+        monkeypatch.setattr(cli, "run_all", lambda seed: [
+            CriterionResult(1, "one", True, "d1", 0.25),
+            CriterionResult(12, "twelve", False, "d12", 1.5)])
+        code, out, err = run(capsys, ["selftest"])
+        assert code == 2
+        assert out == (" 1 PASS  one\n        d1\n12 FAIL  twelve\n"
+                       "        d12\nselftest: 1/2 passed (seed 0)\n")
+        assert err == "criterion  1: 0.250 s\ncriterion 12: 1.500 s\n"
 
     def test_fixtures_listing_sorted(self, capsys):
         code, out, _ = run(capsys, ["fixtures"])

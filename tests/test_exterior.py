@@ -218,7 +218,32 @@ class TestGradedMap:
             X.compose(f, g)
 
 
+def super_tensor_oracle(f, g):
+    """The per-pair loop: every pair of entries shifts g's subsets and
+    takes its sign (-1)^{deg(f)|I2|} on its own."""
+    ring = f.ring
+    out = {}
+    for (I, J), a in f.entries.items():
+        for (I2, J2), b in g.entries.items():
+            c = ring.mul(a, b)
+            if f.degree * len(I2) % 2:
+                c = ring.neg(c)
+            out[(I + tuple(i + f.source_rank for i in I2),
+                 J + tuple(j + f.target_rank for j in J2))] = c
+    return X.GradedMap(ring, f.source_rank + g.source_rank,
+                       f.target_rank + g.target_rank, f.degree + g.degree, out)
+
+
 class TestSuperTensor:
+    @given(st.sampled_from([R.ZZ, Zt]).flatmap(lambda ring: st.tuples(
+        graded_maps(ring, 2, 3, 1, max_entries=6),
+        graded_maps(ring, 2, 1, -1, max_entries=6))))
+    def test_matches_per_pair_oracle(self, maps):
+        # odd deg f, and every entry of g has a nonempty input subset I2
+        f, g = maps
+        assert X.map_eq(X.super_tensor(f, g), super_tensor_oracle(f, g))
+        assert X.map_eq(X.super_tensor(g, f), super_tensor_oracle(g, f))
+
     def test_even_degree_plain(self):
         f = X.GradedMap(R.ZZ, 1, 1, 0, {((1,), (1,)): 2})
         g = X.GradedMap(R.ZZ, 1, 1, 0, {((1,), (1,)): 3})
