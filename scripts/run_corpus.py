@@ -11,8 +11,9 @@ invariant of normalized identities and glued identity chains against the
 identity up to sign, at sizes where the engine's pruning decides the cost,
 the state-sum Alexander functor against one determinant per entry, and the
 core analysis of normalized diagrams against the Smith normal forms of the
-core rows and of the whole presentation.  Any mismatch aborts with a
-nonzero exit.
+core rows and of the whole presentation, and the up-to-unit comparison of
+graded maps against the same comparison over every key in sorted order.
+Any mismatch aborts with a nonzero exit.
 """
 
 import argparse
@@ -59,6 +60,8 @@ from bsfloer.rings import (
     QHRing,
     det_exact,
     integer_kernel_is_zero,
+    parse_element,
+    values_eq_up_to_unit,
 )
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
@@ -273,6 +276,78 @@ def sweep_core(cfg: SweepConfig) -> str:
             f"normal forms, {star3} with star3")
 
 
+def sorted_unit_oracle(f, g):
+    """eq_up_to_global_unit with every key of f and g in sorted order."""
+    if f.is_zero() and g.is_zero():
+        return True, f.ring.one()
+    zero = f.ring.zero()
+    keys = sorted(set(f.entries) | set(g.entries))
+    return values_eq_up_to_unit(
+        f.ring, [(f.entries.get(k, zero), g.entries.get(k, zero)) for k in keys])
+
+
+def unit_rings():
+    """(ring, base group ring, map from the base, factors): Z[Z^r x Z/m]
+    for r = 0..2 and m = 2..4, and Q[H] for three groups.  The factors
+    1 - s, the norm 1 + s + ... + s^(m-1) and 1 + s^(m/2) bring in zero
+    divisors, where several units can fit."""
+    out = []
+    for r in range(3):
+        for m in range(2, 5):
+            zg = GroupRing(r, m)
+            factors = ["1 - s", " + ".join(f"s^{k}" for k in range(m))]
+            if m % 2 == 0:
+                factors.append(f"1 + s^{m // 2}")
+            out.append((zg, zg, lambda x: x,
+                        [parse_element(zg, e) for e in factors]))
+    for group in (GroupDescriptor(1, 3), GroupDescriptor(0, 4),
+                  GroupDescriptor(1, 2)):
+        qh, zg = QHRing(group), GroupRing(group.free_rank, group.torsion_order)
+        out.append((qh, zg, qh.from_zh,
+                    [parse_element(zg, "1 - s"), parse_element(zg, "1 + s")]))
+    return out
+
+
+def sweep_units(cfg: SweepConfig) -> str:
+    """Random map pairs f, g (g scaled by one factor, f a unit times g,
+    that with one entry redrawn, or drawn on its own): the comparison must
+    give the oracle's answer and the same unit, printed the same."""
+    rng = random.Random(cfg.seed * 7919 + 10)
+    keys = [(I, J) for I in X.subsets(2) for J in X.subsets(2)
+            if len(I) == len(J)]
+    cases = unit_rings()
+    equal = 0
+    for k in range(cfg.pairs):
+        ring, base, lift, factors = cases[k % len(cases)]
+        draw = group_ring_draw(base)
+        factor = rng.choice([base.one(), *factors])
+
+        def entries(scale):
+            return {key: lift(base.mul(scale, draw(rng)))
+                    for key in rng.sample(keys, rng.randint(1, len(keys)))}
+
+        g = X.GradedMap(ring, 2, 2, 0, entries(factor))
+        mode = rng.choice(("scaled", "scaled", "perturbed", "free"))
+        if mode == "free":
+            f = X.GradedMap(ring, 2, 2, 0, entries(base.one()))
+        else:
+            free = [rng.randint(-2, 2) for _ in range(base.free_rank)]
+            u = lift(base.monomial((*free, rng.randrange(base.torsion_order)),
+                                   rng.choice((1, -1))))
+            f_entries = {key: ring.mul(u, b) for key, b in g.entries.items()}
+            if mode == "perturbed":
+                f_entries[rng.choice(keys)] = lift(draw(rng))
+            f = X.GradedMap(ring, 2, 2, 0, f_entries)
+        got, want = X.eq_up_to_global_unit(f, g), sorted_unit_oracle(f, g)
+        if got[0] != want[0] or (want[0] and (
+                got[1] != want[1]
+                or ring.to_str(got[1]) != ring.to_str(want[1]))):
+            raise SystemExit(f"unit comparison/sorted oracle mismatch at pair {k}")
+        equal += want[0]
+    return (f"units: {cfg.pairs} map pairs over {len(cases)} rings match the "
+            f"sorted oracle, {equal} equal up to a unit")
+
+
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
@@ -301,6 +376,7 @@ def main():
     print(sweep_identities())
     print(sweep_functor(cfg))
     print(sweep_core(cfg))
+    print(sweep_units(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))
     print("corpus sweep: all identities held")

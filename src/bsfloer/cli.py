@@ -15,7 +15,7 @@ from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
 from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
 from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized_roles
 from .fixtures import fixture_library
-from .homology import k_element, kernel_istar, presentation_matrix, vfn_sut
+from .homology import k_element, presentation_matrix, vfn_sut
 from .rings import ZZ
 from .selftest import run_all
 
@@ -159,13 +159,12 @@ def _cmd_fn(args):
     hn = _ensure_normalized(h)
     pres = presentation_matrix(hn, "z")
     rows, cols = pres.matrix.rows, pres.matrix.cols
-    _, big_k, rank = kernel_istar(hn)
     ke = k_element(hn)
-    f = vfn_sut(hn)
+    f = vfn_sut(hn, ke)
     out = [
         f"presentation: {rows} rows x {cols} cols (deficiency {rows - cols})",
         f"torsion prefactor: {ke.prefactor}",
-        f"kernel rank: {rank} (expected degree {big_k})",
+        f"kernel rank: {ke.rank} (expected degree {ke.degree})",
         f"kernel element: {X.ext_str(ke.kernel_wedge)}",
     ]
     out.extend(_map_text(f))

@@ -9,6 +9,10 @@ the block structure is positional, not nested.
 
 Sign conventions follow the super rule throughout: moving a degree-p
 symbol past a degree-q symbol costs (-1)^{pq}.
+
+Keys are canonical on construction: a GradedMap accepts only strictly
+increasing int subsets of indices >= 1 and never re-keys or re-adds its
+entries, so an engine-built map costs one pass.  Lookups are canonicalized.
 """
 
 from __future__ import annotations
@@ -23,11 +27,15 @@ from .rings import Ring, accumulate, values_eq_up_to_unit
 def subset_key(indices) -> tuple:
     """The canonical key of a subset: its distinct indices as ints, in
     increasing order.  Keys are immutable tuples, answered from a bounded
-    memo, so the canonical keys of existing maps are not sorted again."""
+    memo, which GradedMap consults for subsets it has not yet seen."""
     return _tuple_key(indices if type(indices) is tuple else tuple(indices))
 
 
-@lru_cache(maxsize=1 << 12)
+_MEMO_SIZE = 1 << 12
+_CANONICAL: set = set()   # subsets GradedMap found canonical, at most _MEMO_SIZE
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _tuple_key(indices: tuple) -> tuple:
     return tuple(sorted({int(i) for i in indices}))
 
@@ -205,17 +213,24 @@ class GradedMap:
     entries: dict
 
     def __post_init__(self) -> None:
+        is_zero, n0, n1 = self.ring.is_zero, self.source_rank, self.target_rank
         clean: dict = {}
-        for (I, J), c in self.entries.items():
-            I, J = subset_key(I), subset_key(J)
-            if I and I[-1] > self.source_rank:
+        for key, c in self.entries.items():
+            I, J = key
+            if not (I in _CANONICAL and J in _CANONICAL):
+                if _tuple_key(I) != I or _tuple_key(J) != J:
+                    raise ValueError(f"entry {key!r} is not canonical")
+                if len(_CANONICAL) < _MEMO_SIZE:
+                    _CANONICAL.update(key)
+            if I and (I[0] < 1 or I[-1] > n0):
                 raise ValueError("input subset out of range")
-            if J and J[-1] > self.target_rank:
+            if J and (J[0] < 1 or J[-1] > n1):
                 raise ValueError("output subset out of range")
             if len(J) - len(I) != self.degree:
                 raise ValueError(
                     f"entry ({I}, {J}) breaks homogeneity of degree {self.degree}")
-            accumulate(self.ring, clean, (I, J), c)
+            if not is_zero(c):
+                clean[key] = c
         self.entries = clean
 
     def is_zero(self) -> bool:
@@ -279,11 +294,13 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     if f.ring.name != g.ring.name:
         raise ValueError("maps over different rings")
     ring = f.ring
+    by_source: dict = {}
+    for (J, K), b in g.entries.items():
+        by_source.setdefault(J, []).append((K, b))
     out: dict = {}
     for (I, J), a in f.entries.items():
-        for (J2, K), b in g.entries.items():
-            if J2 == J:
-                accumulate(ring, out, (I, K), ring.mul(b, a))
+        for K, b in by_source.get(J, ()):
+            accumulate(ring, out, (I, K), ring.mul(b, a))
     return GradedMap(ring, f.source_rank, g.target_rank,
                      f.degree + g.degree, out)
 
@@ -302,11 +319,12 @@ def super_tensor(f: GradedMap, g: GradedMap) -> GradedMap:
     shifted = [(shift_subset(I2, f.source_rank),
                 shift_subset(J2, f.target_rank), b, f.degree * len(I2) & 1)
                for (I2, J2), b in g.entries.items()]
+    # shift-encoded keys are distinct; the constructor drops zero products
     out: dict = {}
     for (I, J), a in f.entries.items():
         for I2, J2, b, odd in shifted:
             c = ring.mul(a, b)
-            accumulate(ring, out, (I + I2, J + J2), ring.neg(c) if odd else c)
+            out[I + I2, J + J2] = ring.neg(c) if odd else c
     return GradedMap(ring, f.source_rank + g.source_rank,
                      f.target_rank + g.target_rank,
                      f.degree + g.degree, out)
@@ -347,9 +365,15 @@ def eq_up_to_global_unit(f: GradedMap, g: GradedMap):
         return True, f.ring.one()
     if f.degree != g.degree and f.entries and g.entries:
         return False, None
-    keys = set(f.entries) | set(g.entries)
-    zero = f.ring.zero()
-    pairs = [(f.entries.get(k, zero), g.entries.get(k, zero)) for k in sorted(keys)]
+    if not g.entries:
+        return False, None
+    # the candidate unit comes from the least key of g, the first pair with
+    # a nonzero b in key order; the order of the other pairs is immaterial
+    fe, ge, zero = f.entries, g.entries, f.ring.zero()
+    first = min(ge)
+    pairs = [(fe.get(first, zero), ge[first])]
+    pairs += [(a, ge.get(k, zero)) for k, a in fe.items() if k != first]
+    pairs += [(zero, b) for k, b in ge.items() if k not in fe]
     return values_eq_up_to_unit(f.ring, pairs)
 
 

@@ -91,6 +91,7 @@ class KElement:
     prefactor: int
     kernel_wedge: X.ExtElement
     degree: int
+    rank: int   # the achieved rank of the kernel lattice
 
 
 def _core_analysis(h_norm: HeegaardDiagram):
@@ -163,20 +164,21 @@ def k_element(h_norm: HeegaardDiagram) -> KElement:
     ok = (prefactor > 0 and data["star3_ok"] and data["injective"]
           and data["rank_ker"] == big_k)
     if not ok:
-        return KElement(prefactor, X.ext_zero(ZZ, n), big_k)
+        return KElement(prefactor, X.ext_zero(ZZ, n), big_k, data["rank_ker"])
     factors = [
         X.ExtElement(ZZ, n, {(i + 1,): v[i] for i in range(n) if v[i]})
         for v in data["readings"]
     ]
     wedge = X.wedge_list(ZZ, n, factors)
     wedge = X.ext_scale(ZZ.from_int(prefactor), wedge)
-    return KElement(prefactor, wedge, big_k)
+    return KElement(prefactor, wedge, big_k, data["rank_ker"])
 
 
-def vfn_sut(h_norm: HeegaardDiagram) -> X.GradedMap:
-    """Pair the kernel element against incoming monomials: the composition
-    of the duality pairing with wedging by the kernel element."""
-    ke = k_element(h_norm)
+def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:
+    """Pair the kernel element (k_element(h_norm) unless given) against
+    incoming monomials: the composition of the duality pairing with
+    wedging by the kernel element."""
+    ke = k_element(h_norm) if ke is None else ke
     return X.compose_eps_tensor(ke.kernel_wedge, h_norm.n0, h_norm.n1,
                                 degree=h_norm.degree)
 

@@ -194,6 +194,36 @@ class TestOutput:
         assert "PASS" in out
         assert "torsion prefactor: 2" in out
 
+    def test_fn_runs_the_core_analysis_once(self, capsys, fxdir, monkeypatch):
+        # one SNF of the core rows and one for the rank of the readings,
+        # shared by the kernel rank, the kernel element and the pairing map
+        import bsfloer.homology as homology
+        import bsfloer.rings as rings
+
+        calls = []
+        snf = rings.smith_normal_form
+
+        def counting(entries):
+            calls.append(entries)
+            return snf(entries)
+
+        monkeypatch.setattr(rings, "smith_normal_form", counting)
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        code, out, _ = run(capsys, ["fn", str(fxdir / "bordered_mixed.json")])
+        assert code == 0
+        assert len(calls) == 2
+        assert out == "\n".join([
+            "presentation: 4 rows x 3 cols (deficiency 1)",
+            "torsion prefactor: 1",
+            "kernel rank: 1 (expected degree 1)",
+            "kernel element: g{1} + g{2}",
+            "ring: Z",
+            "degree: 0",
+            "out{} <- in{}: 1",
+            "out{1} <- in{1}: -1",
+            "against the matrix: PASS (unit -1)",
+        ]) + "\n"
+
     def test_fn_on_vanishing_fixture(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "zero_matrix.json")])
         assert code == 0

@@ -5,9 +5,15 @@ from hypothesis import given, strategies as st
 
 from bsfloer import exterior as X
 from bsfloer import rings as R
+from bsfloer.diagram import GroupDescriptor
 
 Zt = R.GroupRing(1)
 Zh2 = R.GroupRing(1, 2)
+Zh3 = R.GroupRing(1, 3)
+Zh4 = R.GroupRing(1, 4)
+Qh3 = R.QHRing(GroupDescriptor(1, 3))
+NORM3 = R.parse_element(Zh3, "1 + s + s^2")     # annihilates 1 - s
+ONE_MINUS_S = R.parse_element(Zh3, "1 - s")
 
 
 def basis(ring, n, I, c=1):
@@ -21,12 +27,41 @@ def ext_elements(ring, n, max_terms=3):
         lambda t: X.ExtElement(ring, n, t))
 
 
-def graded_maps(ring, n0, n1, degree, max_entries=3):
+def graded_maps(ring, n0, n1, degree, max_entries=3, coeff=None):
     keys = [(I, J) for I in X.subsets(n0) for J in X.subsets(n1)
             if len(J) - len(I) == degree]
-    coeff = st.integers(-3, 3).map(ring.from_int)
+    if coeff is None:
+        coeff = st.integers(-3, 3).map(ring.from_int)
     return st.dictionaries(st.sampled_from(keys), coeff, max_size=max_entries).map(
         lambda e: X.GradedMap(ring, n0, n1, degree, e))
+
+
+def laurent_elements(ring, factors=()):
+    """Sums of one to three terms c*t^f*s^k (f in -1..1), times one of
+    factors or one; factors bring in zero divisors over Z[Z x Z/m]."""
+    m = ring.torsion_order
+    term = st.tuples(st.integers(-1, 1), st.integers(0, m - 1),
+                     st.sampled_from((-2, -1, 1, 2)))
+
+    def build(args):
+        terms, factor = args
+        x = ring.zero()
+        for f, k, c in terms:
+            x = ring.add(x, ring.monomial((f, k), c))
+        return ring.mul(x, factor)
+
+    return st.tuples(st.lists(term, min_size=1, max_size=3),
+                     st.sampled_from((ring.one(), *factors))).map(build)
+
+
+ZERO_DIVISOR_ELEMENTS = laurent_elements(Zh3, (NORM3, ONE_MINUS_S))
+
+
+def trivial_units(ring, scalars=(1, -1)):
+    m = ring.torsion_order
+    return st.tuples(st.integers(-2, 2), st.integers(0, m - 1),
+                     st.sampled_from(scalars)).map(
+        lambda a: ring.monomial((a[0], a[1]), a[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +252,93 @@ class TestGradedMap:
         with pytest.raises(ValueError):
             X.compose(f, g)
 
+    @pytest.mark.parametrize("key,bad", [
+        (((1, 1), (2,)), [(1, 1)]),     # a repeated index would shift the degree
+        (((0,), (-1,)), [(0,), (-1,)]),  # indices below 1
+    ])
+    def test_key_rejected_like_ext_element(self, key, bad):
+        with pytest.raises(ValueError):
+            X.GradedMap(R.ZZ, 2, 2, 0, {key: 1})
+        for S in bad:
+            with pytest.raises(ValueError):
+                X.ExtElement(R.ZZ, 2, {S: 1})
+
+    @pytest.mark.parametrize("key", [
+        ((2, 1), (1, 2)),      # not increasing
+        ((1,), (2, 1)),
+        ((0,), (1,)),          # one subset below 1
+        ((1,), (-1,)),
+        ((1.5,), (2.5,)),      # not ints
+        ("1", "2"),            # not tuples
+    ])
+    def test_non_canonical_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            X.GradedMap(R.ZZ, 2, 2, len(key[1]) - len(key[0]), {key: 1})
+
+    def test_seen_subsets_stay_bounded_and_canonical(self):
+        X.identity_map(R.ZZ, 13)     # 8,192 subsets, twice the bound
+        assert len(X._CANONICAL) <= 1 << 12
+        with pytest.raises(ValueError):
+            X.GradedMap(R.ZZ, 2, 2, 0, {((2, 1), (1, 2)): 1})
+        assert (2, 1) not in X._CANONICAL
+        assert all(X.subset_key(S) == S for S in X._CANONICAL)
+        with pytest.raises(ValueError):
+            X.GradedMap(R.ZZ, 2, 2, 0, {((1, 1), (2,)): 1})
+
+    def test_entry_lookup_is_canonicalized(self):
+        f = X.GradedMap(R.ZZ, 2, 2, 0, {((1, 2), (1, 2)): 5, ((), ()): 3})
+        assert f.entry([2, 1], (2, 1, 2)) == 5
+        assert f.entry(iter(()), []) == 3
+        assert f.entry((2,), (1,)) == 0
+
+    def test_keys_are_kept_as_given(self):
+        entries = {((1,), (2,)): 4, ((2,), (1,)): 0, ((), ()): -1}
+        f = X.GradedMap(R.ZZ, 2, 2, 0, entries)
+        assert f.entries == {((1,), (2,)): 4, ((), ()): -1}
+        assert all(k in entries for k in f.entries)
+
+
+def compose_oracle(g, f):
+    """Every pair of entries of f and g, kept when the subsets match."""
+    ring = f.ring
+    out = {}
+    for (I, J), a in f.entries.items():
+        for (J2, K), b in g.entries.items():
+            if J2 == J:
+                R.accumulate(ring, out, (I, K), ring.mul(b, a))
+    return X.GradedMap(ring, f.source_rank, g.target_rank,
+                       f.degree + g.degree, out)
+
+
+class TestCompose:
+    @given(st.sampled_from([R.ZZ, Zt]).flatmap(lambda ring: st.tuples(
+        graded_maps(ring, 2, 3, 1, max_entries=6),
+        st.integers(-1, 1).flatmap(
+            lambda d: graded_maps(ring, 3, 2, d, max_entries=6)))))
+    def test_matches_pairwise_oracle(self, maps):
+        f, g = maps
+        h = X.compose(g, f)
+        assert h.entries == compose_oracle(g, f).entries
+        assert (h.source_rank, h.target_rank, h.degree) == (2, 2,
+                                                            f.degree + g.degree)
+
+    @given(graded_maps(Zh3, 2, 2, 0, 6, ZERO_DIVISOR_ELEMENTS),
+           graded_maps(Zh3, 2, 2, 0, 6, ZERO_DIVISOR_ELEMENTS))
+    def test_matches_pairwise_oracle_with_zero_divisors(self, f, g):
+        assert X.compose(g, f).entries == compose_oracle(g, f).entries
+
+    def test_no_matching_subsets(self):
+        f = X.GradedMap(R.ZZ, 2, 2, 0, {((1,), (1,)): 2, ((), ()): 1})
+        g = X.GradedMap(R.ZZ, 2, 3, 1, {((2,), (1, 3)): 5, ((1, 2), (1, 2, 3)): 7})
+        h = X.compose(g, f)
+        assert h.is_zero() and (h.source_rank, h.target_rank, h.degree) == (2, 3, 1)
+        assert X.compose(X.zero_map(R.ZZ, 2, 2, 0), f).is_zero()
+
+    def test_cancelling_terms_dropped(self):
+        f = X.GradedMap(R.ZZ, 1, 2, 0, {((1,), (1,)): 1, ((1,), (2,)): 1})
+        g = X.GradedMap(R.ZZ, 2, 1, 0, {((1,), (1,)): 1, ((2,), (1,)): -1})
+        assert X.compose(g, f).entries == {}
+
 
 def super_tensor_oracle(f, g):
     """The per-pair loop: every pair of entries shifts g's subsets and
@@ -243,6 +365,24 @@ class TestSuperTensor:
         f, g = maps
         assert X.map_eq(X.super_tensor(f, g), super_tensor_oracle(f, g))
         assert X.map_eq(X.super_tensor(g, f), super_tensor_oracle(g, f))
+
+    @given(graded_maps(Zh3, 1, 2, 1, 6, ZERO_DIVISOR_ELEMENTS),
+           graded_maps(Zh3, 2, 1, -1, 6, ZERO_DIVISOR_ELEMENTS))
+    def test_matches_per_pair_oracle_with_zero_divisors(self, f, g):
+        for a, b in ((f, g), (g, f)):
+            t = X.super_tensor(a, b)
+            assert t.entries == super_tensor_oracle(a, b).entries
+            assert not any(Zh3.is_zero(c) for c in t.entries.values())
+
+    def test_zero_divisor_products_dropped(self):
+        f = X.GradedMap(Zh3, 1, 1, 0, {((1,), (1,)): ONE_MINUS_S,
+                                       ((), ()): Zh3.one()})
+        g = X.GradedMap(Zh3, 1, 1, 0, {((1,), (1,)): NORM3,
+                                       ((), ()): Zh3.one()})
+        t = X.super_tensor(f, g)
+        assert Zh3.is_zero(Zh3.mul(ONE_MINUS_S, NORM3))
+        assert set(t.entries) == {((), ()), ((1,), (1,)), ((2,), (2,))}
+        assert t.entries == super_tensor_oracle(f, g).entries
 
     def test_even_degree_plain(self):
         f = X.GradedMap(R.ZZ, 1, 1, 0, {((1,), (1,)): 2})
@@ -371,6 +511,92 @@ class TestGlobalUnit:
         assert X.map_eq(X.zero_map(R.ZZ, 1, 1, 0), X.zero_map(R.ZZ, 1, 1, 1))
         with pytest.raises(ValueError):
             X.eq_up_to_global_unit(f, X.GradedMap(R.ZZ, 2, 2, 0, {}))
+
+
+def eq_up_to_unit_sorted(f, g):
+    """The unit comparison over every key of f and g in sorted order: the
+    oracle for eq_up_to_global_unit, whose candidate unit must come from
+    the same pair."""
+    X._same_shape(f, g)
+    if f.is_zero() and g.is_zero():
+        return True, f.ring.one()
+    if f.degree != g.degree and f.entries and g.entries:
+        return False, None
+    keys = set(f.entries) | set(g.entries)
+    zero = f.ring.zero()
+    pairs = [(f.entries.get(k, zero), g.entries.get(k, zero)) for k in sorted(keys)]
+    return R.values_eq_up_to_unit(f.ring, pairs)
+
+
+FACTORS4 = (R.parse_element(Zh4, "1 + s^2"), R.parse_element(Zh4, "1 - s^2"))
+
+# ring -> (elements, units, factors): g may have every entry times one
+# factor.  When every entry of g is a multiple of 1 + s^2 over Z[Z x Z/4],
+# several units can fit and the one returned depends on the pair the
+# candidate comes from.  Over Z[Z x Z/3] it cannot: two trivial units fit
+# together only as s^i and s^j with every entry a multiple of 1 + s + s^2,
+# whose least monomial has torsion exponent 0, so every pair proposes the
+# same candidate.
+UNIT_CASES = {
+    "Z": (R.ZZ, st.integers(-3, 3), st.sampled_from((1, -1)), (2,)),
+    "Z[t]": (Zt, laurent_elements(Zt), trivial_units(Zt),
+             (R.parse_element(Zt, "1 - t1"),)),
+    "Z[Z x Z/3]": (Zh3, ZERO_DIVISOR_ELEMENTS, trivial_units(Zh3),
+                   (NORM3, ONE_MINUS_S)),
+    "Z[Z x Z/4]": (Zh4, laurent_elements(Zh4, FACTORS4), trivial_units(Zh4),
+                   FACTORS4),
+    "Q[Z x Z/3]": (Qh3, ZERO_DIVISOR_ELEMENTS.map(Qh3.from_zh),
+                   trivial_units(Zh3, (1, -1, 2)).map(Qh3.from_zh),
+                   tuple(map(Qh3.from_zh, (NORM3, ONE_MINUS_S)))),
+}
+
+
+class TestGlobalUnitOrder:
+    @pytest.mark.parametrize("name", sorted(UNIT_CASES))
+    @given(data=st.data())
+    def test_matches_sorted_oracle(self, name, data):
+        ring, elements, units, factors = UNIT_CASES[name]
+        maps = graded_maps(ring, 2, 2, 0, 6, elements)
+        common = data.draw(st.sampled_from((ring.one(), *factors, *factors)))
+        g = X.map_scale(common, data.draw(maps))
+        mode = data.draw(st.sampled_from(("scaled", "scaled", "perturbed", "free")))
+        if mode == "free":
+            f = data.draw(maps)
+        else:
+            u = data.draw(units)
+            entries = {k: ring.mul(u, b) for k, b in g.entries.items()}
+            if mode == "perturbed":
+                key = data.draw(st.sampled_from(
+                    [(I, J) for I in X.subsets(2) for J in X.subsets(2)
+                     if len(I) == len(J)]))
+                entries[key] = data.draw(elements)
+            f = X.GradedMap(ring, 2, 2, 0, entries)
+        got, want = X.eq_up_to_global_unit(f, g), eq_up_to_unit_sorted(f, g)
+        assert got == want
+        if want[1] is not None:
+            assert ring.to_str(got[1]) == ring.to_str(want[1])
+        if mode == "scaled":
+            assert got[0]
+
+    def test_unit_comes_from_the_least_key(self):
+        # both -s and -s^3 relate the pairs; the least key of g decides
+        a0, b0 = (R.parse_element(Zh4, e) for e in ("2 + 2*s^2", "-2*s - 2*s^3"))
+        a1, b1 = (R.parse_element(Zh4, e) for e in (
+            "1 + 2*s + s^2 + 2*s^3", "-2 - s - 2*s^2 - s^3"))
+        first, second = ((1,), (1,)), ((2,), (2,))
+        for (ka, kb), want in (((first, second), "-s^3"),
+                               ((second, first), "-s")):
+            f = X.GradedMap(Zh4, 2, 2, 0, {ka: a0, kb: a1})
+            g = X.GradedMap(Zh4, 2, 2, 0, {ka: b0, kb: b1})
+            ok, u = X.eq_up_to_global_unit(f, g)
+            assert ok and Zh4.to_str(u) == want
+            assert (ok, u) == eq_up_to_unit_sorted(f, g)
+
+    def test_one_side_zero(self):
+        f = X.GradedMap(R.ZZ, 1, 1, 0, {((1,), (1,)): 2})
+        z = X.zero_map(R.ZZ, 1, 1, 0)
+        assert X.eq_up_to_global_unit(f, z) == (False, None)
+        assert X.eq_up_to_global_unit(z, f) == (False, None)
 
 
 class TestRendering:

@@ -233,6 +233,17 @@ class TestKElement:
         assert ke.prefactor == 2
         assert ke.kernel_wedge.terms == {(): 2}
 
+    def test_rank_and_map_from_one_analysis(self):
+        # the kernel rank and the pairing map come with the element, as
+        # kernel_istar and vfn_sut compute them on their own
+        for h in [identity_diagram(Z2), bordered_mixed(), surplus_circle(),
+                  infinite_h1(), zero_matrix(), mixed_2x2(), halfproj_pair()]:
+            hn = normalize(h)
+            ke = k_element(hn)
+            _, big_k, rank = kernel_istar(hn)
+            assert (ke.degree, ke.rank) == (big_k, rank)
+            assert X.map_eq(vfn_sut(hn, ke), vfn_sut(hn))
+
 
 def check_core_analysis(hn) -> bool:
     """prefactor and injective, read from the core SNF alone, against the
