@@ -11,9 +11,10 @@ invariant of normalized identities and glued identity chains against the
 identity up to sign, at sizes where the engine's pruning decides the cost,
 the state-sum Alexander functor against one determinant per entry, and the
 core analysis of normalized diagrams against the Smith normal forms of the
-core rows and of the whole presentation, and the up-to-unit comparison of
-graded maps against the same comparison over every key in sorted order.
-Any mismatch aborts with a nonzero exit.
+core rows and of the whole presentation, the up-to-unit comparison of
+graded maps against the same comparison over every key in sorted order,
+and the output of normalize, which is built without validation, against
+validate.  Any mismatch aborts with a nonzero exit.
 """
 
 import argparse
@@ -45,8 +46,9 @@ from bsfloer.diagram import (
     identity_diagram,
     interval_arcs,
     normalize,
+    validate,
 )
-from bsfloer.fixtures import braid_diagram
+from bsfloer.fixtures import braid_diagram, fixture_library
 from bsfloer.homology import (
     Presentation,
     _core_analysis,
@@ -276,6 +278,23 @@ def sweep_core(cfg: SweepConfig) -> str:
             f"normal forms, {star3} with star3")
 
 
+def sweep_normalize(cfg: SweepConfig) -> str:
+    """validate finds nothing on normalize's output for random pieces over
+    Z^r x Z/m (r = 0..2, m = 1..4), every fixture, and glued random pairs."""
+    rng = random.Random(cfg.seed * 7919 + 10)
+    groups = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 5)]
+    diagrams = [random_diagram(rng, group=groups[k % len(groups)])
+                for k in range(cfg.diagrams_per_ring)]
+    diagrams += [h for h, _ in fixture_library().values()]
+    diagrams += [glue(*random_gluable_pair(rng)) for _ in range(cfg.pairs)]
+    for k, h in enumerate(diagrams):
+        bad = validate(normalize(h))
+        if bad:
+            raise SystemExit(
+                f"normalize output invalid at diagram {k}: {bad[0]}")
+    return f"normalize: {len(diagrams)} normalized diagrams valid"
+
+
 def sorted_unit_oracle(f, g):
     """eq_up_to_global_unit with every key of f and g in sorted order."""
     if f.is_zero() and g.is_zero():
@@ -376,6 +395,7 @@ def main():
     print(sweep_identities())
     print(sweep_functor(cfg))
     print(sweep_core(cfg))
+    print(sweep_normalize(cfg))
     print(sweep_units(cfg))
     for ring in cfg.rings:
         print(sweep_compare(cfg, ring))

@@ -6,14 +6,14 @@ appended as columns.  Over an integral domain that determinant is already
 zero when the presentation map has a kernel, since its columns are then
 dependent; Q[H] is a product of domains, so the same holds per component.
 
-The functor is that function on the normalized diagram's presentation with
-the new-beta unit vectors standing in for the boundary classes: entry
-(I, J) appends -e(new-in row) for each element of I ascending, then
+The functor is that function on the normalized diagram's presentation
+with the new-beta unit vectors standing in for the boundary classes:
+entry (I, J) appends -e(new-in row) for each element of I ascending, then
 -e(new-out row) for each element of J^c ascending, with the sign
 (-1)^(inv(J, J^c) + c*(n1 - |J|)); the identity fixture then reproduces its
 invariant matrix on the nose.  All entries come from one state sum over the
-transposed presentation (rows = alpha circles, columns = beta rows, core
-rows required): the new-in and new-out rows a final mask leaves free give I
+diagram's incidence (zero coefficients kept) transposed on the circles, core
+rows required: the new-in and new-out rows a final mask leaves free give I
 and J^c.  The entry is the mask's value times (-1)^(d + p + the sign's
 exponent), where p is the parity of carrying the signed sum on through the
 -e(r) rows, I first, then J^c: each adds the occupied rows above r.
@@ -27,9 +27,9 @@ import random
 from dataclasses import dataclass
 
 from . import exterior as X
-from .bsda import bsda_z, bsda_zh, map_transform
-from .diagram import HeegaardDiagram, normalize, normalized_roles
-from .homology import Presentation, presentation_matrix
+from .bsda import Incidence, bsda_z, bsda_zh, incidence, map_transform
+from .diagram import HeegaardDiagram, normalize
+from .homology import Presentation
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
                     state_sums)
 
@@ -86,11 +86,8 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
     """Appended vectors for every degree-compatible idempotent pair, as
     integer row vectors: -e(new-in row) for each element of I ascending,
     then -e(new-out row) for each element of the complement of J."""
-    outs, _, ins = normalized_roles(h_norm)
-    n0, n1, c = h_norm.n0, h_norm.n1, h_norm.degree
-    beta_ids = h_norm.beta_ids()
-    rows = len(beta_ids)
-    row_of = {bid: i for i, bid in enumerate(beta_ids)}
+    outs, _, ins = incidence(h_norm, roles=True).roles
+    n0, n1, c, rows = h_norm.n0, h_norm.n1, h_norm.degree, h_norm.b
 
     def neg_unit(row: int):
         return tuple(-1 if t == row else 0 for t in range(rows))
@@ -102,36 +99,44 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
             continue
         for J in X.subsets(n1, size_j):
             jc = tuple(j for j in range(1, n1 + 1) if j not in J)
-            out[(I, J)] = ([neg_unit(row_of[ins[i - 1]]) for i in I]
-                           + [neg_unit(row_of[outs[j - 1]]) for j in jc])
+            out[(I, J)] = ([neg_unit(ins[i - 1]) for i in I]
+                           + [neg_unit(outs[j - 1]) for j in jc])
     return out
 
 
-def alexander_functor(h_norm: HeegaardDiagram,
-                      ring_tag: str = "z") -> X.GradedMap:
-    """Every entry from one state sum; the rule is in the module docstring."""
+def functor_sums(inc: Incidence) -> dict:
+    """The functor's state sum: rings.state_sums over the transpose of an
+    incidence with roles on the circle positions (one row per alpha circle,
+    beta rows ascending), every core row required."""
+    cols: list = [{} for _ in inc.circles]
+    for r, row in enumerate(inc.rows):
+        for q, c in row.items():
+            if q in inc.circles:
+                cols[q - inc.circles.start][r] = c
+    return state_sums(inc.ring, cols, sum(1 << r for r in inc.roles[1]))
+
+
+def alexander_functor(h_norm: HeegaardDiagram, ring_tag: str = "z",
+                      inc: Incidence | None = None) -> X.GradedMap:
+    """Every entry from one state sum; the rule is in the module docstring.
+    inc: incidence(h_norm, ring_tag != "z", roles=True)."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
-    pres = presentation_matrix(h_norm, "z" if ring_tag == "z" else "zh")
-    m, ring = pres.matrix, pres.matrix.ring
-    outs, cores, ins = normalized_roles(h_norm)
-    n1, c, d = h_norm.n1, h_norm.degree, pres.d
-    row_of = {bid: r for r, bid in enumerate(h_norm.beta_ids())}
-    in_rows = [(i, row_of[bid]) for i, bid in enumerate(ins, 1)]
-    out_rows = [(j, row_of[bid]) for j, bid in enumerate(outs, 1)]
-    alpha_rows = [{r: row[k] for r, row in enumerate(m.entries)
-                   if not ring.is_zero(row[k])} for k in range(m.cols)]
-    free_rows = in_rows + out_rows
-    required = sum(1 << row_of[bid] for bid in cores)
+    if inc is None:
+        inc = incidence(h_norm, ring_tag != "z", roles=True)
+    ring, (outs, _, ins) = inc.ring, inc.roles
+    n1, c, d = h_norm.n1, h_norm.degree, h_norm.b - h_norm.a
+    in_rows, out_rows = list(enumerate(ins, 1)), list(enumerate(outs, 1))
+    free_rows = ins + outs
     entries: dict = {}
-    for mask, val in state_sums(ring, alpha_rows, required).items():
+    for mask, val in functor_sums(inc).items():
         I = tuple(i for i, r in in_rows if not mask >> r & 1)
         J = tuple(j for j, r in out_rows if mask >> r & 1)
         jc = tuple(j for j, r in out_rows if not mask >> r & 1)
         parity = d + X.cross_inversions(J, jc) + c * len(jc)
         # carry the signed sum on through the appended -e_r rows: the rows
         # a mask leaves free, in-rows (I) first, then out-rows (J^c)
-        for _, r in free_rows:
+        for r in free_rows:
             if not mask >> r & 1:
                 parity += (mask >> (r + 1)).bit_count()
                 mask |= 1 << r
@@ -142,11 +147,12 @@ def alexander_functor(h_norm: HeegaardDiagram,
     return map_transform(f, *_ring_change(h_norm.group, ring_tag))
 
 
-def bsda_map(h: HeegaardDiagram, ring_tag: str) -> X.GradedMap:
-    """The invariant matrix in the requested coefficients."""
+def bsda_map(h: HeegaardDiagram, ring_tag: str, inc=None) -> X.GradedMap:
+    """The invariant matrix in the requested coefficients (inc: incidence(h,
+    ring_tag != "z"))."""
     if ring_tag == "z":
-        return bsda_z(h)
-    f = bsda_zh(h)
+        return bsda_z(h, inc)
+    f = bsda_zh(h, inc)
     if ring_tag == "zh":
         return f
     return map_transform(f, *_ring_change(h.group, ring_tag))
@@ -240,11 +246,12 @@ class CompareReport:
 
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
-    """Normalize, compute both maps, and compare up to one global unit."""
+    """Normalize, compute both maps from one incidence, compare up to a unit."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     hn = normalize(h)
-    f = bsda_map(hn, ring_tag)
-    g = alexander_functor(hn, ring_tag)
+    inc = incidence(hn, ring_tag != "z", roles=True)
+    f = bsda_map(hn, ring_tag, inc)
+    g = alexander_functor(hn, ring_tag, inc)
     ok, unit = X.eq_up_to_global_unit(g, f)
     return CompareReport(ring_tag, ok, unit, f, g)

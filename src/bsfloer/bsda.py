@@ -10,7 +10,7 @@ out-arcs), and the correction (a + n1) * k, everything mod 2.
 The matrix of the invariant sends the incoming idempotent I to the outgoing
 idempotent J = unoccupied out-arcs, summing (-1)^grading, optionally times
 the product of the point weights.  Those sums come from one state-sum
-engine over sets of occupied alpha curves, without listing generators;
+engine on the diagram's incidence, without listing generators;
 enumerate_generators and gr_da list and grade them one by one, for the
 generators verb and as the reference the engine is tested against.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exterior as X
-from .diagram import HeegaardDiagram, reinterpret_one_sided
+from .diagram import HeegaardDiagram, normalized_roles, reinterpret_one_sided
 from .rings import ZZ, GroupRing, augmentation, state_sums
 
 
@@ -150,47 +150,61 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
     )
 
 
-def _state_sums(h: HeegaardDiagram, ring, coeff, signed: bool = True) -> dict:
-    """Sum the generators of h grouped by their occupied alpha curves.
+def weight_ring(h: HeegaardDiagram) -> GroupRing:
+    return GroupRing(h.group.free_rank, h.group.torsion_order)
 
-    This is rings.state_sums with one row per beta circle in stored order
-    and one column per position in the total alpha order.  A row's
-    coefficient in a column adds coeff(point) over the points of that
-    (beta, alpha) pair, and every alpha circle must be covered, as in
-    enumerate_generators.  Zero coefficients and zero sums are kept, and
+
+@dataclass(frozen=True)
+class Incidence:
+    """A diagram compiled for the engines of one call.  rows: per beta
+    circle in stored order, {position in the total alpha order:
+    coefficient}, zero sums kept; circles: the alpha circles' positions;
+    roles: the (out, core, in) beta rows of a normalize output, if asked."""
+
+    ring: object
+    rows: tuple
+    circles: range
+    roles: tuple | None = None
+
+
+def incidence(h: HeegaardDiagram, weighted: bool = False, roles: bool = False,
+              coeff=None) -> Incidence:
+    """One pass over the points of h.  A coefficient sums coeff(point) over
+    the points of one (beta, alpha) pair: by default the point's sign over
+    Z, or over Z[H] when weighted, its sign times its weight."""
+    ring = weight_ring(h) if weighted else ZZ
+    coeff = coeff or ((lambda p: {p.weight.monomial(): p.sign}) if weighted
+                      else (lambda p: p.sign))
+    pos = {aid: q for q, aid in enumerate(h.alpha_order())}
+    rows: dict = {bid: {} for bid in h.beta_ids()}
+    for p in h.points:
+        row, q, c = rows[p.beta], pos[p.alpha], coeff(p)
+        row[q] = ring.add(row[q], c) if q in row else c
+    split = None
+    if roles:
+        row_of = {bid: r for r, bid in enumerate(rows)}
+        split = tuple([row_of[b] for b in part] for part in normalized_roles(h))
+    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a),
+                     split)
+
+
+def _state_sums(inc: Incidence, signed: bool = True) -> dict:
+    """The generators of a diagram summed by occupied alpha curves:
+    rings.state_sums over its incidence rows, every alpha circle required
+    as in enumerate_generators.  Zero coefficients and zero sums are kept;
     the maps and elements built from the result drop zeros only when they
     are constructed, so the work depends only on which curves meet, not on
     the signs or weights of the points.  Returns {final mask: value}; the
     final mask fixes the generator's idempotents.
     """
-    pos = {aid: q for q, aid in enumerate(h.alpha_order())}
-    rows: dict = {bid: {} for bid in h.beta_ids()}
-    for p in h.points:
-        row = rows[p.beta]
-        q = pos[p.alpha]
-        row[q] = ring.add(row.get(q, ring.zero()), coeff(p))
-    circles = sum(1 << pos[aid] for aid in h.alpha_circles)
-    return state_sums(ring, list(rows.values()), circles, signed)
+    circles = sum(1 << q for q in inc.circles)
+    return state_sums(inc.ring, inc.rows, circles, signed)
 
 
-def weight_ring(h: HeegaardDiagram) -> GroupRing:
-    return GroupRing(h.group.free_rank, h.group.torsion_order)
-
-
-def point_coefficients(h: HeegaardDiagram, weighted: bool) -> tuple:
-    """The ring of the invariant and each point's coefficient in it: its
-    sign over Z, or its sign times its weight over Z[H]."""
-    if not weighted:
-        return ZZ, lambda p: p.sign
-    ring = weight_ring(h)
-    return ring, lambda p: {p.weight.monomial(): p.sign}
-
-
-def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
-    ring, coeff = point_coefficients(h, weighted)
-    decode = _readout(h)
+def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
+    ring, decode = inc.ring, _readout(h)
     entries = {}
-    for mask, v in _state_sums(h, ring, coeff).items():
+    for mask, v in _state_sums(inc).items():
         o_r, obar_l, parity = decode(mask)
         if parity:
             v = ring.neg(v)
@@ -198,21 +212,22 @@ def _matrix(h: HeegaardDiagram, weighted: bool) -> X.GradedMap:
     return X.GradedMap(ring, h.n0, h.n1, h.degree, entries)
 
 
-def bsda_z(h: HeegaardDiagram) -> X.GradedMap:
+def bsda_z(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Integer matrix: entry (I, J) sums (-1)^grading over the generators
-    with occupied in-arcs I and unoccupied out-arcs J."""
-    return _matrix(h, weighted=False)
+    with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h))."""
+    return _matrix(h, incidence(h) if inc is None else inc)
 
 
-def bsda_zh(h: HeegaardDiagram) -> X.GradedMap:
+def bsda_zh(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Weighted matrix over Z[H]: each generator contributes its sign times
-    the product of its point weights."""
-    return _matrix(h, weighted=True)
+    the product of its point weights (inc: incidence(h, weighted=True))."""
+    return _matrix(h, incidence(h, weighted=True) if inc is None else inc)
 
 
 def generator_count(h: HeegaardDiagram) -> int:
     """Number of generators, without listing them."""
-    return sum(_state_sums(h, ZZ, lambda p: 1, signed=False).values())
+    counts = incidence(h, coeff=lambda p: 1)
+    return sum(_state_sums(counts, signed=False).values())
 
 
 def map_transform(f: X.GradedMap, new_ring, fn) -> X.GradedMap:
@@ -238,7 +253,7 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     hdd = reinterpret_one_sided(h)
     decode = _readout(hdd)
     terms: dict = {}
-    for mask, v in _state_sums(hdd, *point_coefficients(hdd, False)).items():
+    for mask, v in _state_sums(incidence(hdd)).items():
         _, obar, parity = decode(mask)
         unoccupied_in = sum(1 for j in obar if j <= h.n0)
         terms[obar] = -v if (parity + unoccupied_in) & 1 else v

@@ -15,7 +15,7 @@ from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
 from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
 from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized_roles
 from .fixtures import fixture_library
-from .homology import k_element, presentation_matrix, vfn_sut
+from .homology import k_element, vfn_sut
 from .rings import ZZ
 from .selftest import run_all
 
@@ -157,8 +157,7 @@ def _cmd_alexander(args):
 def _cmd_fn(args):
     h = _load(args.file)
     hn = _ensure_normalized(h)
-    pres = presentation_matrix(hn, "z")
-    rows, cols = pres.matrix.rows, pres.matrix.cols
+    rows, cols = hn.b, hn.a  # the shape of the presentation
     ke = k_element(hn)
     f = vfn_sut(hn, ke)
     out = [

@@ -461,8 +461,9 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
     for i in range(n0):
         points.append(Point(h.alpha_in[i][0], new_in_beta[i], -1, one))
         points.append(Point(fresh_in[i], new_in_beta[i], 1, one))
-    return make_diagram(group, h.boundary_left, h.boundary_right,
-                        alpha_out, circles, alpha_in, betas, points)
+    # valid by construction when h is, so the result is not validated again
+    return make_diagram(group, h.boundary_left, h.boundary_right, alpha_out,
+                        circles, alpha_in, betas, points, check=False)
 
 
 def normalized_roles(h: HeegaardDiagram):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import exterior as X
-from .bsda import _state_sums, point_coefficients
+from .bsda import Incidence, _state_sums, incidence, weight_ring
 from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
@@ -50,21 +50,17 @@ class Presentation:
         return [d for d in snf_diagonal(self.int_entries()) if d != 0]
 
 
-def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Presentation:
-    """Rows = beta circles, cols = alpha circles; arc crossings are not
-    part of the presentation."""
+def presentation_matrix(h: HeegaardDiagram, ring: str = "z",
+                        inc: Incidence | None = None) -> Presentation:
+    """Rows = beta circles, cols = alpha circles: the incidence of h (inc)
+    made dense on the circles; arc crossings are not part of it."""
     if ring not in ("z", "zh"):
         raise ValueError("ring must be z or zh")
-    circle_col = {aid: i for i, aid in enumerate(h.alpha_circles)}
-    beta_row = {bid: j for j, bid in enumerate(h.beta_ids())}
-    R, coeff = point_coefficients(h, weighted=ring == "zh")
-    rows = [[R.zero() for _ in h.alpha_circles] for _ in h.beta_circles]
-    for p in h.points:
-        i = circle_col.get(p.alpha)
-        if i is None:
-            continue
-        j = beta_row[p.beta]
-        rows[j][i] = R.add(rows[j][i], coeff(p))
+    if inc is None:
+        inc = incidence(h, weighted=ring == "zh")
+    R = inc.ring
+    rows = [[row[q] if q in row else R.zero() for q in inc.circles]
+            for row in inc.rows]
     m = Matrix(R, rows, row_labels=h.beta_ids(),
                col_labels=tuple(h.alpha_circles))
     return Presentation(m, tuple(role for _, role in h.beta_circles))
@@ -105,15 +101,11 @@ def _core_analysis(h_norm: HeegaardDiagram):
     r + rank(readings), and M is injective when that is the column count.
     Without star3 injective reads False; no caller reads it then.
     """
-    outs, cores, ins = normalized_roles(h_norm)
-    pres = presentation_matrix(h_norm, "z")
-    M = pres.matrix.entries
-    row_of = {bid: i for i, bid in enumerate(h_norm.beta_ids())}
-    cols = len(h_norm.alpha_circles)
-    C = [M[row_of[bid]] for bid in cores]
-
-    n0, n1 = h_norm.n0, h_norm.n1
-    big_k = n0 + h_norm.degree
+    inc = incidence(h_norm, roles=True)
+    outs, cores, ins = inc.roles
+    M = presentation_matrix(h_norm, "z", inc).matrix.entries
+    cols = len(inc.circles)
+    C = [M[r] for r in cores]
 
     if cores:
         _, D, V = smith_normal_form(C)
@@ -127,33 +119,19 @@ def _core_analysis(h_norm: HeegaardDiagram):
     readings: list = []
     if star3_ok:
         for j in range(r, cols):
-            v = [0] * (n0 + n1)
-            for i, bid in enumerate(ins):
-                row = M[row_of[bid]]
-                v[i] = -sum(row[t] * V[t][j] for t in range(cols))
-            for jj, bid in enumerate(outs):
-                row = M[row_of[bid]]
-                v[n0 + jj] = -sum(row[t] * V[t][j] for t in range(cols))
-            readings.append(tuple(v))
+            readings.append(tuple(
+                -sum(M[row][t] * V[t][j] for t in range(cols))
+                for row in ins + outs))
     rank_ker = integer_rank([list(v) for v in readings]) if star3_ok else 0
     return {
         "core": C,
-        "K": big_k,
+        "K": h_norm.n0 + h_norm.degree,
         "star3_ok": star3_ok,
         "prefactor": prod(diagonal) if star3_ok else 0,
         "readings": readings,
         "rank_ker": rank_ker,
         "injective": star3_ok and r + rank_ker == cols,
     }
-
-
-def kernel_istar(h_norm: HeegaardDiagram):
-    """Basis of the kernel lattice in in/out coordinates (incoming block
-    first), with the expected degree K and the achieved rank."""
-    data = _core_analysis(h_norm)
-    vectors = (list(data["readings"])
-               if data["star3_ok"] and data["injective"] else [])
-    return vectors, data["K"], data["rank_ker"]
 
 
 def k_element(h_norm: HeegaardDiagram) -> KElement:
@@ -188,8 +166,8 @@ def generator_sum(h: HeegaardDiagram, ring: str = "z"):
     optionally weighted."""
     if ring not in ("z", "zh"):
         raise ValueError("ring must be z or zh")
-    R, coeff = point_coefficients(h, weighted=ring == "zh")
-    return R.sum(_state_sums(h, R, coeff).values())
+    inc = incidence(h, weighted=ring == "zh")
+    return inc.ring.sum(_state_sums(inc).values())
 
 
 def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
@@ -200,7 +178,7 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
     pres = presentation_matrix(h, "z")
     b1 = pres.matrix.rows - pres.rank()
     s = generator_sum(h, ring)
-    R, _ = point_coefficients(h, weighted=ring == "zh")
+    R = weight_ring(h) if ring == "zh" else ZZ
     return s if b1 % 2 == 0 else R.neg(s)
 
 

@@ -21,11 +21,13 @@ from bsfloer.alexander import (
     to_free_part,
     transport_vector,
 )
-from bsfloer.bsda import bsda_z, bsda_zh
+from bsfloer.bsda import bsda_z, bsda_zh, incidence
 from bsfloer.diagram import (
     GroupDescriptor,
+    Point,
     identity_diagram,
     interval_arcs,
+    make_diagram,
     normalize,
 )
 from bsfloer.fixtures import (
@@ -326,6 +328,34 @@ class TestStateSumFunctor:
         for tag in ("z", "zg", "qh"):
             assert alexander_functor(hn, tag).is_zero()
         assert functor_matches_oracle(hn) is None
+
+    @pytest.mark.parametrize("free, tors, c1_on_b2", [
+        ((1, 1), (1, 1), True),     # equal weights: the pair cancels
+        ((1, 1), (1, 1), False),    # ... and is C1's only crossing
+        ((1, 0), (0, 1), True),     # t - s: zero only over Z
+    ])
+    def test_two_points_on_one_pair(self, free, tors, c1_on_b2):
+        # the incidence keeps the (b1, C1) coefficient when it sums to
+        # zero, where the dense presentation used to be filtered
+        g = GroupDescriptor(1, 3)
+        w1, w2 = (g.make_weight((e,), s) for e, s in zip(free, tors))
+        one = g.identity()
+        pts = [Point("aOut1", "b1", -1, one), Point("C1", "b1", 1, w1),
+               Point("C1", "b1", -1, w2), Point("aIn1", "b2", 1, one),
+               Point("aIn1", "b1", 1, one)]
+        pts += [Point("C1", "b2", 1, one)] if c1_on_b2 else []
+        h = make_diagram(g, interval_arcs(1), interval_arcs(1),
+                         [("aOut1", "same")], ["C1"], [("aIn1", "opposite")],
+                         [("b1", None), ("b2", None)], pts)
+        hn = normalize(h)
+        inc = incidence(hn, weighted=True, roles=True)
+        b1 = hn.beta_ids().index("b1")
+        c1 = hn.n1 + hn.alpha_circles.index("C1")
+        assert (inc.rows[b1][c1] == {}) == (free[0] == free[1])
+        assert functor_matches_oracle(hn) is None
+        assert alexander_functor(hn, "z").is_zero() != c1_on_b2
+        for tag in ("z", "zg", "qh"):
+            assert compare_bsda_alexander(h, tag).match
 
 
 class TestBsdaMap:

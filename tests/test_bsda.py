@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsfloer import exterior as X
+from bsfloer.alexander import functor_sums
 from bsfloer.bsda import (
     Generator,
     _arcs,
@@ -20,6 +21,7 @@ from bsfloer.bsda import (
     enumerate_generators,
     generator_count,
     gr_da,
+    incidence,
     map_transform,
     weight_ring,
 )
@@ -487,7 +489,7 @@ class TestStateSumEngine:
         one = g.identity()
         pts = [Point("A1", "B1", 1, one), Point("A1", "B1", -1, one)]
         h = make_diagram(g, None, None, [], ["A1"], [], [("B1", None)], pts)
-        assert _state_sums(h, ZZ, lambda p: p.sign) == {1: 0}
+        assert _state_sums(incidence(h)) == {1: 0}
         assert bsda_z(h).is_zero()
 
     def test_states_do_not_depend_on_signs(self):
@@ -496,11 +498,17 @@ class TestStateSumEngine:
         diagrams = [random_diagram(rng) for _ in range(30)]
         diagrams += [normalize(glue(*random_gluable_pair(rng)))
                      for _ in range(10)]
+        def flip(g):
+            return replace(g, points=tuple(
+                replace(p, sign=rng.choice((-1, 1))) for p in g.points))
+
         for h in diagrams:
-            flipped = replace(h, points=tuple(
-                replace(p, sign=rng.choice((-1, 1))) for p in h.points))
-            assert (_state_sums(h, ZZ, lambda p: p.sign).keys()
-                    == _state_sums(flipped, ZZ, lambda p: p.sign).keys())
+            assert (_state_sums(incidence(h)).keys()
+                    == _state_sums(incidence(flip(h))).keys())
+            # and the functor's state sum on the normalized diagram
+            hn = normalize(h)
+            assert (functor_sums(incidence(hn, roles=True)).keys()
+                    == functor_sums(incidence(flip(hn), roles=True)).keys())
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_normalized_identity_work_is_output_sized(self, k):
@@ -515,7 +523,7 @@ class TestStateSumEngine:
 
         ring = CountingZZ()
         h = normalize(identity_diagram(interval_arcs(k)))
-        sums = _state_sums(h, ring, lambda p: p.sign)
+        sums = _state_sums(replace(incidence(h), ring=ring))
         assert len(sums) == 2 ** k
         assert ring.muls <= 4 * k * 2 ** k
         ok, unit = X.eq_up_to_global_unit(bsda_z(h), X.identity_map(ZZ, k))

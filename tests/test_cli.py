@@ -3,7 +3,9 @@ and the fixture round-trip."""
 
 import itertools
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,21 @@ from bsfloer.cli import main
 from bsfloer.diagram import dumps, loads
 from bsfloer.fixtures import fixture_library, ordinary_from_matrix
 from bsfloer.selftest import CriterionResult
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "fixtures"
+
+FN_BORDERED_MIXED = "\n".join([
+    "presentation: 4 rows x 3 cols (deficiency 1)",
+    "torsion prefactor: 1",
+    "kernel rank: 1 (expected degree 1)",
+    "kernel element: g{1} + g{2}",
+    "ring: Z",
+    "degree: 0",
+    "out{} <- in{}: 1",
+    "out{1} <- in{1}: -1",
+    "against the matrix: PASS (unit -1)",
+]) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -212,17 +229,29 @@ class TestOutput:
         code, out, _ = run(capsys, ["fn", str(fxdir / "bordered_mixed.json")])
         assert code == 0
         assert len(calls) == 2
-        assert out == "\n".join([
-            "presentation: 4 rows x 3 cols (deficiency 1)",
-            "torsion prefactor: 1",
-            "kernel rank: 1 (expected degree 1)",
-            "kernel element: g{1} + g{2}",
-            "ring: Z",
-            "degree: 0",
-            "out{} <- in{}: 1",
-            "out{1} <- in{1}: -1",
-            "against the matrix: PASS (unit -1)",
-        ]) + "\n"
+        assert out == FN_BORDERED_MIXED
+
+    def test_fn_builds_one_presentation(self, capsys, monkeypatch):
+        # the header's shape is b x a of the normalized diagram, so only
+        # the core analysis builds the presentation
+        import bsfloer.homology as homology
+
+        calls = []
+        build = homology.presentation_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return build(*args, **kwargs)
+
+        # every module that imported the function by name
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("bsfloer") and vars(mod).get(
+                    "presentation_matrix") is build:
+                monkeypatch.setattr(mod, "presentation_matrix", counting)
+        code, out, _ = run(capsys, ["fn", str(SHIPPED / "bordered_mixed.json")])
+        assert code == 0
+        assert len(calls) == 1
+        assert out == FN_BORDERED_MIXED
 
     def test_fn_on_vanishing_fixture(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "zero_matrix.json")])

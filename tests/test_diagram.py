@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from bsfloer import diagram as D
+from bsfloer.fixtures import fixture_library
 from bsfloer.rings import GroupDescriptor, HWeight
+from bsfloer.selftest import random_diagram, random_gluable_pair
 
 Z1 = D.interval_arcs(1)
 Z2 = D.interval_arcs(2)
@@ -234,6 +239,38 @@ class TestNormalize:
         h = D.normalize(base)
         _, cores, _ = D.normalized_roles(h)
         assert cores == list(base.beta_ids())
+
+
+FIXTURES = fixture_library()
+
+
+@st.composite
+def normalize_inputs(draw):
+    """A random piece over Z^r x Z/m (r = 0..2, m = 1..4), a shipped
+    fixture, or a glued random pair."""
+    source = draw(st.sampled_from(("piece", "fixture", "glued")))
+    if source == "fixture":
+        return FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))][0]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if source == "glued":
+        return D.glue(*random_gluable_pair(rng))
+    group = GroupDescriptor(draw(st.integers(0, 2)), draw(st.integers(1, 4)))
+    return random_diagram(rng, group=group)
+
+
+class TestNormalizeIsValid:
+    """normalize builds its result without validating it."""
+
+    @given(normalize_inputs())
+    def test_drawn_diagrams(self, h):
+        hn = D.normalize(h)
+        assert D.validate(hn) == []
+        assert D.validate(D.normalize(hn)) == []
+
+    def test_every_fixture(self):
+        assert len(FIXTURES) == 26
+        for name, (h, _) in FIXTURES.items():
+            assert D.validate(D.normalize(h)) == [], name
 
 
 class TestReinterpret:

@@ -38,7 +38,6 @@ from bsfloer.homology import (
     chi_sfh_surrogate,
     generator_sum,
     k_element,
-    kernel_istar,
     presentation_matrix,
     torsion_order,
     vfn_sut,
@@ -138,15 +137,24 @@ class TestTorsionOrder:
         assert torsion_order(m) == before
 
 
+def kernel_basis(hn):
+    """The kernel lattice basis from one core analysis (empty unless star3
+    holds and the presentation is injective), the expected degree K, and
+    the achieved rank that k_element reports."""
+    data = _core_analysis(hn)
+    vecs = data["readings"] if data["star3_ok"] and data["injective"] else []
+    return list(vecs), data["K"], k_element(hn).rank
+
+
 class TestKernel:
     def test_identity_one_arc_frozen(self):
-        vecs, K, rk = kernel_istar(normalize(identity_diagram(Z1)))
+        vecs, K, rk = kernel_basis(normalize(identity_diagram(Z1)))
         assert (vecs, K, rk) == ([(1, -1)], 1, 1)
 
     def test_identity_pattern(self):
         for n in range(1, 4):
             hn = normalize(identity_diagram(interval_arcs(n)))
-            vecs, K, rk = kernel_istar(hn)
+            vecs, K, rk = kernel_basis(hn)
             assert K == rk == n
             want = [
                 tuple(1 if t == i else -1 if t == n + i else 0
@@ -156,28 +164,28 @@ class TestKernel:
             assert vecs == want
 
     def test_ordinary_empty_basis(self):
-        vecs, K, rk = kernel_istar(normalize(mixed_2x2()))
+        vecs, K, rk = kernel_basis(normalize(mixed_2x2()))
         assert (vecs, K, rk) == ([], 0, 0)
 
     def test_surplus_rank_short(self):
-        vecs, K, rk = kernel_istar(normalize(surplus_circle()))
+        vecs, K, rk = kernel_basis(normalize(surplus_circle()))
         assert vecs == []
         assert K == 2
         assert rk == 1
 
     def test_infinite_cokernel_zero_basis(self):
-        vecs, K, rk = kernel_istar(normalize(infinite_h1()))
+        vecs, K, rk = kernel_basis(normalize(infinite_h1()))
         assert (vecs, rk) == ([], 0)
 
     def test_requires_roles(self):
         with pytest.raises(ValueError):
-            kernel_istar(identity_diagram(Z1))
+            kernel_basis(identity_diagram(Z1))
 
     def test_k_is_structural(self):
         for h in [identity_diagram(Z2), bordered_mixed(),
                   braid_diagram(Z1, Z1), halfproj_left()]:
             hn = normalize(h)
-            _, K, _ = kernel_istar(hn)
+            _, K, _ = kernel_basis(hn)
             assert K == hn.n0 + hn.degree
 
     def test_vectors_lie_in_column_lattice(self):
@@ -185,7 +193,7 @@ class TestKernel:
                   bordered_mixed(), braid_diagram(Z1, Z1)]:
             hn = normalize(h)
             pres = presentation_matrix(hn)
-            vecs, _, _ = kernel_istar(hn)
+            vecs, _, _ = kernel_basis(hn)
             assert vecs
             row_of = {bid: i for i, bid in enumerate(hn.beta_ids())}
             outs = [bid for bid, role in hn.beta_circles
@@ -235,13 +243,13 @@ class TestKElement:
 
     def test_rank_and_map_from_one_analysis(self):
         # the kernel rank and the pairing map come with the element, as
-        # kernel_istar and vfn_sut compute them on their own
+        # _core_analysis and vfn_sut compute them on their own
         for h in [identity_diagram(Z2), bordered_mixed(), surplus_circle(),
                   infinite_h1(), zero_matrix(), mixed_2x2(), halfproj_pair()]:
             hn = normalize(h)
             ke = k_element(hn)
-            _, big_k, rank = kernel_istar(hn)
-            assert (ke.degree, ke.rank) == (big_k, rank)
+            data = _core_analysis(hn)
+            assert (ke.degree, ke.rank) == (data["K"], data["rank_ker"])
             assert X.map_eq(vfn_sut(hn, ke), vfn_sut(hn))
 
 
