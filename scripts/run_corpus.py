@@ -5,7 +5,9 @@ Draws gluable pairs and standalone diagrams from a seed, then reports how
 often each identity was exercised nontrivially: gluing against composition,
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
-invariant matrix against generator enumeration, the determinant built on
+invariant matrix against generator enumeration, disjoint unions and
+identity chains included, and counts how many of those diagrams the state
+sum splits into independent blocks; the determinant built on
 the same state sum against a Leibniz sum over permutations, and the
 invariant of normalized identities and glued identity chains against the
 identity up to sign, at sizes where the engine's pruning decides the cost,
@@ -23,6 +25,7 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
+from operator import or_
 
 from bsfloer import exterior as X
 from bsfloer.alexander import (
@@ -38,10 +41,12 @@ from bsfloer.bsda import (
     enumerate_generators,
     generator_count,
     gr_da,
+    incidence,
     weight_ring,
 )
 from bsfloer.diagram import (
     GroupDescriptor,
+    disjoint,
     glue,
     identity_diagram,
     interval_arcs,
@@ -56,6 +61,7 @@ from bsfloer.homology import (
     torsion_order,
 )
 from bsfloer.rings import (
+    SPLIT_MIN_ROWS,
     ZZ,
     GroupRing,
     Matrix,
@@ -139,19 +145,47 @@ def enumerated_matrices(h):
             X.GradedMap(ring, h.n0, h.n1, h.degree, zh))
 
 
+def block_count(rows) -> int:
+    """The connected components of a row-column incidence: the blocks that
+    rings.state_sums runs on their own from SPLIT_MIN_ROWS rows on."""
+    blocks: list = []
+    for row in rows:
+        cols = sum(1 << q for q in row)
+        blocks = ([b for b in blocks if not b & cols]
+                  + [reduce(or_, (b for b in blocks if b & cols), cols)])
+    return len(blocks)
+
+
 def sweep_engine(cfg: SweepConfig) -> str:
+    """bsda_z, bsda_zh and generator_count against generator enumeration on
+    glued pairs, random pieces, disjoint unions of random pieces (a side
+    normalized half the time) and identity chains on 3-5 strands, each
+    also normalized."""
     rng = random.Random(cfg.seed * 7919 + 5)
-    checked = 0
+    pair_rng = random.Random(cfg.seed * 7919 + 11)
+    diagrams = []
     for k in range(cfg.pairs):
+        group = GROUPS[k % len(GROUPS)]
+        sides = [random_diagram(pair_rng, group=group) for _ in range(2)]
+        sides = [normalize(d) if pair_rng.random() < 0.5 else d for d in sides]
         glued = glue(*random_gluable_pair(rng))
-        h = random_diagram(rng, group=GROUPS[k % len(GROUPS)])
-        for d in (glued, normalize(glued), h, normalize(h)):
-            z, zh = enumerated_matrices(d)
-            if not (X.map_eq(bsda_z(d), z) and X.map_eq(bsda_zh(d), zh)
-                    and generator_count(d) == len(enumerate_generators(d))):
-                raise SystemExit(f"engine/enumeration mismatch at draw {k}")
-            checked += 1
-    return f"engine: {checked} diagrams match generator enumeration"
+        h = random_diagram(rng, group=group)
+        diagrams += [glued, normalize(glued), h, normalize(h),
+                     disjoint(*sides)]
+    for k in range(3, 6):
+        for length in (2, 3):
+            chain = reduce(glue, [identity_diagram(interval_arcs(k))] * length)
+            diagrams += [chain, normalize(chain)]
+    split = 0
+    for k, d in enumerate(diagrams):
+        z, zh = enumerated_matrices(d)
+        if not (X.map_eq(bsda_z(d), z) and X.map_eq(bsda_zh(d), zh)
+                and generator_count(d) == len(enumerate_generators(d))):
+            raise SystemExit(f"engine/enumeration mismatch at diagram {k}")
+        rows = incidence(d).rows
+        split += len(rows) >= SPLIT_MIN_ROWS and block_count(rows) > 1
+    return (f"engine: {len(diagrams)} diagrams match generator enumeration, "
+            f"{split} split into blocks")
 
 
 def leibniz_det(ring, entries):

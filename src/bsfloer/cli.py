@@ -90,12 +90,16 @@ def _emit_diagram(h, output, comment=None):
     return text, 0
 
 
-def _ensure_normalized(h):
+def _is_normalized(h) -> bool:
     try:
         normalized_roles(h)
-        return h
+        return True
     except ValueError:
-        return normalize(h)
+        return False
+
+
+def _ensure_normalized(h):
+    return h if _is_normalized(h) else normalize(h)
 
 
 # subcommand bodies
@@ -138,14 +142,16 @@ def _cmd_bsda(args):
 
 def _cmd_alexander(args):
     h = _load(args.file)
-    hn = _ensure_normalized(h)
-    f = alexander_functor(hn, args.ring)
-    if args.json and not args.compare:
+    rep = compare_bsda_alexander(h, args.ring) if args.compare else None
+    if rep is not None and not _is_normalized(h):
+        f = rep.alexander  # already the functor of normalize(h)
+    else:
+        f = alexander_functor(_ensure_normalized(h), args.ring)
+    if rep is None and args.json:
         return json.dumps(_map_json(f), indent=2, sort_keys=True), 0
     out = _map_text(f)
     code = 0
-    if args.compare:
-        rep = compare_bsda_alexander(h, args.ring)
+    if rep is not None:
         if rep.match:
             out.append(f"unit: {_unit_str(f.ring, rep.unit)}")
         else:

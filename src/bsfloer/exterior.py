@@ -385,10 +385,6 @@ def map_lines(f: GradedMap) -> list:
     return lines
 
 
-def map_str(f: GradedMap) -> str:
-    return "\n".join(map_lines(f)) if f.entries else "0"
-
-
 # ---------------------------------------------------------------------------
 # pairing against the incoming block
 

@@ -46,9 +46,6 @@ class Presentation:
     def rank(self) -> int:
         return integer_rank(self.int_entries())
 
-    def elementary_divisors(self) -> list:
-        return [d for d in snf_diagonal(self.int_entries()) if d != 0]
-
 
 def presentation_matrix(h: HeegaardDiagram, ring: str = "z",
                         inc: Incidence | None = None) -> Presentation:

@@ -822,6 +822,23 @@ def integer_kernel_is_zero(entries) -> bool:
     return integer_rank(entries) == cols
 
 
+# Below this many rows state_sums never splits (see its docstring).
+SPLIT_MIN_ROWS = 6
+
+
+def _odd_below(m: int) -> int:
+    """The columns with an odd number of m's bits below them (an infinite
+    two's-complement mask when m has an odd number of bits)."""
+    out = 0
+    while m:
+        low = m & -m
+        m ^= low
+        high = m & -m
+        m ^= high
+        out |= (high << 1 if high else 0) - (low << 1)
+    return out
+
+
 def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     """Sum the partial transversals of a sparse matrix, grouped by the set of
     columns they occupy.
@@ -841,26 +858,88 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     present, not on their values.  There is no division, so any commutative
     ring works.  Returns {mask: value} over the masks reached after the
     last row; no rows give {0: one}.
+
+    Blocks.  The connected components of the row-column incidence (the
+    blocks) pick their columns independently.  From SPLIT_MIN_ROWS rows on,
+    the walk that finds the closing rows also merges the rows into blocks;
+    with two or more, each block runs on its own with its share of
+    required, and the results multiply, so a disjoint union costs the sum
+    of its parts' state sums, not a walk through their product.  Two signs
+    rebuild the unsplit sign: the sign of the row permutation that takes
+    the blocks one after another, in the order of their first rows, on
+    every value; and, for masks m_a of earlier blocks and m_b of a later
+    one, popcount(m_a & _odd_below(m_b)) mod 2, the parity of the pairs of
+    a pick in m_a and a pick in m_b to its left.  An empty row or a block without states gives
+    {}.  When every row must take a required column and one row meets them
+    all (dense matrices: det_exact, closed diagrams), a second block could
+    not give its rows one, so the merge stops and the walk runs unsplit.
+    The floor: in process, over 20 alternating rounds of seed 1, splitting
+    from 2 rows made a weighted_functor round (every state sum of at most
+    5 rows) 5.0% slower and a bordered_chains round 3.1% slower than
+    splitting from 6; floors of 4 and 8 were within 2% of 6 there, and
+    never splitting was 20% slower.
     """
     need = required.bit_count()
     left = len(rows)
     if need > left:
         return {}
     # closing[i]: the required columns whose last entry is in row i; the
-    # walk back stops once every required column has been seen
+    # walk back stops once every required column has been seen, unless it
+    # is merging the rows into blocks of [columns, rows] bitmasks
     closing = [0] * left
     later = 0
+    blocks = [] if left >= SPLIT_MIN_ROWS else None
     for i in range(left - 1, -1, -1):
-        if not required & ~later:
+        if blocks is None and not required & ~later:
             break
         cols = 0
         for q in rows[i]:
             cols |= 1 << q
         closing[i] = cols & required & ~later
         later |= cols
+        if blocks is None:
+            continue
+        if not cols:
+            return {}
+        if need == left and cols & required == required:
+            blocks = None
+            continue
+        own = [cols, 1 << i]
+        rest = [own]
+        for b in blocks:
+            if b[0] & cols:
+                own[0] |= b[0]
+                own[1] |= b[1]
+            else:
+                rest.append(b)
+        blocks = rest
     if required & ~later:
         return {}
     mul, add, neg, zero = ring.mul, ring.add, ring.neg, ring.zero()
+    if blocks and len(blocks) > 1:
+        blocks.sort(key=lambda b: b[1] & -b[1])
+        flip, seen = 0, 0
+        for _, rs in blocks:
+            flip ^= (seen & _odd_below(rs)).bit_count() & 1
+            seen |= rs
+        states = None
+        for cs, rs in blocks:
+            part = state_sums(ring, [r for i, r in enumerate(rows)
+                                     if rs >> i & 1], required & cs, signed)
+            if not part:
+                return {}
+            if states is None:
+                states = ({m: neg(v) for m, v in part.items()}
+                          if signed and flip else part)
+                continue
+            nxt = {}
+            for mb, vb in part.items():
+                odd = _odd_below(mb) if signed else 0
+                for ma, va in states.items():
+                    t = mul(va, vb)
+                    nxt[ma | mb] = neg(t) if (ma & odd).bit_count() & 1 else t
+            states = nxt
+        return states
     states = {0: ring.one()}
     for row, close in zip(rows, closing):
         left -= 1

@@ -28,6 +28,7 @@ from bsfloer.bsda import (
 from bsfloer.diagram import (
     Point,
     concat_arcs,
+    disjoint,
     empty_diagram,
     glue,
     half_identity,
@@ -48,6 +49,7 @@ from bsfloer.fixtures import (
 from bsfloer.homology import generator_sum
 from bsfloer.selftest import random_diagram, random_gluable_pair
 from bsfloer.rings import (
+    SPLIT_MIN_ROWS,
     ZZ,
     GroupDescriptor,
     GroupRing,
@@ -322,8 +324,6 @@ class TestFunctoriality:
         assert X.map_eq(f, want)
 
     def test_disjoint_union_is_super_tensor_up_to_sign(self):
-        from bsfloer.diagram import disjoint
-
         cases = [
             (identity_diagram(Z1), identity_diagram(Z1)),
             (identity_diagram(Z1), identity_diagram(Z2)),
@@ -379,6 +379,32 @@ class TestWeighted:
         f = bsda_zh(h)
         ring = GroupRing(0, 2)
         assert ring.eq(f.entries[((), ())], parse_element(ring, "1 + s"))
+
+    # Z/3, Z/4, Z x Z/2, Z^2 x Z/3, Z x Z/6: m stays in {1, 2, 3, 4, 6},
+    # where the units of Z[Z/m] are the trivial ones, so "up to a unit" is
+    # up to a sign and a group element
+    DISJOINT_GROUPS = [(0, 3), (0, 4), (1, 2), (2, 3), (1, 6)]
+
+    @pytest.mark.parametrize("rank,order", DISJOINT_GROUPS)
+    def test_disjoint_union_is_super_tensor(self, rank, order):
+        # a side is normalized half the time, so that most unions have
+        # enough rows for the state sum to split them into blocks
+        g = GroupDescriptor(rank, order)
+        rng = random.Random(f"disjoint:{rank}:{order}")
+        split = nonzero = 0
+        for _ in range(60):
+            left, right = (normalize(h) if rng.random() < 0.5 else h
+                           for h in (random_diagram(rng, g),
+                                     random_diagram(rng, g)))
+            h = disjoint(left, right)
+            f = bsda_zh(h)
+            ok, _ = X.eq_up_to_global_unit(
+                f, X.super_tensor(bsda_zh(left), bsda_zh(right)))
+            assert ok, (left, right)
+            split += h.b >= SPLIT_MIN_ROWS
+            nonzero += not f.is_zero()
+        assert split >= 25
+        assert nonzero >= 15
 
 
 class TestOneSided:

@@ -5,11 +5,11 @@ import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from bsfloer.alexander import CompareReport
 from bsfloer.cli import main
 from bsfloer.diagram import dumps, loads
 from bsfloer.fixtures import fixture_library, ordinary_from_matrix
@@ -135,8 +135,10 @@ class TestExitCodes:
     def test_compare_fail_exits_2(self, capsys, fxdir, monkeypatch):
         import bsfloer.cli as cli
 
+        real = cli.compare_bsda_alexander
+
         def fake(h, tag):
-            return CompareReport(tag, False, None, None, None)
+            return replace(real(h, tag), match=False, unit=None)
 
         monkeypatch.setattr(cli, "compare_bsda_alexander", fake)
         code, out, _ = run(capsys, ["alexander",
@@ -252,6 +254,35 @@ class TestOutput:
         assert code == 0
         assert len(calls) == 1
         assert out == FN_BORDERED_MIXED
+
+    def test_alexander_compare_evaluates_once(self, capsys, monkeypatch):
+        # the printed map is the one the comparison already evaluated on
+        # normalize(h), so neither is computed twice
+        import bsfloer.alexander as alexander
+        import bsfloer.diagram as diagram
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for fn in (diagram.normalize, alexander.alexander_functor):
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("bsfloer") and vars(mod).get(
+                        fn.__name__) is fn:
+                    monkeypatch.setattr(mod, fn.__name__,
+                                        counting(fn.__name__, fn))
+        code, out, _ = run(capsys, ["alexander", "--compare", "--ring", "qh",
+                                    str(SHIPPED / "weighted_torsion3.json")])
+        assert code == 0
+        assert sorted(calls) == ["alexander_functor", "normalize"]
+        assert out == ("ring: Q[H](r=0,m=3)\n"
+                       "degree: 0\n"
+                       "out{} <- in{}: [d=1] 3; [d=3] 0\n"
+                       "unit: [d=1] 1; [d=3] 1\n")
 
     def test_fn_on_vanishing_fixture(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "zero_matrix.json")])

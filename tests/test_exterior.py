@@ -609,7 +609,6 @@ class TestRendering:
             "out{1} <- in{}: 1",
             "out{1,3} <- in{2}: -3",
         ]
-        assert X.map_str(X.zero_map(R.ZZ, 1, 1, 0)) == "0"
 
     def test_ext_str(self):
         e = X.ExtElement(Zt, 2, {(1,): Zt.from_int(2),

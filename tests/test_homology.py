@@ -92,7 +92,6 @@ class TestPresentation:
     def test_mixed(self):
         pres = presentation_matrix(mixed_2x2())
         assert pres.matrix.entries == [[1, 1], [-1, 1]]
-        assert pres.elementary_divisors() == [1, 2]
         assert pres.rank() == 2
         assert pres.d == 0
 

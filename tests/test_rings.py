@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bsfloer import exterior as X
 from bsfloer import rings as R
+from bsfloer.bsda import _state_sums, bsda_z, incidence
+from bsfloer.diagram import disjoint, normalize
+from bsfloer.fixtures import identity_diagram, interval_arcs
 
 
 def brute_det(ring, entries):
@@ -654,7 +659,24 @@ STATE_SUM_RINGS = {
 NO_ROW_COLUMN = 1 << 5  # the rows below use columns 0..4 only
 
 
+RARELY = st.sampled_from([False] * 7 + [True])
+
+
+class CountingZZ(R.IntegerRing):
+    """Z that counts its multiplications."""
+
+    muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return a * b
+
+
 class TestStateSums:
+    # blocks {0, 2, 4} (rows 0, 2, 4) and {1, 3, 5} (rows 1, 3, 5)
+    INTERLEAVED = [{0: 2, 2: 3}, {1: 1, 3: -1}, {2: 5, 4: 1},
+                   {3: 2, 5: 7}, {0: 1, 4: -3}, {1: 4, 5: 1}]
+
     @pytest.mark.parametrize("name", sorted(STATE_SUM_RINGS))
     @settings(deadline=None)
     @given(data=st.data())
@@ -687,6 +709,107 @@ class TestStateSums:
     def test_empty_row_ends_every_state(self):
         assert R.state_sums(R.ZZ, [{0: 1}, {}], 0) == {}
         assert R.state_sums(R.ZZ, [], 0) == {0: 1}
+        # and among blocks
+        rows = self.INTERLEAVED
+        assert R.state_sums(R.ZZ, rows + [{}], 0) == {}
+        assert R.state_sums(R.ZZ, rows[:3] + [{}] + rows[3:], 0b1) == {}
+
+    @pytest.mark.parametrize("name", sorted(STATE_SUM_RINGS))
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_blocks_match_unpruned_oracle(self, name, data):
+        # 2-3 blocks on interleaved columns, each with at most as many rows
+        # as columns and row j meeting the block's column j, so that every
+        # block has states; the rows shuffled, and at times an empty row.
+        # Nonzero entries, so that a wrong sign shows.
+        ring, elems = STATE_SUM_RINGS[name]
+        elems = elems.filter(lambda e: not ring.is_zero(e))
+        shape = data.draw(st.lists(
+            st.integers(2, 4).flatmap(
+                lambda c: st.tuples(st.just(c), st.integers(2, c))),
+            min_size=2, max_size=3))
+        assume(R.SPLIT_MIN_ROWS <= sum(r for _, r in shape) <= 8)
+        order = data.draw(st.permutations(range(sum(c for c, _ in shape))))
+        rows, start = [], 0
+        for c, r in shape:
+            own = order[start:start + c]
+            for j in range(r):
+                row = data.draw(st.dictionaries(st.sampled_from(own), elems,
+                                                max_size=1))
+                row[own[j]] = data.draw(elems)
+                rows.append(row)
+            start += c
+        rows = data.draw(st.permutations(rows))
+        if data.draw(RARELY):
+            rows.insert(data.draw(st.integers(0, len(rows))), {})
+        # a sparse required mask, so that most blocks can cover their share
+        columns = st.integers(0, 2 ** start - 1)
+        required = data.draw(columns) & data.draw(columns)
+        if data.draw(RARELY):
+            required |= 1 << start
+        for signed in (True, False):
+            got = R.state_sums(ring, rows, required, signed)
+            want = unpruned_state_sums(ring, rows, required, signed)
+            assert got.keys() == want.keys()
+            assert all(ring.eq(got[m], want[m]) for m in want)
+
+    def test_required_columns_in_one_block(self):
+        rows = self.INTERLEAVED
+        for required in (0b000101, 0b000110, 0b010100):
+            for signed in (True, False):
+                got = R.state_sums(R.ZZ, rows, required, signed)
+                assert got == unpruned_state_sums(R.ZZ, rows, required,
+                                                  signed)
+                assert got and all(m & required == required for m in got)
+
+    def test_block_short_of_its_required_columns(self):
+        # the block on columns 1, 3, 5 has two rows for its three required
+        # columns, while the six rows together could cover them
+        rows = [{0: 1, 2: 1}, {1: 1, 3: 1}, {2: 1, 4: 1},
+                {3: 1, 5: 1}, {4: 1, 6: 1}, {6: 1, 0: 1}]
+        assert unpruned_state_sums(R.ZZ, rows, 0b101010) == {}
+        assert R.state_sums(R.ZZ, rows, 0b101010) == {}
+        assert R.state_sums(R.ZZ, rows, 0b001010) != {}
+
+    def test_block_diagonal_work_is_the_blocks(self):
+        # three dense 4 x 4 blocks behind shuffled rows and columns: the
+        # determinant costs the blocks' own state sums and two products,
+        # and running any two blocks as one costs more
+        rng = random.Random(3)
+        blocks = [[[rng.choice((-2, -1, 1, 2)) for _ in range(4)]
+                   for _ in range(4)] for _ in range(3)]
+        rp, cp = list(range(12)), list(range(12))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        entries = [[0] * 12 for _ in range(12)]
+        for b, block in enumerate(blocks):
+            for i, row in enumerate(block):
+                for j, e in enumerate(row):
+                    entries[rp[4 * b + i]][cp[4 * b + j]] = e
+        alone = CountingZZ()
+        want = 1
+        for block in blocks:
+            want *= R.det_exact(alone, block)
+        for perm in (rp, cp):
+            want *= (-1) ** sum(1 for i in range(12) for j in range(i)
+                                if perm[j] > perm[i])
+        ring = CountingZZ()
+        assert R.det_exact(ring, entries) == want != 0
+        assert ring.muls <= alone.muls + 2
+
+    def test_disjoint_identities_work_is_split(self):
+        # two normalized identities side by side: one block per strand, and
+        # the blocks' products, where one walk over all 24 rows takes 3534
+        # multiplications
+        ring = CountingZZ()
+        half = normalize(identity_diagram(interval_arcs(4)))
+        h = disjoint(half, half)
+        sums = _state_sums(replace(incidence(h), ring=ring))
+        assert len(sums) == 2 ** 8
+        assert ring.muls <= 3 * 2 ** 8
+        ok, _ = X.eq_up_to_global_unit(
+            bsda_z(h), X.super_tensor(bsda_z(half), bsda_z(half)))
+        assert ok
 
 
 # ---------------------------------------------------------------------------
