@@ -191,20 +191,23 @@ def incidence(h: HeegaardDiagram, weighted: bool = False, roles: bool = False,
 def _state_sums(inc: Incidence, signed: bool = True) -> dict:
     """The generators of a diagram summed by occupied alpha curves:
     rings.state_sums over its incidence rows, every alpha circle required
-    as in enumerate_generators.  Zero coefficients and zero sums are kept;
-    the maps and elements built from the result drop zeros only when they
-    are constructed, so the work depends only on which curves meet, not on
-    the signs or weights of the points.  Returns {final mask: value}; the
-    final mask fixes the generator's idempotents.
+    as in enumerate_generators.  Zero coefficients and zero sums are kept,
+    so the work depends only on which curves meet, not on the signs or
+    weights of the points; the readouts below skip the zero sums before
+    decoding them.  Returns {final mask: value}; the final mask fixes the
+    generator's idempotents.
     """
     circles = sum(1 << q for q in inc.circles)
     return state_sums(inc.ring, inc.rows, circles, signed)
 
 
 def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
-    ring, decode = inc.ring, _readout(h)
+    """Only the nonzero sums are decoded: the map would drop the rest."""
+    ring, decode, is_zero = inc.ring, _readout(h), inc.ring.is_zero
     entries = {}
     for mask, v in _state_sums(inc).items():
+        if is_zero(v):
+            continue
         o_r, obar_l, parity = decode(mask)
         if parity:
             v = ring.neg(v)
@@ -254,6 +257,8 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     decode = _readout(hdd)
     terms: dict = {}
     for mask, v in _state_sums(incidence(hdd)).items():
+        if not v:
+            continue
         _, obar, parity = decode(mask)
         unoccupied_in = sum(1 for j in obar if j <= h.n0)
         terms[obar] = -v if (parity + unoccupied_in) & 1 else v

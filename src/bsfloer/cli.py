@@ -20,6 +20,11 @@ from .rings import ZZ
 from .selftest import run_all
 
 
+# the generators verb lists one line pair per generator; it counts them
+# first (one state sum) and refuses to list more than this
+MAX_GENERATORS = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -120,6 +125,10 @@ def _cmd_validate(args):
 
 def _cmd_generators(args):
     h = _load(args.file)
+    count = generator_count(h)
+    if count > MAX_GENERATORS:
+        raise CommandError(f"{count} generators exceed the listing budget "
+                           f"MAX_GENERATORS = {MAX_GENERATORS}")
     gens = enumerate_generators(h)
     out = [f"generators: {len(gens)}"]
     for k, x in enumerate(gens):

@@ -203,9 +203,6 @@ class HeegaardDiagram:
     def points_on_beta(self, bid: str) -> tuple:
         return tuple(p for p in self.points if p.beta == bid)
 
-    def is_ordinary(self) -> bool:
-        return self.n0 == 0 and self.n1 == 0
-
 
 def make_diagram(group, boundary_left, boundary_right, alpha_out,
                  alpha_circles, alpha_in, beta_circles, points,

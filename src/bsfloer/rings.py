@@ -183,16 +183,13 @@ class IntegerRing(Ring):
     def from_int(self, n: int):
         return int(n)
 
-    # the operator builtins, so the engines call C functions over Z
+    # the operator builtins, so the engines and the per-entry zero tests
+    # call C functions over Z
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def eq(self, a, b) -> bool:
-        return a == b
+    is_zero = staticmethod(operator.not_)
+    eq = staticmethod(operator.eq)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -730,7 +727,10 @@ def _identity_entries(n: int):
 
 
 def smith_normal_form(entries):
-    """U, D, V with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular."""
+    """U, D, V with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular.
+    The pivot is the first entry of least absolute value in row-major order,
+    so the search stops at the first +-1; row and column operations touch
+    only the nonzero entries of their source."""
     A = [[int(x) for x in row] for row in entries]
     r = len(A)
     c = len(A[0]) if A else 0
@@ -738,16 +738,17 @@ def smith_normal_form(entries):
     V = _identity_entries(c)
 
     def row_op(i, j, q):  # row_i -= q*row_j
-        for k in range(c):
-            A[i][k] -= q * A[j][k]
-        for k in range(r):
-            U[i][k] -= q * U[j][k]
+        for M in (A, U):
+            target = M[i]
+            for k, x in enumerate(M[j]):
+                if x:
+                    target[k] -= q * x
 
     def col_op(i, j, q):  # col_i -= q*col_j
-        for k in range(r):
-            A[k][i] -= q * A[k][j]
-        for k in range(c):
-            V[k][i] -= q * V[k][j]
+        for M in (A, V):
+            for row in M:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -762,11 +763,16 @@ def smith_normal_form(entries):
     t = 0
     while t < min(r, c):
         # find a nonzero pivot of least absolute value
-        best = None
+        best, least = None, 0
         for i in range(t, r):
             for j in range(t, c):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(A[i][j])
+                if x and (not least or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         row_swap(t, best[0])
@@ -786,19 +792,14 @@ def smith_normal_form(entries):
                     if A[t][j]:
                         col_swap(t, j)
                         again = True
-        # enforce divisibility of the remaining block
+        # enforce divisibility of the remaining block; a unit divides it
         pivot = A[t][t]
-        fixed = True
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if A[i][j] % pivot:
-                    row_op(t, i, -1)  # add row i to row t, then re-reduce
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
+        if abs(pivot) != 1:
+            bad = next((i for i in range(t + 1, r)
+                        if any(x % pivot for x in A[i][t + 1:])), None)
+            if bad is not None:
+                row_op(t, bad, -1)  # add row bad to row t, then re-reduce
+                continue
         if A[t][t] < 0:
             for k in range(c):
                 A[t][k] = -A[t][k]

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from bsfloer import bsda as B
 from bsfloer import exterior as X
 from bsfloer.alexander import functor_sums
 from bsfloer.bsda import (
@@ -226,6 +227,86 @@ class TestReadout:
                 assert (g.o_r, g.obar_l) == (o_r, obar_l)
                 checked += 1
         assert checked > 100
+
+
+def cancelling_piece(k, pos, signs):
+    """An identity on k arcs perturbed as in the bordered chains: a circle
+    C1 and a beta circle bX that meets C1 twice with opposite signs, so the
+    two crossings cancel, and out-arc pos + 1 once; beta pos + 2 also meets
+    C1."""
+    base = identity_diagram(interval_arcs(k))
+    one = base.group.identity()
+    s_out, s_beta = signs
+    points = base.points + (
+        Point("C1", "bX", 1, one), Point("C1", "bX", -1, one),
+        Point(f"aOut{pos % k + 1}", "bX", s_out, one),
+        Point("C1", f"b{(pos + 1) % k + 1}", s_beta, one))
+    return make_diagram(base.group, base.boundary_left, base.boundary_right,
+                        base.alpha_out, ["C1"], base.alpha_in,
+                        base.beta_circles + (("bX", None),), points)
+
+
+def counting_readout(monkeypatch):
+    """Patch bsda's decoder factory; returns the list of decoded masks."""
+    seen = []
+    real = B._readout
+
+    def readout(h):
+        decode = real(h)
+
+        def counted(mask):
+            seen.append(mask)
+            return decode(mask)
+        return counted
+
+    monkeypatch.setattr(B, "_readout", readout)
+    return seen
+
+
+class TestZeroFreeReadout:
+    """The readouts decode exactly the nonzero final states and build what
+    decoding every state builds."""
+
+    PIECES = [((3, 0, (1, -1)), (2, 1, (-1, -1))),
+              ((4, 2, (-1, 1)), (3, 0, (1, 1)))]
+
+    @pytest.mark.parametrize("left,right", PIECES)
+    def test_matrix_decodes_nonzero_states(self, monkeypatch, left, right):
+        h = disjoint(cancelling_piece(*left), cancelling_piece(*right))
+        sums = _state_sums(incidence(h))
+        nonzero = [m for m, v in sums.items() if v]
+        assert len(nonzero) < len(sums)          # zero final states exist
+        decode = _readout(h)
+        entries = {}
+        for mask, v in sums.items():
+            o_r, obar_l, parity = decode(mask)
+            entries[(o_r, obar_l)] = -v if parity else v
+        want = X.GradedMap(ZZ, h.n0, h.n1, h.degree, entries)
+        seen = counting_readout(monkeypatch)
+        got = bsda_z(h)
+        assert seen == nonzero
+        assert got == want
+        assert list(got.entries) == list(want.entries)
+
+    @pytest.mark.parametrize("left,right", PIECES)
+    def test_element_decodes_nonzero_states(self, monkeypatch, left, right):
+        h = disjoint(cancelling_piece(*left), cancelling_piece(*right))
+        hdd = reinterpret_one_sided(h)
+        sums = _state_sums(incidence(hdd))
+        nonzero = [m for m, v in sums.items() if v]
+        assert len(nonzero) < len(sums)
+        decode = _readout(hdd)
+        terms = {}
+        for mask, v in sums.items():
+            _, obar, parity = decode(mask)
+            unoccupied_in = sum(1 for j in obar if j <= h.n0)
+            terms[obar] = -v if (parity + unoccupied_in) & 1 else v
+        want = X.ExtElement(ZZ, h.n0 + h.n1, terms)
+        seen = counting_readout(monkeypatch)
+        got = bsdd_element(h)
+        assert seen == nonzero
+        assert got == want
+        assert list(got.terms) == list(want.terms)
 
 
 class TestBsdaZ:

@@ -3,6 +3,7 @@ and the fixture round-trip."""
 
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bsfloer import cli
 from bsfloer.cli import main
 from bsfloer.diagram import dumps, loads
 from bsfloer.fixtures import fixture_library, ordinary_from_matrix
@@ -206,6 +208,24 @@ class TestOutput:
         assert code == 0
         assert out.startswith("generators: 2")
         assert "parity" in out
+
+    def test_generators_over_budget_exits_1(self, capsys, tmp_path,
+                                             monkeypatch):
+        # a dense closed 12 x 12 diagram has 12! generators: counted by one
+        # state sum and refused, never listed
+        def refuse(h):
+            raise AssertionError("enumerate_generators called")
+
+        monkeypatch.setattr(cli, "enumerate_generators", refuse)
+        n = 12
+        rows = [[(-1) ** (i * j + j) for j in range(n)] for i in range(n)]
+        p = tmp_path / "dense12.json"
+        p.write_text(dumps(ordinary_from_matrix(rows)))
+        code, out, err = run(capsys, ["generators", str(p)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {math.factorial(n)} generators exceed the listing "
+            f"budget MAX_GENERATORS = {cli.MAX_GENERATORS}"]
 
     def test_fn_reports_pass(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "mixed_2x2.json")])

@@ -294,7 +294,7 @@ class TestReinterpret:
 class TestCap:
     def test_counts(self):
         h = D.cap(D.normalize(D.identity_diagram(Z1)), [1], [1])
-        assert h.is_ordinary()
+        assert (h.n0, h.n1) == (0, 0)
         assert (h.b, h.a) == (3, 3)
         assert D.validate(h) == []
 
