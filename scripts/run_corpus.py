@@ -2,7 +2,8 @@
 """Random-corpus sweep beyond the fixed acceptance sizes.
 
 Draws gluable pairs and standalone diagrams from a seed, then reports how
-often each identity was exercised nontrivially: gluing against composition,
+often each identity was exercised nontrivially: gluing against composition
+(over Z, and with weights over Z[H], Q[H] and for the Z[G] functor),
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
 invariant matrix against generator enumeration, disjoint unions and
@@ -32,6 +33,7 @@ from bsfloer.alexander import (
     _ring_change,
     alexander_function,
     alexander_functor,
+    bsda_map,
     compare_bsda_alexander,
     entry_vectors,
 )
@@ -55,7 +57,6 @@ from bsfloer.diagram import (
 )
 from bsfloer.fixtures import braid_diagram, fixture_library
 from bsfloer.homology import (
-    Presentation,
     _core_analysis,
     presentation_matrix,
     torsion_order,
@@ -71,7 +72,7 @@ from bsfloer.rings import (
     parse_element,
     values_eq_up_to_unit,
 )
-from bsfloer.selftest import random_diagram, random_gluable_pair
+from bsfloer.selftest import _random_piece, random_diagram, random_gluable_pair
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,40 @@ def sweep_gluing(cfg: SweepConfig) -> str:
         if not glued.is_zero():
             nonzero += 1
     return f"gluing: {cfg.pairs} pairs ok, {nonzero} nonzero composites"
+
+
+def sweep_weighted_gluing(cfg: SweepConfig) -> str:
+    """Pairs glued as random_gluable_pair glues them, with weights in the
+    sweep's groups: bsda_zh and the Q[H] matrix of the glued diagram
+    against the composite of its pieces', and the Z[G] Alexander functor
+    of the normalized glued diagram against the composite functor, each
+    up to a unit."""
+    rng = random.Random(cfg.seed * 7919 + 12)
+    nonzero = functor_nonzero = 0
+    for k in range(cfg.pairs):
+        group = GROUPS[k % len(GROUPS)]
+        mid = interval_arcs(rng.randint(1, 3))
+        left = _random_piece(rng, interval_arcs(rng.randint(0, 2)), mid,
+                             group=group)
+        need = ["same" if flag == "opposite" else "opposite"
+                for _, flag in left.alpha_in]
+        right = _random_piece(rng, mid, interval_arcs(rng.randint(0, 2)),
+                              out_flags=need, group=group)
+        h = glue(left, right)
+        f, a = bsda_zh(h), alexander_functor(normalize(h), "zg")
+        checks = [(f, bsda_zh(left), bsda_zh(right)),
+                  (bsda_map(h, "qh"), bsda_map(left, "qh"),
+                   bsda_map(right, "qh")),
+                  (a, alexander_functor(normalize(left), "zg"),
+                   alexander_functor(normalize(right), "zg"))]
+        for glued, lf, rf in checks:
+            if not X.eq_up_to_global_unit(glued, X.compose(lf, rf))[0]:
+                raise SystemExit(f"weighted glue/compose mismatch at pair {k}")
+        nonzero += not f.is_zero()
+        functor_nonzero += not a.is_zero()
+    return (f"weighted gluing: {cfg.pairs} pairs over {len(GROUPS)} groups "
+            f"ok, {nonzero} nonzero Z[H] composites, {functor_nonzero} "
+            f"nonzero functor composites")
 
 
 def sweep_identities() -> str:
@@ -254,12 +289,11 @@ def per_entry_functor(hn, tag):
     pres = presentation_matrix(hn, "z" if tag == "z" else "zh")
     if tag != "z":
         ring, fn = _ring_change(hn.group, tag)
-        pres = Presentation(Matrix(ring, [[fn(e) for e in row]
-                                          for row in pres.matrix.entries]), ())
-    ring = pres.matrix.ring
+        pres = Matrix(ring, [[fn(e) for e in row] for row in pres.entries])
+    ring = pres.ring
     n1, c = hn.n1, hn.degree
     entries = {}
-    if pres.matrix.rows >= pres.matrix.cols:
+    if pres.rows >= pres.cols:
         for (I, J), u in entry_vectors(hn).items():
             jc = tuple(j for j in range(1, n1 + 1) if j not in J)
             val = alexander_function(pres, u)
@@ -304,7 +338,7 @@ def sweep_core(cfg: SweepConfig) -> str:
             raise SystemExit(f"core prefactor/SNF mismatch at diagram {k}")
         if data["star3_ok"]:
             star3 += 1
-            M = presentation_matrix(hn, "z").matrix.entries
+            M = presentation_matrix(hn, "z").entries
             if data["injective"] != (integer_kernel_is_zero(M) if M
                                      else not hn.alpha_circles):
                 raise SystemExit(f"core injectivity/SNF mismatch at diagram {k}")
@@ -424,6 +458,7 @@ def main():
     cfg = SweepConfig(seed=args.seed, pairs=args.pairs,
                       diagrams_per_ring=args.per_ring)
     print(sweep_gluing(cfg))
+    print(sweep_weighted_gluing(cfg))
     print(sweep_engine(cfg))
     print(sweep_det(cfg))
     print(sweep_identities())

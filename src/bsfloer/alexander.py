@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from . import exterior as X
 from .bsda import Incidence, bsda_z, bsda_zh, incidence, map_transform
 from .diagram import HeegaardDiagram, normalize
-from .homology import Presentation
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
                     state_sums)
 
@@ -49,11 +48,10 @@ def _coerce(ring, x):
     return ring.from_int(x) if isinstance(x, int) else x
 
 
-def alexander_function(pres, u):
-    """det of the presentation with the deficiency-many vectors appended as
-    columns on the right.  Over a domain, or per component of Q[H], it is
-    zero whenever the presentation is not injective."""
-    m = pres.matrix if isinstance(pres, Presentation) else pres
+def alexander_function(m: Matrix, u):
+    """det of the presentation matrix m with the deficiency-many vectors
+    appended as columns on the right.  Over a domain, or per component of
+    Q[H], it is zero whenever the presentation is not injective."""
     ring = m.ring
     rows, cols = m.rows, m.cols
     d = rows - cols
@@ -158,17 +156,17 @@ def bsda_map(h: HeegaardDiagram, ring_tag: str, inc=None) -> X.GradedMap:
     return map_transform(f, *_ring_change(h.group, ring_tag))
 
 
-def random_equivalent_presentation(pres: Presentation, seed: int):
-    """A presentation of the same cokernel, built by one block stabilization
-    and a run of unimodular row/column operations.
+def random_equivalent_presentation(pres: Matrix, seed: int):
+    """A presentation matrix of the same cokernel, built by one block
+    stabilization and a run of unimodular row/column operations.
 
-    Returns (presentation, transport) where transport is the new-rows by
+    Returns (matrix, transport) where transport is the new-rows by
     old-rows change of basis: appended vectors must be multiplied through
     it before evaluating on the new presentation.
     """
     rnd = random.Random(seed)
-    ring = pres.matrix.ring
-    m = [list(r) for r in pres.matrix.entries]
+    ring = pres.ring
+    m = [list(r) for r in pres.entries]
     b = len(m)
     a = len(m[0]) if m else 0
 
@@ -223,7 +221,7 @@ def random_equivalent_presentation(pres: Presentation, seed: int):
             for r in range(rows):
                 m[r][i] = ring.neg(m[r][i])
 
-    return Presentation(Matrix(ring, m), ()), transport
+    return Matrix(ring, m), transport
 
 
 def transport_vector(ring, transport, v):

@@ -254,12 +254,7 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     one-sided diagram those arcs are exactly its unoccupied out-arcs.
     """
     hdd = reinterpret_one_sided(h)
-    decode = _readout(hdd)
-    terms: dict = {}
-    for mask, v in _state_sums(incidence(hdd)).items():
-        if not v:
-            continue
-        _, obar, parity = decode(mask)
-        unoccupied_in = sum(1 for j in obar if j <= h.n0)
-        terms[obar] = -v if (parity + unoccupied_in) & 1 else v
-    return X.ExtElement(ZZ, h.n0 + h.n1, terms)
+    f = _matrix(hdd, incidence(hdd))
+    return X.ExtElement(ZZ, h.n0 + h.n1, {
+        J: -v if sum(1 for j in J if j <= h.n0) & 1 else v
+        for (_, J), v in f.entries.items()})

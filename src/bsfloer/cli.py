@@ -2,7 +2,8 @@
 
 Subcommands read diagrams from JSON files and print deterministic text, or
 JSON with --json.  Exit status: 0 on success, 1 on input or validation
-failure, 2 when a comparison reports FAIL, 64 on usage errors.
+failure or when the reader of stdout has gone (a broken pipe, which ends
+silently), 2 when a comparison reports FAIL, 64 on usage errors.
 """
 
 import argparse
@@ -320,7 +321,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if text:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the Python docs' SIGPIPE recipe: stdout goes to devnull, so
+            # the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -96,12 +96,6 @@ def interval_arcs(n: int, matching=None) -> ArcDiagram:
     return build_arc_diagram([("interval", 2 * n)], matching)
 
 
-def arc_eq(z1: ArcDiagram, z2: ArcDiagram) -> bool:
-    """Structural equality, used as the gluing-interface test."""
-    return (z1.components == z2.components and z1.matching == z2.matching
-            and z1.type_tag == z2.type_tag)
-
-
 def dual(z: ArcDiagram) -> ArcDiagram:
     """Combinatorial shadow of the dual: same arcs, type flipped."""
     flip = "beta" if z.type_tag == "alpha" else "alpha"
@@ -356,60 +350,44 @@ def glue(h_left: HeegaardDiagram, h_right: HeegaardDiagram) -> HeegaardDiagram:
     iface = h_left.boundary_right
     if iface.is_empty():
         raise ValueError("empty gluing interface: use disjoint")
-    if not arc_eq(iface, h_right.boundary_left):
+    if iface != h_right.boundary_left:
         raise ValueError("gluing interface mismatch")
     for (_, fin), (_, fout) in zip(h_left.alpha_in, h_right.alpha_out):
         if not _flags_compatible(fin, fout):
             raise ValueError("gluing interface arc orientations disagree")
-    k = iface.arc_count
-    lmap = {aid: f"L.{aid}" for aid in h_left.alpha_order()}
-    rmap = {aid: f"R.{aid}" for aid in h_right.alpha_order()}
-    for j in range(k):
-        lmap[h_left.alpha_in[j][0]] = f"G{j+1}"
-        rmap[h_right.alpha_out[j][0]] = f"G{j+1}"
-    lbeta = {bid: f"L.{bid}" for bid in h_left.beta_ids()}
-    rbeta = {bid: f"R.{bid}" for bid in h_right.beta_ids()}
-
-    alpha_out = [(lmap[i], o) for i, o in h_left.alpha_out]
-    alpha_in = [(rmap[i], o) for i, o in h_right.alpha_in]
-    circles = ([lmap[i] for i in h_left.alpha_circles]
-               + [f"G{j+1}" for j in range(k)]
-               + [rmap[i] for i in h_right.alpha_circles])
-    # the composite is not a normalize output, so role tags do not survive
-    betas = ([(lbeta[i], None) for i, _ in h_left.beta_circles]
-             + [(rbeta[i], None) for i, _ in h_right.beta_circles])
-    points = ([Point(lmap[p.alpha], lbeta[p.beta], p.sign, p.weight)
-               for p in h_left.points]
-              + [Point(rmap[p.alpha], rbeta[p.beta], p.sign, p.weight)
-                 for p in h_right.points])
+    glued = [f"G{j+1}" for j in range(iface.arc_count)]
+    alpha_out, lcircles, _, lbetas, lpoints = _relabel(
+        h_left, "L", dict(zip([i for i, _ in h_left.alpha_in], glued)))
+    _, rcircles, alpha_in, rbetas, rpoints = _relabel(
+        h_right, "R", dict(zip([i for i, _ in h_right.alpha_out], glued)))
     return make_diagram(h_left.group, h_left.boundary_left,
-                        h_right.boundary_right, alpha_out, circles,
-                        alpha_in, betas, points)
+                        h_right.boundary_right, alpha_out,
+                        lcircles + glued + rcircles, alpha_in,
+                        lbetas + rbetas, lpoints + rpoints)
 
 
 def disjoint(h: HeegaardDiagram, h2: HeegaardDiagram) -> HeegaardDiagram:
     """Disjoint union with every ordering concatenated, h first."""
     if h.group != h2.group:
         raise ValueError("disjoint union requires equal group descriptors")
-    amap = {aid: f"A.{aid}" for aid in h.alpha_order()}
-    bmap = {aid: f"B.{aid}" for aid in h2.alpha_order()}
-    abeta = {bid: f"A.{bid}" for bid in h.beta_ids()}
-    bbeta = {bid: f"B.{bid}" for bid in h2.beta_ids()}
-    alpha_out = ([(amap[i], o) for i, o in h.alpha_out]
-                 + [(bmap[i], o) for i, o in h2.alpha_out])
-    alpha_in = ([(amap[i], o) for i, o in h.alpha_in]
-                + [(bmap[i], o) for i, o in h2.alpha_in])
-    circles = ([amap[i] for i in h.alpha_circles]
-               + [bmap[i] for i in h2.alpha_circles])
-    betas = ([(abeta[i], None) for i, _ in h.beta_circles]
-             + [(bbeta[i], None) for i, _ in h2.beta_circles])
-    points = ([Point(amap[p.alpha], abeta[p.beta], p.sign, p.weight)
-               for p in h.points]
-              + [Point(bmap[p.alpha], bbeta[p.beta], p.sign, p.weight)
-                 for p in h2.points])
+    parts = zip(_relabel(h, "A", {}), _relabel(h2, "B", {}))
     return make_diagram(h.group, concat_arcs(h.boundary_left, h2.boundary_left),
                         concat_arcs(h.boundary_right, h2.boundary_right),
-                        alpha_out, circles, alpha_in, betas, points)
+                        *(a + b for a, b in parts))
+
+
+def _relabel(h: HeegaardDiagram, tag: str, merged: dict) -> tuple:
+    """The curves of h renamed tag.id, or merged[id] for the alpha ids it
+    holds, as make_diagram's (alpha_out, circles, alpha_in, betas,
+    points).  Role tags are dropped: a glued or disjoint diagram is not a
+    normalize output."""
+    amap = {aid: merged.get(aid, f"{tag}.{aid}") for aid in h.alpha_order()}
+    return ([(amap[i], o) for i, o in h.alpha_out],
+            [amap[i] for i in h.alpha_circles],
+            [(amap[i], o) for i, o in h.alpha_in],
+            [(f"{tag}.{i}", None) for i in h.beta_ids()],
+            [Point(amap[p.alpha], f"{tag}.{p.beta}", p.sign, p.weight)
+             for p in h.points])
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +569,14 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown field(s) {sorted(extra)} in {where}")
 
 
+def _json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer; floats, infinities and booleans
+    are refused, not truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _arcs_to_json(z: ArcDiagram):
     if z.is_empty():
         return None
@@ -610,8 +596,9 @@ def _arcs_from_json(obj, where: str) -> ArcDiagram:
     comps = []
     for c in obj.get("components", []):
         _check_keys(c, ("kind", "points"), f"{where}.components[]")
-        comps.append((c["kind"], c["points"]))
-    matching = [tuple(pair) for pair in obj.get("matching", [])]
+        comps.append((c["kind"], _json_int(c["points"], "point count")))
+    matching = [tuple(_json_int(x, "matched point") for x in pair)
+                for pair in obj.get("matching", [])]
     return ArcDiagram(tuple(comps), tuple(matching), obj.get("type", "alpha"))
 
 
@@ -684,10 +671,9 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
         for key in ("alpha", "beta", "sign"):
             if key not in e:
                 raise ValueError(f"missing {key} in points[]")
-        if type(e["sign"]) is not int:
-            raise ValueError(f"point sign {e['sign']!r} is not an integer")
+        sign = _json_int(e["sign"], "point sign")
         w = parse_weight(group, e.get("weight", "1"))
-        points.append(Point(str(e["alpha"]), str(e["beta"]), e["sign"], w))
+        points.append(Point(str(e["alpha"]), str(e["beta"]), sign, w))
     return make_diagram(group, zl, zr, alpha_out, circles, alpha_in,
                         betas, points)
 
@@ -700,11 +686,13 @@ def dumps(h: HeegaardDiagram, comment: str = None) -> str:
 
 
 def loads(text: str) -> HeegaardDiagram:
+    """Parse a diagram document; every malformed input, nesting too deep
+    for the parser included, raises ValueError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}") from None
     try:
         return from_json_dict(obj)
-    except (TypeError, KeyError, AttributeError) as e:
+    except (TypeError, KeyError, AttributeError, RecursionError) as e:
         raise ValueError(f"malformed diagram data: {e}") from None

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .rings import Ring, accumulate, values_eq_up_to_unit
+from .rings import (Ring, accumulate, join_terms, signed_term,
+                    values_eq_up_to_unit)
 
 
 def subset_key(indices) -> tuple:
@@ -177,24 +178,9 @@ def epsilon(x: ExtElement, y: ExtElement, n0=None):
 
 
 def ext_str(x: ExtElement) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for S in sorted(x.terms, key=sort_key):
-        cs = x.ring.to_str(x.terms[S])
-        neg = cs.startswith("-")
-        body = cs[1:] if neg else cs
-        if " " in cs:
-            body = f"({cs})"
-            neg = False
-        sym = f"g{subset_str(S)}"
-        body = sym if body == "1" else f"{body}*{sym}"
-        parts.append(("-" if neg else "+", body))
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return join_terms(
+        signed_term(x.ring.to_str(x.terms[S]), f"g{subset_str(S)}")
+        for S in sorted(x.terms, key=sort_key))
 
 
 # ---------------------------------------------------------------------------

@@ -29,26 +29,8 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    matrix: Matrix
-    roles: tuple
-
-    @property
-    def d(self) -> int:
-        return self.matrix.rows - self.matrix.cols
-
-    def int_entries(self) -> list:
-        if self.matrix.ring is not ZZ:
-            raise ValueError("integer presentation expected")
-        return [list(r) for r in self.matrix.entries]
-
-    def rank(self) -> int:
-        return integer_rank(self.int_entries())
-
-
 def presentation_matrix(h: HeegaardDiagram, ring: str = "z",
-                        inc: Incidence | None = None) -> Presentation:
+                        inc: Incidence | None = None) -> Matrix:
     """Rows = beta circles, cols = alpha circles: the incidence of h (inc)
     made dense on the circles; arc crossings are not part of it."""
     if ring not in ("z", "zh"):
@@ -56,27 +38,15 @@ def presentation_matrix(h: HeegaardDiagram, ring: str = "z",
     if inc is None:
         inc = incidence(h, weighted=ring == "zh")
     R = inc.ring
-    rows = [[row[q] if q in row else R.zero() for q in inc.circles]
-            for row in inc.rows]
-    m = Matrix(R, rows, row_labels=h.beta_ids(),
-               col_labels=tuple(h.alpha_circles))
-    return Presentation(m, tuple(role for _, role in h.beta_circles))
+    return Matrix(R, [[row[q] if q in row else R.zero() for q in inc.circles]
+                      for row in inc.rows])
 
 
 def torsion_order(entries) -> int:
     """Order of the cokernel of the column lattice in Z^rows; 0 when the
     cokernel is infinite (rank below the row count)."""
-    if isinstance(entries, Matrix):
-        entries = entries.entries
-    rows = len(entries)
-    divisors = snf_diagonal([list(r) for r in entries]) if rows else []
-    nonzero = [d for d in divisors if d != 0]
-    if len(nonzero) < rows:
-        return 0
-    order = 1
-    for d in nonzero:
-        order *= d
-    return order
+    nonzero = [d for d in snf_diagonal(entries) if d != 0]
+    return prod(nonzero) if len(nonzero) == len(entries) else 0
 
 
 @dataclass(frozen=True)
@@ -100,7 +70,7 @@ def _core_analysis(h_norm: HeegaardDiagram):
     """
     inc = incidence(h_norm, roles=True)
     outs, cores, ins = inc.roles
-    M = presentation_matrix(h_norm, "z", inc).matrix.entries
+    M = presentation_matrix(h_norm, "z", inc).entries
     cols = len(inc.circles)
     C = [M[r] for r in cores]
 
@@ -172,8 +142,8 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
     the generator sum times (-1)^(free rank of the presentation cokernel)."""
     if h.n0 or h.n1:
         raise ValueError("surrogate needs empty boundaries")
-    pres = presentation_matrix(h, "z")
-    b1 = pres.matrix.rows - pres.rank()
+    m = presentation_matrix(h, "z")
+    b1 = m.rows - integer_rank(m.entries)
     s = generator_sum(h, ring)
     R = weight_ring(h) if ring == "zh" else ZZ
     return s if b1 % 2 == 0 else R.neg(s)

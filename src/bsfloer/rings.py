@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -172,6 +172,27 @@ def accumulate(ring: Ring, out: dict, key, c) -> None:
         out.pop(key, None)
     else:
         out[key] = s
+
+
+def signed_term(coeff: str, symbol: str) -> str:
+    """The term coeff*symbol as "+ body" or "- body": a coefficient with
+    spaces goes in brackets, +-1 keeps only its sign, symbol "1" is left
+    out."""
+    spaced = " " in coeff
+    neg = coeff.startswith("-") and not spaced
+    body = f"({coeff})" if spaced else coeff[neg:]
+    if symbol != "1":
+        body = symbol if body == "1" else f"{body}*{symbol}"
+    return f"- {body}" if neg else f"+ {body}"
+
+
+def join_terms(terms) -> str:
+    """Signed terms joined by " + " and " - ", a leading + dropped; "0"
+    when there are none."""
+    out = " ".join(terms)
+    if not out:
+        return "0"
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 class IntegerRing(Ring):
@@ -334,28 +355,9 @@ class CycloField(Ring):
         return out
 
     def to_str(self, a) -> str:
-        if self.degree == 1:
-            return str(a[0])
-        terms = []
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                z = "z" if i == 1 else f"z^{i}"
-                if c == 1:
-                    terms.append(z)
-                elif c == -1:
-                    terms.append(f"-{z}")
-                else:
-                    terms.append(f"{c}*{z}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return join_terms(signed_term(str(c), "1" if i == 0 else
+                                      "z" if i == 1 else f"z^{i}")
+                          for i, c in enumerate(a) if c != 0)
 
     def unit_part(self, a):
         return a
@@ -437,11 +439,6 @@ class GroupRing(Ring):
             return {}
         return {self.mono(g[:-1], g[-1]): c}
 
-    def from_weight(self, w: HWeight):
-        if len(w.free) != self.free_rank:
-            raise ValueError("weight has wrong free rank")
-        return {self.mono(w.free, w.tors): self.coeff.one()}
-
     # -- ring ops
 
     def zero(self):
@@ -507,26 +504,9 @@ class GroupRing(Ring):
         return "*".join(parts) if parts else "1"
 
     def to_str(self, a) -> str:
-        if not a:
-            return "0"
-        terms = []
-        for g in sorted(a):
-            c = a[g]
-            m = self.mono_str(g)
-            cs = self.coeff.to_str(c)
-            neg = cs.startswith("-")
-            body = cs[1:] if neg else cs
-            if " " in cs:
-                body = f"({cs})"
-                neg = False
-            if m != "1":
-                body = m if body == "1" else f"{body}*{m}"
-            terms.append(("-" if neg else "+", body))
-        sign, body = terms[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_terms(
+            signed_term(self.coeff.to_str(a[g]), self.mono_str(g))
+            for g in sorted(a))
 
     def unit_part(self, a):
         """The least monomial of a nonzero a times the unit part of its
@@ -679,27 +659,16 @@ class QHRing(Ring):
         return tuple(out)
 
 
-def character_map(group: GroupDescriptor, d: int, zh_elem):
-    """The ring map Z[H] -> Q(zeta_d)[G] with s -> zeta_d, t_i -> t_i."""
-    if group.torsion_order % d:
-        raise ValueError("d must divide the torsion order")
-    qh = QHRing(group)
-    idx = qh.divisors.index(d)
-    return qh.from_zh(zh_elem)[idx]
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
 
 @dataclass
 class Matrix:
-    """Dense matrix over a ring, with optional opaque row/column labels."""
+    """Dense matrix over a ring."""
 
     ring: Ring
     entries: list
-    row_labels: list = field(default_factory=list)
-    col_labels: list = field(default_factory=list)
 
     @property
     def rows(self) -> int:
@@ -713,13 +682,6 @@ class Matrix:
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ring, [list(r) for r in self.entries],
-                      list(self.row_labels), list(self.col_labels))
 
 
 def _identity_entries(n: int):

@@ -280,8 +280,7 @@ def criterion_8(seed):
         got = f.entries.get(((), ()), ring.zero())
         if not ring.eq(got, want):
             return False, f"weighted circle entry wrong at n={n}"
-        pres = presentation_matrix(annulus(n), "z")
-        if torsion_order(pres.matrix.entries) != n:
+        if torsion_order(presentation_matrix(annulus(n), "z").entries) != n:
             return False, f"torsion count wrong at n={n}"
     return True, (f"augmentation exact on all {len(lib)} fixtures; circle "
                   "entries 1+t+...+t^(n-1) and torsion count n for n=1..5")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from bsfloer import bsda as B
 from bsfloer import exterior as X
-from bsfloer.alexander import functor_sums
+from bsfloer.alexander import alexander_functor, bsda_map, functor_sums
 from bsfloer.bsda import (
     Generator,
     _arcs,
@@ -48,7 +48,7 @@ from bsfloer.fixtures import (
     ordinary_from_matrix,
 )
 from bsfloer.homology import generator_sum
-from bsfloer.selftest import random_diagram, random_gluable_pair
+from bsfloer.selftest import _random_piece, random_diagram, random_gluable_pair
 from bsfloer.rings import (
     SPLIT_MIN_ROWS,
     ZZ,
@@ -450,7 +450,7 @@ class TestWeighted:
         t = h.group.make_weight((1,), 0)
         f = bsda_zh(h)
         f2 = bsda_zh(reweight(h, "aC", t))
-        assert X.map_eq(f2, X.map_scale(ring.from_weight(t), f))
+        assert X.map_eq(f2, X.map_scale(ring.monomial(t.monomial()), f))
         assert X.map_eq(bsda_z(h), bsda_z(reweight(h, "aC", t)))
 
     def test_torsion_weights(self):
@@ -486,6 +486,40 @@ class TestWeighted:
             nonzero += not f.is_zero()
         assert split >= 25
         assert nonzero >= 15
+
+    # Z/3, Z/4, Z x Z/2, Z^2, Z^2 x Z/3
+    GLUE_GROUPS = [(0, 3), (0, 4), (1, 2), (2, 1), (2, 3)]
+
+    @pytest.mark.parametrize("rank,order", GLUE_GROUPS)
+    def test_glue_is_compose(self, rank, order):
+        """Weighted pieces glued as random_gluable_pair glues them: the
+        invariant over Z[H] and Q[H], and the Alexander functor over Z[G],
+        of the glued diagram are the composites up to a unit."""
+        g = GroupDescriptor(rank, order)
+        rng = random.Random(f"glue:{rank}:{order}")
+        nonzero = functor_nonzero = 0
+        for _ in range(80):
+            mid = interval_arcs(rng.randint(1, 3))
+            left = _random_piece(rng, interval_arcs(rng.randint(0, 2)), mid,
+                                 group=g)
+            need = ["same" if flag == "opposite" else "opposite"
+                    for _, flag in left.alpha_in]
+            right = _random_piece(rng, mid, interval_arcs(rng.randint(0, 2)),
+                                  out_flags=need, group=g)
+            h = glue(left, right)
+            f, a = bsda_zh(h), alexander_functor(normalize(h), "zg")
+            checks = [(f, bsda_zh(left), bsda_zh(right)),
+                      (bsda_map(h, "qh"), bsda_map(left, "qh"),
+                       bsda_map(right, "qh")),
+                      (a, alexander_functor(normalize(left), "zg"),
+                       alexander_functor(normalize(right), "zg"))]
+            for glued, lf, rf in checks:
+                ok, _ = X.eq_up_to_global_unit(glued, X.compose(lf, rf))
+                assert ok, (left, right)
+            nonzero += not f.is_zero()
+            functor_nonzero += not a.is_zero()
+        assert nonzero >= 10
+        assert functor_nonzero >= 5
 
 
 class TestOneSided:

@@ -4,6 +4,8 @@ and the fixture round-trip."""
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -109,6 +111,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "free_rank" in err or "torsion_order" in err
+
+    @pytest.mark.parametrize("points", [math.inf, 2.5, True, None])
+    def test_hostile_arc_document_is_input_failure(self, capsys, tmp_path,
+                                                   fxdir, points):
+        """A point count that is not an integer ends in one error line
+        (None: a nesting too deep for the JSON parser)."""
+        p = tmp_path / "bad.json"
+        doc = json.loads((fxdir / "identity_n1.json").read_text())
+        doc["boundary_left"]["components"][0]["points"] = points
+        p.write_text("[" * 100_000 + "]" * 100_000 if points is None
+                     else json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("invalid JSON" if points is None else "point count") in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
@@ -335,6 +353,24 @@ class TestOutput:
         names = [line.split(":", 1)[0] for line in out.strip().splitlines()]
         assert names == sorted(names)
         assert len(names) == len(fixture_library())
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_ends_without_traceback(self):
+        """The reader of stdout is gone before the output is written: exit 1
+        and nothing on stderr, as the cli docstring says."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bsfloer.cli",
+                                   "fixtures"], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestFileFlow:

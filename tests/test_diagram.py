@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsfloer import diagram as D
 from bsfloer.fixtures import fixture_library
@@ -50,8 +52,8 @@ class TestArcDiagram:
             D.concat_arcs(Z1, D.dual(Z2))
 
     def test_structural_equality(self):
-        assert D.arc_eq(D.interval_arcs(2), Z2)
-        assert not D.arc_eq(Z2, GENUS1)
+        assert D.interval_arcs(2) == Z2
+        assert Z2 != GENUS1
 
 
 class TestValidation:
@@ -413,3 +415,55 @@ class TestJson:
         doc["points"][0]["alpha"] = "missing"
         with pytest.raises(ValueError):
             D.from_json_dict(doc)
+
+
+# every key the loader reads, in a normalized weighted document that has
+# them all
+FUZZ_DOC = D.to_json_dict(D.normalize(D.reweight(
+    D.identity_diagram(Z1, GroupDescriptor(1, 2)), "aOut1",
+    HWeight((1,), 1))))
+FUZZ_PATHS = [
+    (), ("group",), ("group", "free_rank"), ("group", "torsion_order"),
+    ("comment",), ("alpha",), ("alpha", "out"), ("alpha", "out", 0),
+    ("alpha", "out", 0, "id"), ("alpha", "out", 0, "orient"),
+    ("alpha", "circles"), ("alpha", "circles", 0), ("alpha", "in"),
+    ("alpha", "in", 0), ("alpha", "in", 0, "id"), ("alpha", "in", 0, "orient"), ("beta",),
+    ("beta", "circles"), ("beta", "circles", 0),
+    ("beta", "circles", 0, "id"), ("beta", "circles", 0, "role"),
+    ("points",), ("points", 0), ("points", 0, "alpha"),
+    ("points", 0, "beta"), ("points", 0, "sign"), ("points", 0, "weight"),
+] + [(side, *rest) for side in ("boundary_left", "boundary_right")
+     for rest in [(), ("type",), ("components",), ("components", 0),
+                  ("components", 0, "kind"), ("components", 0, "points"),
+                  ("matching",), ("matching", 0), ("matching", 0, 0),
+                  ("matching", 0, 1)]]
+JSON_VALUES = st.recursive(
+    st.sampled_from([None, True, False, 0, 1, -1, 10**20, 2.5, math.inf,
+                     -math.inf, math.nan, "", "alpha", "core", "t1", "same"])
+    | st.integers(-2, 5) | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+
+
+class TestLoadsFuzz:
+    @pytest.mark.parametrize("path", FUZZ_PATHS,
+                             ids=lambda p: ".".join(map(str, p)) or "doc")
+    @settings(max_examples=20, deadline=None)
+    @example(value=math.inf)
+    @example(value=math.nan)
+    @example(value=True)
+    @given(value=JSON_VALUES)
+    def test_only_value_error_escapes(self, path, value):
+        doc = json.loads(json.dumps(FUZZ_DOC))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if path:
+            node[path[-1]] = value
+        else:
+            doc = value
+        try:
+            D.loads(json.dumps(doc))
+        except ValueError:
+            pass
