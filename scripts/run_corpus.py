@@ -17,7 +17,8 @@ core analysis of normalized diagrams against the Smith normal forms of the
 core rows and of the whole presentation, the up-to-unit comparison of
 graded maps against the same comparison over every key in sorted order,
 and the output of normalize, which is built without validation, against
-validate.  Any mismatch aborts with a nonzero exit.
+validate, its role tags against normalized_roles, and a JSON round trip.
+Any mismatch aborts with a nonzero exit.
 """
 
 import argparse
@@ -49,10 +50,14 @@ from bsfloer.bsda import (
 from bsfloer.diagram import (
     GroupDescriptor,
     disjoint,
+    dumps,
     glue,
     identity_diagram,
     interval_arcs,
+    loads,
     normalize,
+    normalized_roles,
+    parse_role,
     validate,
 )
 from bsfloer.fixtures import braid_diagram, fixture_library
@@ -175,7 +180,7 @@ def enumerated_matrices(h):
             w = h.group.mul_weight(w, p.weight)
         z[key] = z.get(key, 0) + s
         zh[key] = ring.add(zh.get(key, ring.zero()),
-                           ring.monomial(w.monomial(), s))
+                           ring.monomial(w, s))
     return (X.GradedMap(ZZ, h.n0, h.n1, h.degree, z),
             X.GradedMap(ring, h.n0, h.n1, h.degree, zh))
 
@@ -346,9 +351,20 @@ def sweep_core(cfg: SweepConfig) -> str:
             f"normal forms, {star3} with star3")
 
 
+def tagged_rows(hn) -> tuple:
+    """The beta rows tagged newOut(1..n1), core and newIn(1..n0), in that
+    order, read off the tags one by one."""
+    parsed = [parse_role(r) for _, r in hn.beta_circles]
+    return ([parsed.index(("newOut", j)) for j in range(1, hn.n1 + 1)],
+            [r for r, (kind, _) in enumerate(parsed) if kind == "core"],
+            [parsed.index(("newIn", i)) for i in range(1, hn.n0 + 1)])
+
+
 def sweep_normalize(cfg: SweepConfig) -> str:
-    """validate finds nothing on normalize's output for random pieces over
-    Z^r x Z/m (r = 0..2, m = 1..4), every fixture, and glued random pairs."""
+    """On normalize's output for random pieces over Z^r x Z/m (r = 0..2,
+    m = 1..4), every fixture, and glued random pairs: validate finds
+    nothing, normalized_roles gives the rows the role tags name, and a JSON
+    round trip gives the diagram back."""
     rng = random.Random(cfg.seed * 7919 + 10)
     groups = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 5)]
     diagrams = [random_diagram(rng, group=groups[k % len(groups)])
@@ -356,11 +372,18 @@ def sweep_normalize(cfg: SweepConfig) -> str:
     diagrams += [h for h, _ in fixture_library().values()]
     diagrams += [glue(*random_gluable_pair(rng)) for _ in range(cfg.pairs)]
     for k, h in enumerate(diagrams):
-        bad = validate(normalize(h))
+        hn = normalize(h)
+        bad = validate(hn)
         if bad:
             raise SystemExit(
                 f"normalize output invalid at diagram {k}: {bad[0]}")
-    return f"normalize: {len(diagrams)} normalized diagrams valid"
+        if tuple(map(list, normalized_roles(hn))) != tagged_rows(hn):
+            raise SystemExit(f"role ranges miss their tags at diagram {k}")
+        if loads(dumps(hn)) != hn:
+            raise SystemExit(f"JSON round trip changes diagram {k}")
+    n = len(diagrams)
+    return (f"normalize: {n} normalized diagrams valid, {n} role ranges "
+            f"match their tags, {n} survive a JSON round trip")
 
 
 def sorted_unit_oracle(f, g):

@@ -14,9 +14,13 @@ entry (I, J) appends -e(new-in row) for each element of I ascending, then
 invariant matrix on the nose.  All entries come from one state sum over the
 diagram's incidence (zero coefficients kept) transposed on the circles, core
 rows required: the new-in and new-out rows a final mask leaves free give I
-and J^c.  The entry is the mask's value times (-1)^(d + p + the sign's
-exponent), where p is the parity of carrying the signed sum on through the
--e(r) rows, I first, then J^c: each adds the occupied rows above r.
+and J^c, read by the mask decoder of the invariant (bsda._arcs), which also
+gives p, the parity of #{(held in-row, free in-row) : free above held}.
+The entry is the mask's value times (-1)^(d + a*|J^c| + |I|*|held| + p).
+Carrying the signed sum on through the -e(r) rows, I first, adds the
+occupied rows above each: through the I rows that is |I|*|held| + p;
+through the J^c rows it is inv(J, J^c) + |J^c|*(k + n0) with k core rows,
+which cancels the rule's own inv(J, J^c), and c + k + n0 = a.
 Over Z[G] and Q[H] the functor is evaluated over Z[H] and mapped entrywise
 by the ring change the invariant uses; ring maps commute with determinants.
 """
@@ -27,8 +31,8 @@ import random
 from dataclasses import dataclass
 
 from . import exterior as X
-from .bsda import Incidence, bsda_z, bsda_zh, incidence, map_transform
-from .diagram import HeegaardDiagram, normalize
+from .bsda import Incidence, _arcs, bsda_z, bsda_zh, incidence, map_transform
+from .diagram import HeegaardDiagram, normalize, normalized_roles
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
                     state_sums)
 
@@ -84,7 +88,7 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
     """Appended vectors for every degree-compatible idempotent pair, as
     integer row vectors: -e(new-in row) for each element of I ascending,
     then -e(new-out row) for each element of the complement of J."""
-    outs, _, ins = incidence(h_norm, roles=True).roles
+    outs, _, ins = normalized_roles(h_norm)
     n0, n1, c, rows = h_norm.n0, h_norm.n1, h_norm.degree, h_norm.b
 
     def neg_unit(row: int):
@@ -102,44 +106,36 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
     return out
 
 
-def functor_sums(inc: Incidence) -> dict:
-    """The functor's state sum: rings.state_sums over the transpose of an
-    incidence with roles on the circle positions (one row per alpha circle,
+def functor_sums(h_norm: HeegaardDiagram, inc: Incidence) -> dict:
+    """The functor's state sum: rings.state_sums over the transpose of
+    h_norm's incidence on the circle positions (one row per alpha circle,
     beta rows ascending), every core row required."""
     cols: list = [{} for _ in inc.circles]
     for r, row in enumerate(inc.rows):
         for q, c in row.items():
             if q in inc.circles:
                 cols[q - inc.circles.start][r] = c
-    return state_sums(inc.ring, cols, sum(1 << r for r in inc.roles[1]))
+    cores = normalized_roles(h_norm)[1]
+    return state_sums(inc.ring, cols, (1 << cores.stop) - (1 << cores.start))
 
 
 def alexander_functor(h_norm: HeegaardDiagram, ring_tag: str = "z",
                       inc: Incidence | None = None) -> X.GradedMap:
     """Every entry from one state sum; the rule is in the module docstring.
-    inc: incidence(h_norm, ring_tag != "z", roles=True)."""
+    inc: incidence(h_norm, ring_tag != "z")."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     if inc is None:
-        inc = incidence(h_norm, ring_tag != "z", roles=True)
-    ring, (outs, _, ins) = inc.ring, inc.roles
-    n1, c, d = h_norm.n1, h_norm.degree, h_norm.b - h_norm.a
-    in_rows, out_rows = list(enumerate(ins, 1)), list(enumerate(outs, 1))
-    free_rows = ins + outs
+        inc = incidence(h_norm, ring_tag != "z")
+    ring, n0, n1, a = inc.ring, h_norm.n0, h_norm.n1, h_norm.a
+    d, shift, all_out = h_norm.b - a, h_norm.b - n0, (1 << n1) - 1
     entries: dict = {}
-    for mask, val in functor_sums(inc).items():
-        I = tuple(i for i, r in in_rows if not mask >> r & 1)
-        J = tuple(j for j, r in out_rows if mask >> r & 1)
-        jc = tuple(j for j, r in out_rows if not mask >> r & 1)
-        parity = d + X.cross_inversions(J, jc) + c * len(jc)
-        # carry the signed sum on through the appended -e_r rows: the rows
-        # a mask leaves free, in-rows (I) first, then out-rows (J^c)
-        for r in free_rows:
-            if not mask >> r & 1:
-                parity += (mask >> (r + 1)).bit_count()
-                mask |= 1 << r
+    for mask, val in functor_sums(h_norm, inc).items():
+        J, jc, _ = _arcs(n1, mask & all_out)
+        held, I, p = _arcs(n0, mask >> shift)
+        parity = d + a * len(jc) + len(I) * len(held) + p
         entries[(I, J)] = ring.neg(val) if parity & 1 else val
-    f = X.GradedMap(ring, h_norm.n0, n1, c, entries)
+    f = X.GradedMap(ring, n0, n1, h_norm.degree, entries)
     if ring_tag == "z":
         return f
     return map_transform(f, *_ring_change(h_norm.group, ring_tag))
@@ -248,7 +244,7 @@ def compare_bsda_alexander(h: HeegaardDiagram,
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     hn = normalize(h)
-    inc = incidence(hn, ring_tag != "z", roles=True)
+    inc = incidence(hn, ring_tag != "z")
     f = bsda_map(hn, ring_tag, inc)
     g = alexander_functor(hn, ring_tag, inc)
     ok, unit = X.eq_up_to_global_unit(g, f)

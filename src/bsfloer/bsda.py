@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exterior as X
-from .diagram import HeegaardDiagram, normalized_roles, reinterpret_one_sided
+from .diagram import HeegaardDiagram, reinterpret_one_sided
 from .rings import ZZ, GroupRing, augmentation, state_sums
 
 
@@ -97,10 +97,11 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
 def _arcs(n: int, bits: int) -> tuple:
     """One half of a final mask, n arcs at bits 0..n-1: the 1-based arcs
     on and off, and the parity of #{(j on, i off) : i > j}, the shuffle
-    that moves the off arcs in front of the on ones.  Bounded and shared
-    by every diagram, since the halves repeat across diagrams while whole
-    masks rarely repeat within one (an identity-like map has a different
-    out-half for every mask)."""
+    that moves the off arcs in front of the on ones.  The one decoder of
+    both state sums, the invariant's and the Alexander functor's.  Bounded
+    and shared by every diagram, since the halves repeat across diagrams
+    while whole masks rarely repeat within one (an identity-like map has a
+    different out-half for every mask)."""
     on = tuple([j for j in range(1, n + 1) if bits >> (j - 1) & 1])
     off = tuple([j for j in range(1, n + 1) if not bits >> (j - 1) & 1])
     free = ~bits & ((1 << n) - 1)
@@ -158,34 +159,27 @@ def weight_ring(h: HeegaardDiagram) -> GroupRing:
 class Incidence:
     """A diagram compiled for the engines of one call.  rows: per beta
     circle in stored order, {position in the total alpha order:
-    coefficient}, zero sums kept; circles: the alpha circles' positions;
-    roles: the (out, core, in) beta rows of a normalize output, if asked."""
+    coefficient}, zero sums kept; circles: the alpha circles' positions."""
 
     ring: object
     rows: tuple
     circles: range
-    roles: tuple | None = None
 
 
-def incidence(h: HeegaardDiagram, weighted: bool = False, roles: bool = False,
+def incidence(h: HeegaardDiagram, weighted: bool = False,
               coeff=None) -> Incidence:
     """One pass over the points of h.  A coefficient sums coeff(point) over
     the points of one (beta, alpha) pair: by default the point's sign over
     Z, or over Z[H] when weighted, its sign times its weight."""
     ring = weight_ring(h) if weighted else ZZ
-    coeff = coeff or ((lambda p: {p.weight.monomial(): p.sign}) if weighted
+    coeff = coeff or ((lambda p: {p.weight: p.sign}) if weighted
                       else (lambda p: p.sign))
     pos = {aid: q for q, aid in enumerate(h.alpha_order())}
     rows: dict = {bid: {} for bid in h.beta_ids()}
     for p in h.points:
         row, q, c = rows[p.beta], pos[p.alpha], coeff(p)
         row[q] = ring.add(row[q], c) if q in row else c
-    split = None
-    if roles:
-        row_of = {bid: r for r, bid in enumerate(rows)}
-        split = tuple([row_of[b] for b in part] for part in normalized_roles(h))
-    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a),
-                     split)
+    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a))
 
 
 def _state_sums(inc: Incidence, signed: bool = True) -> dict:

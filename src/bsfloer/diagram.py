@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 
-from .rings import GroupDescriptor, GroupRing, HWeight, parse_weight
+from .rings import GroupDescriptor, parse_weight
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ class Point:
     alpha: str
     beta: str
     sign: int
-    weight: HWeight
+    weight: tuple       # a GroupDescriptor weight (e1, ..., er, s)
 
 
 ROLE_RE = re.compile(r"^(core|newOut\((\d+)\)|newIn\((\d+)\))$")
@@ -248,26 +248,26 @@ def validate(h: HeegaardDiagram) -> list:
             out.append(f"point references missing beta {p.beta!r}")
         if p.sign not in (1, -1):
             out.append(f"point sign {p.sign!r} not +1/-1")
-        if len(p.weight.free) != h.group.free_rank:
+        if len(p.weight) != h.group.free_rank + 1:
             out.append("point weight has wrong free rank")
-        elif not 0 <= p.weight.tors < h.group.torsion_order:
+        elif not 0 <= p.weight[-1] < h.group.torsion_order:
             out.append("point weight torsion exponent out of range")
     out.extend(_role_violations(h))
     return out
 
 
 def _role_violations(h: HeegaardDiagram) -> list:
+    """Role tags, when present, run newOut(1..), core, newIn(1..), so each
+    role is a range of beta rows (normalized_roles)."""
     roles = [r for _, r in h.beta_circles]
     if all(r is None for r in roles):
         return []
     if any(r is None for r in roles):
         return ["role tags must be all present or all absent"]
-    parsed = []
-    for r in roles:
-        try:
-            parsed.append(parse_role(r))
-        except ValueError as e:
-            return [str(e)]
+    try:
+        parsed = [parse_role(r) for r in roles]
+    except ValueError as e:
+        return [str(e)]
     kinds = [k for k, _ in parsed]
     order = {"newOut": 0, "core": 1, "newIn": 2}
     if [order[k] for k in kinds] != sorted(order[k] for k in kinds):
@@ -442,30 +442,19 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
 
 
 def normalized_roles(h: HeegaardDiagram):
-    """Split the beta circles of a normalized diagram by role.
-
-    Returns (out beta ids indexed by arc j, core beta ids, in beta ids
-    indexed by arc i); raises when the tags are absent or incomplete.
-    """
-    outs: dict = {}
-    cores = []
-    ins: dict = {}
-    for bid, role in h.beta_circles:
-        if role is None:
-            raise ValueError("diagram lacks role tags: not a normalize output")
-        kind, idx = parse_role(role)
-        if kind == "core":
-            cores.append(bid)
-        elif kind == "newOut":
-            outs[idx] = bid
-        else:
-            ins[idx] = bid
-    if sorted(outs) != list(range(1, h.n1 + 1)):
+    """The beta rows of a normalized diagram by role, as ranges: newOut
+    (out-arc j at row j - 1), core, newIn (in-arc i at row b - n0 + i - 1).
+    validate pins the tags to that order; raises when they are absent or
+    their newOut and newIn counts are not n1 and n0."""
+    roles = [r for _, r in h.beta_circles]
+    if None in roles:
+        raise ValueError("diagram lacks role tags: not a normalize output")
+    if sum(r.startswith("newOut") for r in roles) != h.n1:
         raise ValueError("newOut roles do not cover the outgoing arcs")
-    if sorted(ins) != list(range(1, h.n0 + 1)):
+    if sum(r.startswith("newIn") for r in roles) != h.n0:
         raise ValueError("newIn roles do not cover the incoming arcs")
-    return ([outs[j] for j in range(1, h.n1 + 1)], cores,
-            [ins[i] for i in range(1, h.n0 + 1)])
+    core_end = h.b - h.n0
+    return range(h.n1), range(h.n1, core_end), range(core_end, h.b)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,8 @@ def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
     each j outside J (new circle hits B^out_j once, sign -1) and the
     incoming side at each i in I (new circle hits B^in_i once, sign +1),
     then delete all arcs and their points."""
-    out_betas, _, in_betas = normalized_roles(h_norm)
+    out_rows, _, in_rows = normalized_roles(h_norm)
+    ids = h_norm.beta_ids()
     n1, n0 = h_norm.n1, h_norm.n0
     I = sorted({int(i) for i in I})
     J = sorted({int(j) for j in J})
@@ -501,13 +491,13 @@ def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
         raise ValueError("J must index outgoing arcs")
     jc = [j for j in range(1, n1 + 1) if j not in set(J)]
     one = h_norm.group.identity()
-    used = set(h_norm.alpha_order()) | set(h_norm.beta_ids())
+    used = set(h_norm.alpha_order()) | set(ids)
     cap_out = [(_fresh(f"capOut{j}", used), j) for j in jc]
     cap_in = [(_fresh(f"capIn{i}", used), i) for i in I]
     arc_ids = {i for i, _ in h_norm.alpha_out} | {i for i, _ in h_norm.alpha_in}
     points = [p for p in h_norm.points if p.alpha not in arc_ids]
-    points += [Point(cid, out_betas[j - 1], -1, one) for cid, j in cap_out]
-    points += [Point(cid, in_betas[i - 1], 1, one) for cid, i in cap_in]
+    points += [Point(cid, ids[out_rows[j - 1]], -1, one) for cid, j in cap_out]
+    points += [Point(cid, ids[in_rows[i - 1]], 1, one) for cid, i in cap_in]
     circles = ([cid for cid, _ in cap_out] + list(h_norm.alpha_circles)
                + [cid for cid, _ in cap_in])
     return make_diagram(h_norm.group, None, None, [], circles, [],
@@ -518,7 +508,7 @@ def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
 # reweighting
 
 
-def reweight(h: HeegaardDiagram, curve_id: str, w: HWeight) -> HeegaardDiagram:
+def reweight(h: HeegaardDiagram, curve_id: str, w: tuple) -> HeegaardDiagram:
     """Multiply the weight of every point on the named curve: by w on an
     alpha curve, by w^{-1} on a beta circle."""
     if curve_id in set(h.alpha_order()):
@@ -543,7 +533,7 @@ def diagram_signature(h: HeegaardDiagram):
     """Canonical form with ids replaced by positions; role tags ignored."""
     apos = {aid: ("a", i) for i, aid in enumerate(h.alpha_order())}
     bpos = {bid: ("b", i) for i, bid in enumerate(h.beta_ids())}
-    points = sorted((apos[p.alpha], bpos[p.beta], p.sign, p.weight.monomial())
+    points = sorted((apos[p.alpha], bpos[p.beta], p.sign, p.weight)
                     for p in h.points)
     return (
         (h.group.free_rank, h.group.torsion_order),
@@ -577,6 +567,14 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_str(x, what: str) -> str:
+    """x itself when it is a JSON string; numbers, lists and objects are
+    refused, not turned into text."""
+    if type(x) is not str:
+        raise ValueError(f"{what} {x!r} is not a string")
+    return x
+
+
 def _arcs_to_json(z: ArcDiagram):
     if z.is_empty():
         return None
@@ -603,7 +601,6 @@ def _arcs_from_json(obj, where: str) -> ArcDiagram:
 
 
 def to_json_dict(h: HeegaardDiagram) -> dict:
-    ring = GroupRing(h.group.free_rank, h.group.torsion_order)
     betas = []
     for bid, role in h.beta_circles:
         entry = {"id": bid}
@@ -613,8 +610,8 @@ def to_json_dict(h: HeegaardDiagram) -> dict:
     points = []
     for p in h.points:
         entry = {"alpha": p.alpha, "beta": p.beta, "sign": p.sign}
-        if not p.weight.is_identity():
-            entry["weight"] = ring.mono_str(p.weight.monomial())
+        if any(p.weight):
+            entry["weight"] = h.group.weight_str(p.weight)
         points.append(entry)
     return {
         "group": {"free_rank": h.group.free_rank,
@@ -651,12 +648,16 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
             _check_keys(e, ("id", "orient"), where)
             if "id" not in e:
                 raise ValueError(f"missing id in {where}")
-            out.append((str(e["id"]), e.get("orient", default_orient)))
+            out.append((_json_str(e["id"], f"{where} id"),
+                        e.get("orient", default_orient)))
         return out
 
     alpha_out = arc_list(aobj.get("out", []), "same", "alpha.out[]")
     alpha_in = arc_list(aobj.get("in", []), "opposite", "alpha.in[]")
-    circles = [str(c) for c in aobj.get("circles", [])]
+    circles = aobj.get("circles", [])
+    if not isinstance(circles, list):
+        raise ValueError("alpha.circles must be a list")
+    circles = [_json_str(c, "alpha circle id") for c in circles]
     bobj = obj.get("beta", {})
     _check_keys(bobj, ("circles",), "beta")
     betas = []
@@ -664,7 +665,7 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
         _check_keys(e, ("id", "role"), "beta.circles[]")
         if "id" not in e:
             raise ValueError("missing id in beta.circles[]")
-        betas.append((str(e["id"]), e.get("role")))
+        betas.append((_json_str(e["id"], "beta.circles[] id"), e.get("role")))
     points = []
     for e in obj.get("points", []):
         _check_keys(e, ("alpha", "beta", "sign", "weight"), "points[]")
@@ -673,7 +674,8 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
                 raise ValueError(f"missing {key} in points[]")
         sign = _json_int(e["sign"], "point sign")
         w = parse_weight(group, e.get("weight", "1"))
-        points.append(Point(str(e["alpha"]), str(e["beta"]), sign, w))
+        points.append(Point(_json_str(e["alpha"], "point alpha"),
+                            _json_str(e["beta"], "point beta"), sign, w))
     return make_diagram(group, zl, zr, alpha_out, circles, alpha_in,
                         betas, points)
 

@@ -10,9 +10,10 @@ the block structure is positional, not nested.
 Sign conventions follow the super rule throughout: moving a degree-p
 symbol past a degree-q symbol costs (-1)^{pq}.
 
-Keys are canonical on construction: a GradedMap accepts only strictly
-increasing int subsets of indices >= 1 and never re-keys or re-adds its
-entries, so an engine-built map costs one pass.  Lookups are canonicalized.
+Keys are canonical on construction: an ExtElement or a GradedMap accepts
+only strictly increasing int subsets of indices >= 1 and never re-keys or
+re-adds its terms, so an engine-built map costs one pass.  Lookups are
+canonicalized.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ class ExtElement:
     terms: dict
 
     def __post_init__(self) -> None:
-        clean: dict = {}
+        is_zero, clean = self.ring.is_zero, {}
         for S, c in self.terms.items():
-            key = subset_key(S)
-            if len(key) != len(tuple(S)):
-                raise ValueError(f"repeated index in {S!r}")
-            if key and not (1 <= key[0] and key[-1] <= self.rank):
+            if _tuple_key(S) != S:
+                raise ValueError(f"term {S!r} is not canonical")
+            if S and not (1 <= S[0] and S[-1] <= self.rank):
                 raise ValueError(f"index out of range in {S!r}")
-            accumulate(self.ring, clean, key, c)
+            if not is_zero(c):
+                clean[S] = c
         self.terms = clean
 
     def is_zero(self) -> bool:

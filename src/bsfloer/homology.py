@@ -68,10 +68,9 @@ def _core_analysis(h_norm: HeegaardDiagram):
     r + rank(readings), and M is injective when that is the column count.
     Without star3 injective reads False; no caller reads it then.
     """
-    inc = incidence(h_norm, roles=True)
-    outs, cores, ins = inc.roles
-    M = presentation_matrix(h_norm, "z", inc).entries
-    cols = len(inc.circles)
+    outs, cores, ins = normalized_roles(h_norm)
+    M = presentation_matrix(h_norm, "z").entries
+    cols = h_norm.a
     C = [M[r] for r in cores]
 
     if cores:
@@ -88,7 +87,7 @@ def _core_analysis(h_norm: HeegaardDiagram):
         for j in range(r, cols):
             readings.append(tuple(
                 -sum(M[row][t] * V[t][j] for t in range(cols))
-                for row in ins + outs))
+                for row in (*ins, *outs)))
     rank_ker = integer_rank([list(v) for v in readings]) if star3_ok else 0
     return {
         "core": C,

@@ -56,36 +56,33 @@ class GroupDescriptor:
                 f"torsion_order must be an integer from 1 to "
                 f"{MAX_TORSION_ORDER}, got {self.torsion_order!r}")
 
-    def identity(self) -> "HWeight":
-        return HWeight((0,) * self.free_rank, 0)
+    # A weight, a single element of H, is the monomial key every group ring
+    # over H uses: the tuple (e1, ..., er, s) with s in [0, torsion_order).
 
-    def make_weight(self, free=(), tors: int = 0) -> "HWeight":
+    def identity(self) -> tuple:
+        return (0,) * (self.free_rank + 1)
+
+    def make_weight(self, free=(), tors: int = 0) -> tuple:
         free = tuple(int(e) for e in free)
         if len(free) != self.free_rank:
             raise ValueError("free exponent vector has wrong length")
-        return HWeight(free, int(tors) % self.torsion_order)
+        return (*free, int(tors) % self.torsion_order)
 
-    def mul_weight(self, a: "HWeight", b: "HWeight") -> "HWeight":
-        return self.make_weight(
-            tuple(x + y for x, y in zip(a.free, b.free)), a.tors + b.tors
-        )
+    def mul_weight(self, g: tuple, h: tuple) -> tuple:
+        """Product of two canonical weights, without make_weight's checks."""
+        out = [a + b for a, b in zip(g, h)]
+        out[-1] %= self.torsion_order
+        return tuple(out)
 
-    def inv_weight(self, a: "HWeight") -> "HWeight":
-        return self.make_weight(tuple(-x for x in a.free), -a.tors)
+    def inv_weight(self, g: tuple) -> tuple:
+        return self.make_weight(tuple(-a for a in g[:-1]), -g[-1])
 
-
-@dataclass(frozen=True)
-class HWeight:
-    """A single group element of H, written multiplicatively in the rings."""
-
-    free: tuple
-    tors: int = 0
-
-    def monomial(self) -> tuple:
-        return (*self.free, self.tors)
-
-    def is_identity(self) -> bool:
-        return self.tors == 0 and all(e == 0 for e in self.free)
+    def weight_str(self, g: tuple) -> str:
+        parts = [f"t{i}" if e == 1 else f"t{i}^{e}"
+                 for i, e in enumerate(g[:-1], 1) if e != 0]
+        if g[-1] != 0:
+            parts.append("s" if g[-1] == 1 else f"s^{g[-1]}")
+        return "*".join(parts) if parts else "1"
 
 
 def divisors(m: int) -> list:
@@ -404,40 +401,24 @@ def cyclo_field(d: int) -> CycloField:
 class GroupRing(Ring):
     """coeff_ring[t1^{\\pm1},...,tr^{\\pm1}] x (Z/m generated by s).
 
-    Elements are dicts mapping monomials (e1,...,er,s) to nonzero coefficients,
-    with s reduced into [0, m).  m = 1 gives honest Laurent polynomials; with
+    Elements are dicts mapping monomials, the weights (e1,...,er,s) of
+    GroupDescriptor, to nonzero coefficients.  m = 1 gives honest Laurent polynomials; with
     integer coefficients this is Z[G] or Z[H], with cyclotomic coefficients it
     is a character component F[G].
     """
 
     def __init__(self, free_rank: int, torsion_order: int = 1, coeff_ring: Ring = ZZ):
+        self.group = GroupDescriptor(free_rank, torsion_order)
         self.free_rank = free_rank
         self.torsion_order = torsion_order
         self.coeff = coeff_ring
         self.name = f"GroupRing(r={free_rank},m={torsion_order},{coeff_ring.name})"
 
-    # -- monomials
-
-    def mono(self, free=(), tors: int = 0) -> tuple:
-        free = tuple(int(e) for e in free)
-        if len(free) != self.free_rank:
-            raise ValueError("monomial has wrong free rank")
-        return (*free, int(tors) % self.torsion_order)
-
-    def mono_mul(self, g: tuple, h: tuple) -> tuple:
-        """Product of two canonical monomials, without mono's checks."""
-        out = [a + b for a, b in zip(g, h)]
-        out[-1] %= self.torsion_order
-        return tuple(out)
-
-    def mono_inv(self, g: tuple) -> tuple:
-        return self.mono(tuple(-a for a in g[:-1]), -g[-1])
-
     def monomial(self, g: tuple, c=None):
         c = self.coeff.one() if c is None else c
         if self.coeff.is_zero(c):
             return {}
-        return {self.mono(g[:-1], g[-1]): c}
+        return {self.group.make_weight(g[:-1], g[-1]): c}
 
     # -- ring ops
 
@@ -448,7 +429,7 @@ class GroupRing(Ring):
         c = self.coeff.from_int(n)
         if self.coeff.is_zero(c):
             return {}
-        return {self.mono((0,) * self.free_rank, 0): c}
+        return {self.group.identity(): c}
 
     def _shape_check(self, a, b) -> None:
         """Reject an element of another group ring by the key length of
@@ -474,9 +455,10 @@ class GroupRing(Ring):
     def mul(self, a, b):
         self._shape_check(a, b)
         out: dict = {}
+        mul_weight = self.group.mul_weight
         for g, c in a.items():
             for h, d in b.items():
-                accumulate(self.coeff, out, self.mono_mul(g, h),
+                accumulate(self.coeff, out, mul_weight(g, h),
                            self.coeff.mul(c, d))
         return out
 
@@ -490,22 +472,9 @@ class GroupRing(Ring):
 
     # -- printing and parsing
 
-    def _var_names(self):
-        return [f"t{i+1}" for i in range(self.free_rank)]
-
-    def mono_str(self, g: tuple) -> str:
-        parts = []
-        for name, e in zip(self._var_names(), g[:-1]):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else f"{name}^{e}")
-        if g[-1] != 0:
-            parts.append("s" if g[-1] == 1 else f"s^{g[-1]}")
-        return "*".join(parts) if parts else "1"
-
     def to_str(self, a) -> str:
         return join_terms(
-            signed_term(self.coeff.to_str(a[g]), self.mono_str(g))
+            signed_term(self.coeff.to_str(a[g]), self.group.weight_str(g))
             for g in sorted(a))
 
     def unit_part(self, a):
@@ -518,7 +487,7 @@ class GroupRing(Ring):
         if len(u) != 1:
             raise ArithmeticError("not a monomial unit")
         (g, c), = u.items()
-        return {self.mono_inv(g): self.coeff.unit_inv(c)}
+        return {self.group.inv_weight(g): self.coeff.unit_inv(c)}
 
 
 def augmentation(a) -> int:
@@ -583,20 +552,20 @@ def parse_element(ring: GroupRing, text: str):
                 free[idx] += exp
             else:
                 raise ValueError(f"unknown variable {name!r}")
-        out = ring.add(out, {ring.mono(free, tors): ring.coeff.from_int(sg * coeff)})
+        out = ring.add(out, {ring.group.make_weight(free, tors):
+                             ring.coeff.from_int(sg * coeff)})
     return out
 
 
-def parse_weight(group: GroupDescriptor, text: str) -> HWeight:
+def parse_weight(group: GroupDescriptor, text: str) -> tuple:
     """A weight is a single monomial with coefficient +1 (default "1")."""
-    ring = GroupRing(group.free_rank, group.torsion_order)
-    elem = parse_element(ring, text)
+    elem = parse_element(GroupRing(group.free_rank, group.torsion_order), text)
     if len(elem) != 1:
         raise ValueError(f"weight must be a single monomial: {text!r}")
     (g, c), = elem.items()
     if c != 1:
         raise ValueError(f"weight must have coefficient 1: {text!r}")
-    return group.make_weight(g[:-1], g[-1])
+    return g
 
 
 # ---------------------------------------------------------------------------

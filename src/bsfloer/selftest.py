@@ -397,10 +397,7 @@ def criterion_12(seed):
         if f.is_zero():
             return False, f"{name} unexpectedly vanishes"
         w = hn.group.make_weight(free, tors)
-        u = ring.monomial(w.monomial())
-        winv = hn.group.make_weight(
-            tuple(-x for x in free), (-tors) % max(hn.group.torsion_order, 1))
-        uinv = ring.monomial(winv.monomial())
+        u, uinv = ring.monomial(w), ring.monomial(hn.group.inv_weight(w))
         for cid in hn.alpha_circles:
             got = bsda_zh(reweight(hn, cid, w))
             if not X.map_eq(got, X.map_scale(u, f)):
@@ -413,9 +410,7 @@ def criterion_12(seed):
     ring = weight_ring(hn)
     f = bsda_zh(hn)
     w = hn.group.make_weight((1,), 0)
-    winv = hn.group.make_weight((-1,), 0)
-    u = ring.monomial(w.monomial())
-    uinv = ring.monomial(winv.monomial())
+    u, uinv = ring.monomial(w), ring.monomial(hn.group.inv_weight(w))
     cases = [
         ("interior circle", bsda_zh(reweight(hn, "A", w)), X.map_scale(u, f)),
         ("interior beta", bsda_zh(reweight(hn, "b1", w)), X.map_scale(uinv, f)),

@@ -343,7 +343,7 @@ class TestStateSumFunctor:
                          [("aOut1", "same")], ["C1"], [("aIn1", "opposite")],
                          [("b1", None), ("b2", None)], pts)
         hn = normalize(h)
-        inc = incidence(hn, weighted=True, roles=True)
+        inc = incidence(hn, weighted=True)
         b1 = hn.beta_ids().index("b1")
         c1 = hn.n1 + hn.alpha_circles.index("C1")
         assert (inc.rows[b1][c1] == {}) == (free[0] == free[1])

@@ -450,7 +450,7 @@ class TestWeighted:
         t = h.group.make_weight((1,), 0)
         f = bsda_zh(h)
         f2 = bsda_zh(reweight(h, "aC", t))
-        assert X.map_eq(f2, X.map_scale(ring.monomial(t.monomial()), f))
+        assert X.map_eq(f2, X.map_scale(ring.monomial(t), f))
         assert X.map_eq(bsda_z(h), bsda_z(reweight(h, "aC", t)))
 
     def test_torsion_weights(self):
@@ -579,13 +579,13 @@ def enumeration_oracle(h):
         s = (-1) ** g.total
         z[key] = z.get(key, 0) + s
         zh[key] = ring.add(zh.get(key, ring.zero()),
-                           ring.monomial(w.monomial(), s))
+                           ring.monomial(w, s))
         dkey = g.obar_r + tuple(h.n0 + j for j in g.obar_l)
         dd[dkey] = dd.get(dkey, 0) + (-1) ** (gr_da(hdd, x).total
                                               + len(g.obar_r))
         s = (-1) ** (g.intersection_parity + g.inv_sigma_x)
         sum_z += s
-        sum_h = ring.add(sum_h, ring.monomial(w.monomial(), s))
+        sum_h = ring.add(sum_h, ring.monomial(w, s))
     return (X.GradedMap(ZZ, h.n0, h.n1, h.degree, z),
             X.GradedMap(ring, h.n0, h.n1, h.degree, zh),
             X.ExtElement(ZZ, h.n0 + h.n1, dd), sum_z, sum_h, len(gens))
@@ -648,8 +648,8 @@ class TestStateSumEngine:
                     == _state_sums(incidence(flip(h))).keys())
             # and the functor's state sum on the normalized diagram
             hn = normalize(h)
-            assert (functor_sums(incidence(hn, roles=True)).keys()
-                    == functor_sums(incidence(flip(hn), roles=True)).keys())
+            assert (functor_sums(hn, incidence(hn)).keys()
+                    == functor_sums(hn, incidence(flip(hn))).keys())
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_normalized_identity_work_is_output_sized(self, k):

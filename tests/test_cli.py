@@ -128,6 +128,38 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("invalid JSON" if points is None else "point count") in err
 
+    @pytest.mark.parametrize("edit", [
+        {"circles": "AB"},
+        {"circles": [{"x": 1}]},
+        {"alpha id": 5},
+        {"beta id": {"x": 1}},
+        {"point beta": 1},
+    ], ids=["circles-text", "circle-object", "alpha-id-number",
+            "beta-id-object", "point-beta-number"])
+    def test_curve_ids_must_be_strings(self, capsys, tmp_path, fxdir, edit):
+        """Curve ids are JSON strings and alpha.circles a list; each edit
+        keeps every reference consistent once ids are turned into text."""
+        doc = json.loads((fxdir / "identity_n1.json").read_text())
+        if "circles" in edit:
+            doc["alpha"]["circles"] = edit["circles"]
+        if "alpha id" in edit:
+            doc["alpha"]["out"][0]["id"] = doc["points"][0]["alpha"] = 5
+        if "beta id" in edit:
+            doc["beta"]["circles"][0]["id"] = {"x": 1}
+            for pt in doc["points"]:
+                pt["beta"] = "{'x': 1}"
+        if "point beta" in edit:
+            doc["beta"]["circles"][0]["id"] = "1"
+            for pt in doc["points"]:
+                pt["beta"] = 1
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not a string" in err or "must be a list" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
         assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsfloer import diagram as D
 from bsfloer.fixtures import fixture_library
-from bsfloer.rings import GroupDescriptor, HWeight
+from bsfloer.rings import GroupDescriptor
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
 Z1 = D.interval_arcs(1)
@@ -97,9 +97,18 @@ class TestValidation:
         bad = D.HeegaardDiagram(
             g, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in, h.beta_circles,
-            (D.Point("aOut1", "b1", -1, HWeight((1, 2), 0)),
-             h.points[1]))
+            (D.Point("aOut1", "b1", -1, (1, 2, 0)), h.points[1]))
         assert any("free rank" in v for v in D.validate(bad))
+
+    def test_torsion_exponent_range_checked(self):
+        g = GroupDescriptor(1, 2)
+        h = D.identity_diagram(Z1, g)
+        bad = D.HeegaardDiagram(
+            g, h.boundary_left, h.boundary_right, h.alpha_out,
+            h.alpha_circles, h.alpha_in, h.beta_circles,
+            (D.Point("aOut1", "b1", -1, (0, 2)), h.points[1]))
+        assert D.validate(bad) == [
+            "point weight torsion exponent out of range"]
 
 
 class TestBuilders:
@@ -204,7 +213,8 @@ class TestNormalize:
         assert (h.b, h.a, h.n0, h.n1) == (3, 2, 1, 1)
         assert D.validate(h) == []
         outs, cores, ins = D.normalized_roles(h)
-        assert len(outs) == 1 and len(ins) == 1 and cores == ["b1"]
+        assert (outs, cores, ins) == (range(1), range(1, 2), range(2, 3))
+        assert h.beta_ids()[cores[0]] == "b1"
 
     def test_ordinary_fixed_point(self):
         # no arcs: nothing to do
@@ -229,7 +239,8 @@ class TestNormalize:
         h = D.normalize(D.identity_diagram(Z1))
         outs, _, ins = D.normalized_roles(h)
         # out beta: +1 on the promoted circle, -1 on the fresh arc
-        out_signs = sorted((p.alpha, p.sign) for p in h.points_on_beta(outs[0]))
+        out_beta = h.beta_ids()[outs[0]]
+        out_signs = sorted((p.alpha, p.sign) for p in h.points_on_beta(out_beta))
         assert set(s for _, s in out_signs) == {1, -1}
         fresh_out = h.alpha_out[0][0]
         assert [p.sign for p in h.points_on_alpha(fresh_out)] == [-1]
@@ -240,7 +251,7 @@ class TestNormalize:
         base = D.identity_diagram(Z2)
         h = D.normalize(base)
         _, cores, _ = D.normalized_roles(h)
-        assert cores == list(base.beta_ids())
+        assert [h.beta_ids()[r] for r in cores] == list(base.beta_ids())
 
 
 FIXTURES = fixture_library()
@@ -260,19 +271,35 @@ def normalize_inputs(draw):
     return random_diagram(rng, group=group)
 
 
+def tagged_rows(hn):
+    """The beta rows tagged newOut(1..n1), core and newIn(1..n0), in that
+    order, read off the tags one by one."""
+    parsed = [D.parse_role(r) for _, r in hn.beta_circles]
+    return ([parsed.index(("newOut", j)) for j in range(1, hn.n1 + 1)],
+            [r for r, (kind, _) in enumerate(parsed) if kind == "core"],
+            [parsed.index(("newIn", i)) for i in range(1, hn.n0 + 1)])
+
+
 class TestNormalizeIsValid:
-    """normalize builds its result without validating it."""
+    """normalize builds its result without validating it; its role tags
+    are the row ranges normalized_roles returns."""
 
     @given(normalize_inputs())
     def test_drawn_diagrams(self, h):
         hn = D.normalize(h)
         assert D.validate(hn) == []
         assert D.validate(D.normalize(hn)) == []
+        assert tuple(map(list, D.normalized_roles(hn))) == tagged_rows(hn)
 
     def test_every_fixture(self):
         assert len(FIXTURES) == 26
         for name, (h, _) in FIXTURES.items():
-            assert D.validate(D.normalize(h)) == [], name
+            hn = D.normalize(h)
+            assert D.validate(hn) == [], name
+            loaded = D.loads(D.dumps(hn))
+            assert loaded == hn, name
+            assert (tuple(map(list, D.normalized_roles(loaded)))
+                    == tagged_rows(loaded)), name
 
 
 class TestReinterpret:
@@ -313,8 +340,10 @@ class TestCap:
         hn = D.normalize(D.identity_diagram(Z1))
         capped = D.cap(hn, [1], [])     # J^c = {1}: one out cap, one in cap
         outs, _, ins = D.normalized_roles(hn)
+        ids = hn.beta_ids()
         new = [p for p in capped.points if p.alpha.startswith("cap")]
-        assert {(p.beta, p.sign) for p in new} == {(outs[0], -1), (ins[0], 1)}
+        assert ({(p.beta, p.sign) for p in new}
+                == {(ids[outs[0]], -1), (ids[ins[0]], 1)})
 
     def test_arc_points_deleted(self):
         hn = D.normalize(D.identity_diagram(Z1))
@@ -421,7 +450,7 @@ class TestJson:
 # them all
 FUZZ_DOC = D.to_json_dict(D.normalize(D.reweight(
     D.identity_diagram(Z1, GroupDescriptor(1, 2)), "aOut1",
-    HWeight((1,), 1))))
+    (1, 1))))
 FUZZ_PATHS = [
     (), ("group",), ("group", "free_rank"), ("group", "torsion_order"),
     ("comment",), ("alpha",), ("alpha", "out"), ("alpha", "out", 0),

@@ -167,8 +167,10 @@ class TestWedge:
         assert X.wedge_list(R.ZZ, 3, []).terms == {(): 1}
 
     def test_element_cleanup(self):
-        e = X.ExtElement(R.ZZ, 3, {(2, 1): 1, (1, 2): 1, (3,): 0})
+        e = X.ExtElement(R.ZZ, 3, {(1, 2): 2, (3,): 0})
         assert e.terms == {(1, 2): 2}
+        with pytest.raises(ValueError):
+            X.ExtElement(R.ZZ, 3, {(2, 1): 1})
         with pytest.raises(ValueError):
             X.ExtElement(R.ZZ, 2, {(1, 1): 1})
         with pytest.raises(ValueError):
