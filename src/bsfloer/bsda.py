@@ -13,6 +13,14 @@ the product of the point weights.  Those sums come from one state-sum
 engine on the diagram's incidence, without listing generators;
 enumerate_generators and gr_da list and grade them one by one, for the
 generators verb and as the reference the engine is tested against.
+
+A closed diagram (no arcs) over Z has one entry, ((), ()): the determinant
+of its beta x alpha-circle incidence when that is square, since a
+generator is then a permutation with its sign, and no generator (the zero
+map) otherwise.  _matrix takes that determinant by integer elimination
+(rings.integer_det), which is polynomial where the state sum is
+exponential in the number of circles.  Weighted and bordered diagrams,
+generator counts and any other coefficient ring keep the state sum.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import lru_cache
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, reinterpret_one_sided
-from .rings import ZZ, GroupRing, augmentation, state_sums
+from .rings import ZZ, GroupRing, augmentation, integer_det, state_sums
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,13 @@ def _state_sums(inc: Incidence, signed: bool = True) -> dict:
 
 
 def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
-    """Only the nonzero sums are decoded: the map would drop the rest."""
+    """Only the nonzero sums are decoded: the map would drop the rest.  A
+    closed diagram whose incidence is over ZZ itself takes no state sum:
+    its one entry is integer_det of the rows when a == b, and there is no
+    generator otherwise."""
+    if inc.ring is ZZ and not h.n0 and not h.n1:
+        d = integer_det(inc.rows) if h.a == h.b else 0
+        return X.GradedMap(ZZ, 0, 0, h.degree, {((), ()): d} if d else {})
     ring, decode, is_zero = inc.ring, _readout(h), inc.ring.is_zero
     entries = {}
     for mask, v in _state_sums(inc).items():

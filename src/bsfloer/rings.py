@@ -10,8 +10,9 @@ only read off (unit_part) and inverted (unit_inv) for the up-to-unit
 comparison.  Also: the one sparse accumulate step (add a term to a dict,
 drop the key when the sum is zero), one polynomial kernel over Z and Q,
 limits on H, Smith normal form over Z, exact determinants (one state sum
-over occupied column sets, for every ring and size), and the one "equal up
-to a unit" comparison.
+over occupied column sets, for every ring and size, under the MAX_STATES
+budget; over Z alone also fraction-free elimination, whose divisions are
+exact integer ones), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -756,6 +757,19 @@ def integer_kernel_is_zero(entries) -> bool:
 
 # Below this many rows state_sums never splits (see its docstring).
 SPLIT_MIN_ROWS = 6
+# The most live states a state sum may hold after one state's picks or in
+# a product of blocks; more raise ValueError.  A state is one dict entry,
+# so this bounds memory.  The tests, selftest, scripts/run_corpus.py and
+# the four benchmark workloads reach at most 1,280 live states (a
+# bordered chain); a dense 18 x 18 determinant reaches C(18, 9) = 48,620,
+# and a dense 24 x 24 incidence, which would reach C(24, 12), about
+# 2.7 x 10^6, is refused at its sixth row.
+MAX_STATES = 1 << 16
+
+
+def _over_budget(live: int, row: int, rows: int) -> ValueError:
+    return ValueError(f"state sum over the budget MAX_STATES = {MAX_STATES}: "
+                      f"{live} live states at row {row} of {rows}")
 
 
 def _odd_below(m: int) -> int:
@@ -789,7 +803,8 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     zero sums are kept, so the work depends only on which entries are
     present, not on their values.  There is no division, so any commutative
     ring works.  Returns {mask: value} over the masks reached after the
-    last row; no rows give {0: one}.
+    last row; no rows give {0: one}.  More than MAX_STATES live states
+    after one state's picks, or in a product of blocks, raise ValueError.
 
     Blocks.  The connected components of the row-column incidence (the
     blocks) pick their columns independently.  From SPLIT_MIN_ROWS rows on,
@@ -854,16 +869,20 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
         for _, rs in blocks:
             flip ^= (seen & _odd_below(rs)).bit_count() & 1
             seen |= rs
-        states = None
+        states, done = None, 0
         for cs, rs in blocks:
             part = state_sums(ring, [r for i, r in enumerate(rows)
                                      if rs >> i & 1], required & cs, signed)
             if not part:
                 return {}
+            done |= rs
             if states is None:
                 states = ({m: neg(v) for m, v in part.items()}
                           if signed and flip else part)
                 continue
+            if len(states) * len(part) > MAX_STATES:
+                raise _over_budget(len(states) * len(part),
+                                   done.bit_count(), len(rows))
             nxt = {}
             for mb, vb in part.items():
                 odd = _odd_below(mb) if signed else 0
@@ -888,6 +907,8 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
                 if signed and (mask >> (q + 1)).bit_count() & 1:
                     t = neg(t)
                 nxt[new] = add(nxt.get(new, zero), t)
+            if len(nxt) > MAX_STATES:
+                raise _over_budget(len(nxt), len(rows) - left, len(rows))
         if close:
             nxt = {m: v for m, v in nxt.items() if m & close == close}
         states = nxt
@@ -904,6 +925,129 @@ def det_exact(ring: Ring, entries):
             for r in entries]
     full = (1 << n) - 1
     return state_sums(ring, rows, full).get(full, ring.zero())
+
+
+# From this many rows on, integer_det eliminates each block on its own.
+# Below it, one elimination was faster in process on random sparse
+# matrices (n = 3..11, a third of them split); on shuffled block-diagonal
+# matrices the two broke even at n = 12 and splitting won from n = 24
+# (1.4x there, 7x at n = 192).
+BLOCK_MIN_ROWS = 16
+
+
+def _bareiss(A: list) -> int:
+    """Determinant of a dense square int matrix (a list of row lists,
+    overwritten), by fraction-free elimination (Bareiss, Math. Comp. 22
+    (1968)): step k makes every entry below row k a (k+1) x (k+1) minor by
+    (pivot * x - c * y) // previous pivot, which divides exactly, and swaps
+    in a row with a nonzero pivot when needed.  A row with zero in the
+    pivot column is only rescaled by pivot / previous pivot, so that
+    scaling is deferred until the row is next used: level[i] names the
+    step its values belong to, and the pivot product telescopes to
+    scale[k] / scale[level[i]].  A banded row then costs nothing until its
+    band is reached.  The last pivot is the determinant."""
+    n = len(A)
+    sign, scale, level = 1, [1], [0] * n
+    for k in range(n):
+        if not A[k][k]:
+            p = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if p is None:
+                return 0
+            A[k], A[p] = A[p], A[k]
+            level[k], level[p] = level[p], level[k]
+            sign = -sign
+        prev, top = scale[k], A[k]
+        if level[k] != k:
+            t = scale[level[k]]
+            top[k:] = [x * prev // t for x in top[k:]]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = A[i]
+            if not row[k]:
+                continue
+            if level[i] != k:
+                t = scale[level[i]]
+                row[k:] = [x * prev // t for x in row[k:]]
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - c * top[j]) // prev
+            level[i] = k + 1
+        scale.append(pivot)
+    return sign * scale[-1]
+
+
+def _dense(rows, cols) -> list:
+    """The sparse rows as dense lists over cols, in that order."""
+    at = {q: k for k, q in enumerate(cols)}
+    out = []
+    for row in rows:
+        dense = [0] * len(at)
+        for q, c in row.items():
+            dense[at[q]] = c
+        out.append(dense)
+    return out
+
+
+def _odd(perm) -> int:
+    """The parity of a permutation of range(len(perm)): its length minus
+    its number of cycles."""
+    seen = [False] * len(perm)
+    odd = len(perm)
+    for i in range(len(perm)):
+        if not seen[i]:
+            odd += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return odd & 1
+
+
+def integer_det(rows) -> int:
+    """Exact determinant of a square integer matrix held as n sparse rows
+    {column: int} with columns in range(n), by fraction-free elimination.
+    det_exact gives the same value by a state sum over any ring; this is
+    the fast path for Z.
+
+    From BLOCK_MIN_ROWS rows on, unless one row meets every column, the
+    rows are split into the blocks of their row-column incidence (union
+    find over columns).  A block with more rows than columns, an empty
+    row or a column no row meets gives 0.  Otherwise the matrix is block
+    diagonal after taking the blocks' rows and columns one block after
+    another, so the determinant is the product of the blocks' eliminations
+    times the signs of those two reorderings.  Blocks keep the entries of
+    one block from growing with the pivots of the others."""
+    n = len(rows)
+    if n < BLOCK_MIN_ROWS or any(len(r) == n for r in rows):
+        return _bareiss(_dense(rows, range(n)))
+    root = list(range(n))
+
+    def find(q):
+        while root[q] != q:
+            root[q] = q = root[root[q]]
+        return q
+
+    for row in rows:
+        if not row:
+            return 0
+        first, *rest = map(find, row)
+        for q in rest:
+            root[q] = first
+    blocks: dict = {}
+    for i, row in enumerate(rows):
+        blocks.setdefault(find(next(iter(row))), ([], []))[0].append(i)
+    for q in range(n):
+        blocks.setdefault(find(q), ([], []))[1].append(q)
+    det, row_order, col_order = 1, [], []
+    for rs, cs in blocks.values():
+        if len(rs) != len(cs):
+            return 0
+        det *= _bareiss(_dense([rows[i] for i in rs], cs))
+        if not det:
+            return 0
+        row_order += rs
+        col_order += cs
+    return -det if _odd(row_order) ^ _odd(col_order) else det
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import random
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +56,7 @@ from bsfloer.rings import (
     GroupDescriptor,
     GroupRing,
     IntegerRing,
+    det_exact,
     parse_element,
 )
 
@@ -669,3 +671,135 @@ class TestStateSumEngine:
         assert ring.muls <= 4 * k * 2 ** k
         ok, unit = X.eq_up_to_global_unit(bsda_z(h), X.identity_map(ZZ, k))
         assert ok and unit in (1, -1)
+
+
+def closed_diagram(rng, b, a, crossings=(0, 1, 1, 2)):
+    """A closed diagram with b beta and a alpha circles: each pair crosses a
+    drawn number of times with drawn signs, so that two opposite crossings
+    cancel to a kept 0 and a pair with none leaves a gap (at times a whole
+    empty row or column)."""
+    g = GroupDescriptor(0)
+    one = g.identity()
+    pts = [Point(f"A{i}", f"B{j}", rng.choice((-1, 1)), one)
+           for j in range(b) for i in range(a)
+           for _ in range(rng.choice(crossings))]
+    return make_diagram(g, None, None, [], [f"A{i}" for i in range(a)], [],
+                        [(f"B{j}", None) for j in range(b)], pts)
+
+
+def shuffled(rng, h):
+    """h with its alpha circles and its beta circles in drawn orders."""
+    return replace(h, alpha_circles=tuple(rng.sample(h.alpha_circles, h.a)),
+                   beta_circles=tuple(rng.sample(h.beta_circles, h.b)))
+
+
+def incidence_det(h):
+    """The state-sum determinant of h's square incidence."""
+    rows = incidence(h).rows
+    return det_exact(ZZ, [[r.get(q, 0) for q in range(h.a)] for r in rows])
+
+
+class TestClosedElimination:
+    """Closed diagrams over Z take integer elimination: against generator
+    enumeration, and past its reach against the state sum."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_square_matches_enumeration(self, n):
+        rng = random.Random(100 + n)
+        sparse = (0, 0, 0, 1, 2) if n > 5 else (0, 1, 1, 2)
+        checked = cancelled = 0
+        for _ in range(30):
+            h = closed_diagram(rng, n, n, sparse)
+            if generator_count(h) > 2000:  # keeps enumeration cheap
+                continue
+            z, _, dd, *_ = enumeration_oracle(h)
+            assert X.map_eq(bsda_z(h), z)
+            assert bsdd_element(h) == dd
+            checked += 1
+            cancelled += any(0 in r.values() for r in incidence(h).rows)
+        assert checked >= 10 and (n == 0 or cancelled)
+
+    def test_special_shapes(self):
+        cases = [
+            [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # zero leading pivot
+            [[0, 0], [1, 2]],  # empty row
+            [[0, 1], [0, 2]],  # empty column
+            [[1, 1], [1, 1]],  # singular
+            [[2]],
+        ]
+        for rows in cases:
+            want = brute_det(rows)
+            f = bsda_z(ordinary_from_matrix(rows))
+            assert f.entries == ({((), ()): want} if want else {})
+            z = enumeration_oracle(ordinary_from_matrix(rows))[0]
+            assert X.map_eq(f, z)
+        # a cancelling pair: the kept coefficient is 0
+        zero = bsda_z(fixture_library()["zero_matrix"][0])
+        assert zero.is_zero()
+        assert (zero.source_rank, zero.target_rank) == (0, 0)
+
+    @pytest.mark.parametrize("b, a", [(2, 1), (1, 2), (3, 2), (2, 4), (0, 1)])
+    def test_not_square_is_the_zero_map(self, b, a):
+        rng = random.Random(b * 10 + a)
+        h = closed_diagram(rng, b, a, (1, 2))
+        z, _, dd, *_ = enumeration_oracle(h)
+        assert bsda_z(h).is_zero() and z.is_zero()
+        assert bsda_z(h).degree == z.degree
+        assert bsdd_element(h) == dd
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_disjoint_unions(self, seed):
+        # a few pieces against enumeration, then enough pieces (16 rows or
+        # more) for the elimination to split into blocks, against the
+        # state sum and the product of the pieces' determinants up to sign;
+        # one singular piece makes the whole union vanish
+        rng = random.Random(seed)
+        small = [closed_diagram(rng, k, k, (1, 1, 2)) for k in (1, 2, 3)]
+        h = shuffled(rng, reduce(disjoint, small))
+        z, _, dd, *_ = enumeration_oracle(h)
+        assert X.map_eq(bsda_z(h), z)
+        assert bsdd_element(h) == dd
+
+        def invertible(k):
+            while True:
+                piece = closed_diagram(rng, k, k, (0, 1, 1, 2))
+                if incidence_det(piece):
+                    return piece
+
+        pieces = []
+        while sum(p.b for p in pieces) < 16:
+            pieces.append(invertible(rng.randint(1, 4)))
+        product = 1
+        for piece in pieces:
+            product *= incidence_det(piece)
+        for extra in ([], [fixture_library()["zero_matrix"][0]]):
+            h = shuffled(rng, reduce(disjoint, pieces + extra))
+            want = incidence_det(h)
+            assert want == 0 if extra else want in (product, -product)
+            assert bsda_z(h).entries == ({((), ()): want} if want else {})
+
+
+class TestClosedRouting:
+    """Which calls run the state sum: only its shape routes a diagram."""
+
+    def test_closed_z_skips_the_state_sum(self, monkeypatch):
+        h = ordinary_from_matrix([[2, -1, 0], [1, 1, -1], [0, 3, 1]])
+        bordered = identity_diagram(Z1)
+        want_z, want_dd = bsda_z(h), bsdd_element(h)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("state_sums called")
+
+        monkeypatch.setattr(B, "state_sums", refuse)
+        assert bsda_z(h) == want_z and want_z.entries == {((), ()): 9}
+        assert bsdd_element(h) == want_dd
+        still = [
+            lambda: bsda_zh(h),
+            lambda: bsda_z(bordered),
+            lambda: bsdd_element(bordered),
+            lambda: generator_count(h),
+            lambda: bsda_z(h, replace(incidence(h), ring=IntegerRing())),
+        ]
+        for call in still:
+            with pytest.raises(AssertionError, match="state_sums called"):
+                call()

@@ -5,15 +5,19 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bsfloer import cli
+from bsfloer import diagram as D
+from bsfloer import rings as R
 from bsfloer.cli import main
 from bsfloer.diagram import dumps, loads
 from bsfloer.fixtures import fixture_library, ordinary_from_matrix
@@ -385,6 +389,86 @@ class TestOutput:
         names = [line.split(":", 1)[0] for line in out.strip().splitlines()]
         assert names == sorted(names)
         assert len(names) == len(fixture_library())
+
+
+def rational_det(rows):
+    """Gaussian elimination over Q: an oracle independent of the integer
+    elimination and of the state sum."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            for j in range(k, len(a)):
+                row[j] -= f * a[k][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+class TestBudgets:
+    """A dense closed 24 x 24 diagram: its invariant is one elimination,
+    while every verb that needs a state sum over it stops at MAX_STATES
+    (C(24, 12), about 2.7 x 10^6 states, at the middle row)."""
+
+    @pytest.fixture(scope="class")
+    def dense24(self, tmp_path_factory):
+        rng = random.Random(24)
+        rows = [[rng.choice((-2, -1, 1, 2)) for _ in range(24)]
+                for _ in range(24)]
+        path = tmp_path_factory.mktemp("dense") / "dense24.json"
+        path.write_text(dumps(ordinary_from_matrix(rows)))
+        return rows, path
+
+    def test_bsda_is_the_determinant(self, capsys, dense24):
+        rows, path = dense24
+        det = rational_det(rows)
+        assert det != 0
+        code, out, err = run(capsys, ["bsda", str(path)])
+        assert (code, err) == (0, "")
+        assert out == f"ring: Z\ndegree: 0\nout{{}} <- in{{}}: {det}\n"
+
+    @pytest.mark.parametrize("argv", [["validate"], ["generators"],
+                                      ["alexander"], ["bsda", "--ring", "zh"]],
+                             ids=["validate", "generators", "alexander",
+                                  "bsda-zh"])
+    def test_state_sums_stop_at_the_budget(self, capsys, dense24, argv):
+        code, out, err = run(capsys, [argv[0], str(dense24[1]), *argv[1:]])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: state sum over the budget "
+                              f"MAX_STATES = {R.MAX_STATES}: ")
+        assert "live states at row" in err
+
+    @pytest.mark.parametrize("limit", ["MAX_CURVES", "MAX_POINTS"])
+    def test_document_size_limits(self, capsys, tmp_path, limit):
+        # at the limit a document loads; one more curve or point and it
+        # ends in one error line, before any curve or point is built
+        def doc(count):
+            if limit == "MAX_CURVES":
+                return {"alpha": {"circles": [f"A{i}" for i in range(count)]}}
+            point = {"alpha": "A1", "beta": "B1", "sign": 1}
+            return {"alpha": {"circles": ["A1"]},
+                    "beta": {"circles": [{"id": "B1"}]},
+                    "points": [point] * count}
+
+        n = getattr(D, limit)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc(n)))
+        code, _, err = run(capsys, ["bsda", str(path)])
+        assert (code, err) == (0, "")
+        path.write_text(json.dumps(doc(n + 1)))
+        code, out, err = run(capsys, ["bsda", str(path)])
+        assert (code, out) == (1, "")
+        what = "curves" if limit == "MAX_CURVES" else "points"
+        assert err.splitlines() == [
+            f"error: {path}: {n + 1} {what} exceed the limit {limit} = {n}"]
 
 
 class TestBrokenPipe:

@@ -30,6 +30,11 @@ def brute_det(ring, entries):
     return acc
 
 
+def sparse_rows(entries):
+    """An integer matrix as integer_det takes it: {column: entry} rows."""
+    return [{j: e for j, e in enumerate(r) if e} for r in entries]
+
+
 def normalize_every_pair(ring, pairs):
     """The earlier up-to-unit comparison, the oracle: split a and b of every
     pair into unit * canonical form, the canonical form being
@@ -637,7 +642,9 @@ class TestDeterminants:
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                     min_size=3, max_size=3))
     def test_det_exact_vs_brute_int(self, entries):
-        assert R.det_exact(R.ZZ, entries) == brute_det(R.ZZ, entries)
+        want = brute_det(R.ZZ, entries)
+        assert R.det_exact(R.ZZ, entries) == want
+        assert R.integer_det(sparse_rows(entries)) == want
 
     @given(st.lists(st.lists(gr_elements(1, 1, max_exp=1, max_terms=2,
                                          max_coeff=3),
@@ -672,7 +679,97 @@ class TestDeterminants:
         n = 7
         entries = [[((i + 1) * (j + 2)) % 5 - 2 + (3 if i == j else 0)
                     for j in range(n)] for i in range(n)]
-        assert R.det_exact(R.ZZ, entries) == brute_det(R.ZZ, entries)
+        want = brute_det(R.ZZ, entries)
+        assert R.det_exact(R.ZZ, entries) == want
+        assert R.integer_det(sparse_rows(entries)) == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_integer_det_blocks_vs_state_sum(self, monkeypatch, seed):
+        # shuffled block-diagonal matrices from BLOCK_MIN_ROWS rows on, so
+        # that integer_det splits them: blocks of 1 to 4 rows with zeros
+        # (a zero leading pivot needs a swap), at times a singular block,
+        # an empty row or an empty column; split and unsplit against the
+        # state sum
+        rng = random.Random(seed)
+        sizes = []
+        while sum(sizes) < R.BLOCK_MIN_ROWS + seed:
+            sizes.append(rng.randint(1, 4))
+        n = sum(sizes)
+        entries = [[0] * n for _ in range(n)]
+        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+        start = 0
+        for k in sizes:
+            for i in range(start, start + k):
+                for j in range(start, start + k):
+                    entries[rp[i]][cp[j]] = rng.choice((0, -2, -1, 1, 2))
+            start += k
+        if seed % 4 == 1:
+            entries[rng.randrange(n)] = [0] * n
+        if seed % 4 == 2:
+            q = rng.randrange(n)
+            for row in entries:
+                row[q] = 0
+        want = R.det_exact(R.ZZ, entries)
+        rows = sparse_rows(entries)
+        assert not any(len(r) == n for r in rows)
+        assert R.integer_det(rows) == want
+        monkeypatch.setattr(R, "BLOCK_MIN_ROWS", n + 1)
+        assert R.integer_det(rows) == want
+
+    @pytest.mark.parametrize("n", [2, 17, 40])
+    def test_integer_det_banded(self, n):
+        # one block that only a few rows touch at each step: the deferred
+        # row scaling against the state sum, which follows the band
+        rng = random.Random(n)
+        entries = [[rng.choice((-2, -1, 1, 2)) if abs(i - j) <= 1 else 0
+                    for j in range(n)] for i in range(n)]
+        entries[0][0] = 0  # the first step swaps rows
+        want = R.det_exact(R.ZZ, entries)
+        assert R.integer_det(sparse_rows(entries)) == want
+
+    def test_integer_det_swap_with_a_deferred_row(self):
+        # step 0 updates rows 1 and 2 but not row 3 (0 in column 0); step 1
+        # swaps row 3 in (column 1 is 0 in row 1), and each swapped row
+        # must keep the step its values belong to
+        entries = [[2, 0, -1, 0], [2, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 1, 0]]
+        assert R.integer_det(sparse_rows(entries)) == 2
+        assert brute_det(R.ZZ, entries) == 2
+
+    def test_integer_det_eliminates_blocks_apart(self, monkeypatch):
+        # from BLOCK_MIN_ROWS rows on one elimination per block, unless a
+        # row meets every column; below it one elimination
+        sizes = []
+        bareiss = R._bareiss
+
+        def counted(a):
+            sizes.append(len(a))
+            return bareiss(a)
+
+        monkeypatch.setattr(R, "_bareiss", counted)
+        rng = random.Random(4)
+        n = 3 * R.BLOCK_MIN_ROWS
+        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+        rows = [{} for _ in range(n)]
+        for b in range(0, n, 3):
+            for i in range(b, b + 3):
+                for j in range(b, b + 3):
+                    rows[rp[i]][cp[j]] = 1 + 3 * (i == j)
+        assert abs(R.integer_det(rows)) == 54 ** R.BLOCK_MIN_ROWS
+        assert sizes == [3] * R.BLOCK_MIN_ROWS
+        n = R.BLOCK_MIN_ROWS
+        diagonal = [{i: 2} for i in range(n)]
+        full = [{q: 1 for q in range(n)}] + diagonal[1:]
+        for rows, want in ((diagonal[:-1], [n - 1]), (full, [n]),
+                           (diagonal, [1] * n)):
+            sizes.clear()
+            R.integer_det(rows)
+            assert sizes == want
+
+    def test_integer_det_keeps_zero_entries(self):
+        # a cancelled crossing pair leaves an explicit 0 in the incidence
+        assert R.integer_det([{0: 0}]) == 0
+        assert R.integer_det([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
+        assert R.integer_det([]) == 1
 
     def test_large_laurent_clearing_path(self):
         Zt = R.GroupRing(1)
@@ -918,6 +1015,29 @@ class TestStateSums:
         ring = CountingZZ()
         assert R.det_exact(ring, entries) == want != 0
         assert ring.muls <= alone.muls + 2
+
+    def test_budget_stops_a_row(self, monkeypatch):
+        # six all-ones rows hold 6, then 15 states: the second row goes over
+        # after the picks of its third state (5 + 4 + 3 new masks)
+        monkeypatch.setattr(R, "MAX_STATES", 10)
+        with pytest.raises(ValueError) as err:
+            R.det_exact(R.ZZ, [[1] * 6 for _ in range(6)])
+        assert str(err.value) == ("state sum over the budget MAX_STATES = "
+                                  "10: 12 live states at row 2 of 6")
+        monkeypatch.setattr(R, "MAX_STATES", 20)
+        assert R.det_exact(R.ZZ, [[1] * 6 for _ in range(6)]) == 0
+
+    def test_budget_stops_a_block_product(self, monkeypatch):
+        # three blocks of two rows on three columns end with 3 states each;
+        # their product has 27, more than 26 but within 27
+        rows = [{3 * b + q: 1 for q in range(3)} for b in range(3)
+                for _ in range(2)]
+        monkeypatch.setattr(R, "MAX_STATES", 26)
+        with pytest.raises(ValueError, match=r"^state sum over the budget "
+                           r"MAX_STATES = 26: 27 live states at row 6 of 6$"):
+            R.state_sums(R.ZZ, rows, 0)
+        monkeypatch.setattr(R, "MAX_STATES", 27)
+        assert len(R.state_sums(R.ZZ, rows, 0)) == 27
 
     def test_disjoint_identities_work_is_split(self):
         # two normalized identities side by side: one block per strand, and
