@@ -7,20 +7,22 @@ often each identity was exercised nontrivially: gluing against composition
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
 invariant matrix against generator enumeration, disjoint unions and
-identity chains included, and counts how many of those diagrams the state
-sum splits into independent blocks; the determinant built on
-the same state sum against a Leibniz sum over permutations, the invariant
-of closed diagrams, which integer elimination computes, against the
-Leibniz sum and det_exact, and the
-invariant of normalized identities and glued identity chains against the
-identity up to sign, at sizes where the engine's pruning decides the cost,
-the state-sum Alexander functor against one determinant per entry, and the
-core analysis of normalized diagrams against the Smith normal forms of the
-core rows and of the whole presentation, the up-to-unit comparison of
-graded maps against the same comparison over every key in sorted order,
+identity chains included; the determinant built on the same state sum
+against a Leibniz sum over permutations; the invariant of closed diagrams,
+which integer elimination computes, against the Leibniz sum and det_exact;
+the invariant of normalized identities and glued identity chains against
+the identity up to sign, at sizes where the engine's pruning decides the
+cost; the state-sum Alexander functor against one determinant per entry;
+the core analysis of normalized diagrams against the Smith normal forms of
+the core rows and of the whole presentation; the up-to-unit comparison of
+graded maps against the same comparison over every key in sorted order;
 and the output of normalize, which is built without validation, against
 validate, its role tags against normalized_roles, and a JSON round trip.
-Any mismatch aborts with a nonzero exit.
+Any mismatch aborts with a nonzero exit.  The engine and closed sweeps also
+count the diagrams that rings.state_sums and rings.integer_det split into
+two or more blocks of rings.row_blocks, from SPLIT_MIN_ROWS and
+BLOCK_MIN_ROWS rows on (a diagram with an empty row is not split: its
+value is 0 at once).
 """
 
 import argparse
@@ -29,7 +31,6 @@ import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import permutations
-from operator import or_
 
 from bsfloer import exterior as X
 from bsfloer.alexander import (
@@ -82,6 +83,7 @@ from bsfloer.rings import (
     det_exact,
     integer_kernel_is_zero,
     parse_element,
+    row_blocks,
     values_eq_up_to_unit,
 )
 from bsfloer.selftest import _random_piece, random_diagram, random_gluable_pair
@@ -192,17 +194,6 @@ def enumerated_matrices(h):
             X.GradedMap(ring, h.n0, h.n1, h.degree, zh))
 
 
-def block_count(rows) -> int:
-    """The connected components of a row-column incidence: the blocks that
-    rings.state_sums runs on their own from SPLIT_MIN_ROWS rows on."""
-    blocks: list = []
-    for row in rows:
-        cols = sum(1 << q for q in row)
-        blocks = ([b for b in blocks if not b & cols]
-                  + [reduce(or_, (b for b in blocks if b & cols), cols)])
-    return len(blocks)
-
-
 def sweep_engine(cfg: SweepConfig) -> str:
     """bsda_z, bsda_zh and generator_count against generator enumeration on
     glued pairs, random pieces, disjoint unions of random pieces (a side
@@ -229,8 +220,10 @@ def sweep_engine(cfg: SweepConfig) -> str:
         if not (X.map_eq(bsda_z(d), z) and X.map_eq(bsda_zh(d), zh)
                 and generator_count(d) == len(enumerate_generators(d))):
             raise SystemExit(f"engine/enumeration mismatch at diagram {k}")
-        rows = incidence(d).rows
-        split += len(rows) >= SPLIT_MIN_ROWS and block_count(rows) > 1
+        inc = incidence(d)
+        circles = sum(1 << q for q in inc.circles)
+        split += (len(inc.rows) >= SPLIT_MIN_ROWS
+                  and len(row_blocks(inc.rows, circles) or ()) > 1)
     return (f"engine: {len(diagrams)} diagrams match generator enumeration, "
             f"{split} split into blocks")
 
@@ -295,9 +288,9 @@ def sweep_closed(cfg: SweepConfig) -> str:
             raise SystemExit(f"closed bsda_z/determinant mismatch at n={n}")
         checked += 1
         nonzero += want != 0
-        rows = incidence(h).rows
-        split += (n >= BLOCK_MIN_ROWS and block_count(rows) > 1
-                  and all(len(r) < n for r in rows))
+        blocks = n >= BLOCK_MIN_ROWS and row_blocks(incidence(h).rows,
+                                                    (1 << n) - 1)
+        split += len(blocks or ()) > 1
     return (f"closed: {checked} diagrams match the Leibniz sum (n <= 7) or "
             f"det_exact, {nonzero} nonzero, {split} eliminated by blocks")
 

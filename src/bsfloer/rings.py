@@ -9,10 +9,10 @@ The rings offer no division: determinants are state sums, and units are
 only read off (unit_part) and inverted (unit_inv) for the up-to-unit
 comparison.  Also: the one sparse accumulate step (add a term to a dict,
 drop the key when the sum is zero), one polynomial kernel over Z and Q,
-limits on H, Smith normal form over Z, exact determinants (one state sum
-over occupied column sets, for every ring and size, under the MAX_STATES
-budget; over Z alone also fraction-free elimination, whose divisions are
-exact integer ones), and the one "equal up to a unit" comparison.
+limits on H, Smith normal form over Z under MAX_SNF_BITS, exact
+determinants (one state sum over occupied column sets for every ring,
+under MAX_STATES, and over Z fraction-free elimination; both work on the
+blocks of row_blocks), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -658,11 +658,19 @@ def _identity_entries(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# The most bits an entry of A, U or V in smith_normal_form may hold when a
+# pivot that is not a unit (the one kind that repeats) starts a pass.  The
+# tests stay under a few hundred bits, selftest and the benchmark at 3; some
+# dense 7 x 7 matrices pass 10^5 bits within a second and grow on.
+MAX_SNF_BITS = 1024
+
+
 def smith_normal_form(entries):
     """U, D, V with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular.
     The pivot is the first entry of least absolute value in row-major order,
     so the search stops at the first +-1; row and column operations touch
-    only the nonzero entries of their source."""
+    only the nonzero entries of their source.  An entry over MAX_SNF_BITS
+    bits raises ValueError."""
     A = [[int(x) for x in row] for row in entries]
     r = len(A)
     c = len(A[0]) if A else 0
@@ -712,6 +720,14 @@ def smith_normal_form(entries):
         again = True
         while again:
             again = False
+            if abs(A[t][t]) != 1:
+                bits = max(max(max(row), -min(row)) for M in (A, U, V)
+                           for row in M).bit_length()
+                if bits > MAX_SNF_BITS:
+                    raise ValueError(
+                        f"Smith normal form over the budget MAX_SNF_BITS = "
+                        f"{MAX_SNF_BITS}: an entry of {bits} bits at pivot "
+                        f"{t + 1} of {min(r, c)}")
             for i in range(t + 1, r):
                 if A[i][t]:
                     row_op(i, t, A[i][t] // A[t][t])
@@ -785,6 +801,56 @@ def _odd_below(m: int) -> int:
     return out
 
 
+def _odd_order(masks) -> int:
+    """The parity of the permutation listing disjoint masks' bits by mask."""
+    odd, seen = 0, 0
+    for m in masks:
+        odd ^= (seen & _odd_below(m)).bit_count() & 1
+        seen |= m
+    return odd
+
+
+def _bits(m: int) -> list:
+    """The positions of m's bits, ascending."""
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
+
+
+def row_blocks(rows, required: int):
+    """The connected components (blocks) of the row-column incidence of
+    sparse rows {column: value}, as [column mask, row mask] pairs in the
+    order of their first rows, by union-find over rows.  The first row that
+    is empty, or that meets every required column when each row must take
+    one (as many required columns as rows), ends the search: it gives None,
+    or every row as one block over the required columns, since a second
+    block could not give its rows a required column (dense matrices)."""
+    n = len(rows)
+    dense = required.bit_count() == n
+    up, first, blocks = list(range(n)), {}, {}
+    for i, row in enumerate(rows):
+        own = blocks[i] = [0, 1 << i]
+        cols = 0
+        for q in row:
+            cols |= 1 << q
+            j = first.setdefault(q, i)
+            while up[j] != j:
+                up[j] = j = up[up[j]]
+            if j != i:
+                up[j] = i
+                cs, rs = blocks.pop(j)
+                own[0] |= cs
+                own[1] |= rs
+        if not cols:
+            return None
+        if dense and cols & required == required:
+            return [[required, (1 << n) - 1]]
+        own[0] |= cols
+    return sorted(blocks.values(), key=lambda b: b[1] & -b[1])
+
+
 def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     """Sum the partial transversals of a sparse matrix, grouped by the set of
     columns they occupy.
@@ -806,73 +872,44 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     last row; no rows give {0: one}.  More than MAX_STATES live states
     after one state's picks, or in a product of blocks, raise ValueError.
 
-    Blocks.  The connected components of the row-column incidence (the
-    blocks) pick their columns independently.  From SPLIT_MIN_ROWS rows on,
-    the walk that finds the closing rows also merges the rows into blocks;
-    with two or more, each block runs on its own with its share of
-    required, and the results multiply, so a disjoint union costs the sum
-    of its parts' state sums, not a walk through their product.  Two signs
-    rebuild the unsplit sign: the sign of the row permutation that takes
-    the blocks one after another, in the order of their first rows, on
-    every value; and, for masks m_a of earlier blocks and m_b of a later
-    one, popcount(m_a & _odd_below(m_b)) mod 2, the parity of the pairs of
-    a pick in m_a and a pick in m_b to its left.  An empty row or a block without states gives
-    {}.  When every row must take a required column and one row meets them
-    all (dense matrices: det_exact, closed diagrams), a second block could
-    not give its rows one, so the merge stops and the walk runs unsplit.
-    The floor: in process, over 20 alternating rounds of seed 1, splitting
-    from 2 rows made a weighted_functor round (every state sum of at most
-    5 rows) 5.0% slower and a bordered_chains round 3.1% slower than
-    splitting from 6; floors of 4 and 8 were within 2% of 6 there, and
-    never splitting was 20% slower.
+    Blocks.  From SPLIT_MIN_ROWS rows on, each block of row_blocks runs on
+    its own with its share of required, and the results multiply, so a
+    disjoint union costs the sum of its parts' state sums.  Two signs
+    rebuild the unsplit sign: that of the row reordering, on every value,
+    and, for masks m_a of earlier blocks and m_b of a later one,
+    popcount(m_a & _odd_below(m_b)) mod 2, the pairs of a pick in m_a and a
+    pick in m_b to its left.  An empty row or a block without states gives
+    {}.  The floor: in process, over 20 alternating rounds of seed 1,
+    splitting from 2 rows made a weighted_functor round (every state sum of
+    at most 5 rows) 5.0% slower and a bordered_chains round 3.1% slower
+    than from 6; floors of 4 and 8 were within 2% of 6 there, and never
+    splitting was 20% slower.
     """
     need = required.bit_count()
     left = len(rows)
-    if need > left:
+    blocks = row_blocks(rows, required) if left >= SPLIT_MIN_ROWS else ()
+    if need > left or blocks is None:
         return {}
     # closing[i]: the required columns whose last entry is in row i; the
-    # walk back stops once every required column has been seen, unless it
-    # is merging the rows into blocks of [columns, rows] bitmasks
-    closing = [0] * left
-    later = 0
-    blocks = [] if left >= SPLIT_MIN_ROWS else None
+    # walk back stops once every required column has been seen
+    closing, later = [0] * left, 0
     for i in range(left - 1, -1, -1):
-        if blocks is None and not required & ~later:
+        if not required & ~later:
             break
         cols = 0
         for q in rows[i]:
             cols |= 1 << q
         closing[i] = cols & required & ~later
         later |= cols
-        if blocks is None:
-            continue
-        if not cols:
-            return {}
-        if need == left and cols & required == required:
-            blocks = None
-            continue
-        own = [cols, 1 << i]
-        rest = [own]
-        for b in blocks:
-            if b[0] & cols:
-                own[0] |= b[0]
-                own[1] |= b[1]
-            else:
-                rest.append(b)
-        blocks = rest
     if required & ~later:
         return {}
     mul, add, neg, zero = ring.mul, ring.add, ring.neg, ring.zero()
-    if blocks and len(blocks) > 1:
-        blocks.sort(key=lambda b: b[1] & -b[1])
-        flip, seen = 0, 0
-        for _, rs in blocks:
-            flip ^= (seen & _odd_below(rs)).bit_count() & 1
-            seen |= rs
+    if len(blocks) > 1:
+        flip = _odd_order(rs for _, rs in blocks)
         states, done = None, 0
         for cs, rs in blocks:
-            part = state_sums(ring, [r for i, r in enumerate(rows)
-                                     if rs >> i & 1], required & cs, signed)
+            part = state_sums(ring, [rows[i] for i in _bits(rs)],
+                              required & cs, signed)
             if not part:
                 return {}
             done |= rs
@@ -979,75 +1016,37 @@ def _bareiss(A: list) -> int:
 def _dense(rows, cols) -> list:
     """The sparse rows as dense lists over cols, in that order."""
     at = {q: k for k, q in enumerate(cols)}
-    out = []
-    for row in rows:
-        dense = [0] * len(at)
+    out = [[0] * len(at) for _ in rows]
+    for dense, row in zip(out, rows):
         for q, c in row.items():
             dense[at[q]] = c
-        out.append(dense)
     return out
-
-
-def _odd(perm) -> int:
-    """The parity of a permutation of range(len(perm)): its length minus
-    its number of cycles."""
-    seen = [False] * len(perm)
-    odd = len(perm)
-    for i in range(len(perm)):
-        if not seen[i]:
-            odd += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return odd & 1
 
 
 def integer_det(rows) -> int:
     """Exact determinant of a square integer matrix held as n sparse rows
-    {column: int} with columns in range(n), by fraction-free elimination.
-    det_exact gives the same value by a state sum over any ring; this is
-    the fast path for Z.
-
-    From BLOCK_MIN_ROWS rows on, unless one row meets every column, the
-    rows are split into the blocks of their row-column incidence (union
-    find over columns).  A block with more rows than columns, an empty
-    row or a column no row meets gives 0.  Otherwise the matrix is block
-    diagonal after taking the blocks' rows and columns one block after
-    another, so the determinant is the product of the blocks' eliminations
-    times the signs of those two reorderings.  Blocks keep the entries of
-    one block from growing with the pivots of the others."""
+    {column: int} with columns in range(n), by fraction-free elimination:
+    the fast path for Z (det_exact gives the same value by a state sum over
+    any ring).  From BLOCK_MIN_ROWS rows on, each block of row_blocks is
+    eliminated on its own, so its entries do not grow with the pivots of
+    the others, and the product takes the signs of the row and the column
+    reordering.  An empty row, or a block with more rows than columns or
+    fewer, gives 0."""
     n = len(rows)
-    if n < BLOCK_MIN_ROWS or any(len(r) == n for r in rows):
+    if n < BLOCK_MIN_ROWS:
         return _bareiss(_dense(rows, range(n)))
-    root = list(range(n))
-
-    def find(q):
-        while root[q] != q:
-            root[q] = q = root[root[q]]
-        return q
-
-    for row in rows:
-        if not row:
+    blocks = row_blocks(rows, (1 << n) - 1)
+    if blocks is None:
+        return 0
+    det = 1
+    for cs, rs in blocks:
+        if cs.bit_count() != rs.bit_count():
             return 0
-        first, *rest = map(find, row)
-        for q in rest:
-            root[q] = first
-    blocks: dict = {}
-    for i, row in enumerate(rows):
-        blocks.setdefault(find(next(iter(row))), ([], []))[0].append(i)
-    for q in range(n):
-        blocks.setdefault(find(q), ([], []))[1].append(q)
-    det, row_order, col_order = 1, [], []
-    for rs, cs in blocks.values():
-        if len(rs) != len(cs):
-            return 0
-        det *= _bareiss(_dense([rows[i] for i in rs], cs))
+        det *= _bareiss(_dense([rows[i] for i in _bits(rs)], _bits(cs)))
         if not det:
             return 0
-        row_order += rs
-        col_order += cs
-    return -det if _odd(row_order) ^ _odd(col_order) else det
+    rows_odd = _odd_order(rs for _, rs in blocks)
+    return -det if rows_odd ^ _odd_order(cs for cs, _ in blocks) else det
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:

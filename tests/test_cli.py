@@ -446,6 +446,30 @@ class TestBudgets:
                               f"MAX_STATES = {R.MAX_STATES}: ")
         assert "live states at row" in err
 
+    def test_smith_normal_form_stops_at_the_budget(self, capsys, tmp_path):
+        # the core Smith normal form of this closed 7 x 7 diagram grows its
+        # entries without end: fn stops at MAX_SNF_BITS in one error line,
+        # while bsda, which takes no Smith normal form, prints the
+        # determinant
+        rows = [[4, 3, 2, -3, -3, 2, 2], [4, -2, 4, 2, 0, -3, -2],
+                [-3, -2, 3, 3, 0, -2, -2], [-3, 3, -4, -4, -4, -4, 2],
+                [-4, 0, 0, -2, 4, 0, 2], [4, -3, -4, 4, -4, 0, 3],
+                [0, -4, 3, -4, 2, 3, -4]]
+        path = tmp_path / "snf7.json"
+        path.write_text(dumps(ordinary_from_matrix(rows)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["fn", str(path)])
+        assert time.perf_counter() - start < 20
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: Smith normal form over the budget "
+                              f"MAX_SNF_BITS = {R.MAX_SNF_BITS}: an entry of ")
+        det = rational_det(rows)
+        assert det == -305468
+        code, out, err = run(capsys, ["bsda", str(path)])
+        assert (code, err) == (0, "")
+        assert out == f"ring: Z\ndegree: 0\nout{{}} <- in{{}}: {det}\n"
+
     @pytest.mark.parametrize("limit", ["MAX_CURVES", "MAX_POINTS"])
     def test_document_size_limits(self, capsys, tmp_path, limit):
         # at the limit a document loads; one more curve or point and it

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -486,12 +487,23 @@ class TestSmithNormalForm:
     def test_snf_contract_random(self, entries):
         snf_ok(entries)
 
+    def test_budget_stops_growing_entries(self, monkeypatch):
+        # diag(2, 3) has entries of 2 bits; the divisibility fix-up makes
+        # it diag(1, 6), so the second pivot search meets 3 bits
+        monkeypatch.setattr(R, "MAX_SNF_BITS", 2)
+        with pytest.raises(ValueError, match=r"^Smith normal form over the "
+                           r"budget MAX_SNF_BITS = 2: an entry of 3 bits at "
+                           r"pivot 2 of 2$"):
+            R.smith_normal_form([[2, 0], [0, 3]])
+        monkeypatch.setattr(R, "MAX_SNF_BITS", 3)
+        assert R.snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
+
 
 # Bits past which the oracle gives up on a draw.  Its pivot rule lets the
 # entries of some dense matrices grow without bound (about 1% of uniform
 # draws of up to 7 x 7 with entries in -4..4 pass 256 bits, while finished
 # runs stay under 250), and rings.smith_normal_form makes the same
-# operations, so neither returns on such a draw.
+# operations, so it stops at MAX_SNF_BITS on such a draw.
 SNF_ORACLE_BITS = 1024
 
 
@@ -1052,6 +1064,122 @@ class TestStateSums:
         ok, _ = X.eq_up_to_global_unit(
             bsda_z(h), X.super_tensor(bsda_z(half), bsda_z(half)))
         assert ok
+
+
+def bfs_blocks(rows):
+    """The connected components of the row-column incidence by
+    breadth-first search from each row not yet reached, in row order, as
+    [column mask, row mask] pairs: the oracle for row_blocks."""
+    meets: dict = {}
+    for i, row in enumerate(rows):
+        for q in row:
+            meets.setdefault(q, []).append(i)
+    reached, out = set(), []
+    for start in range(len(rows)):
+        if start in reached:
+            continue
+        reached.add(start)
+        queue, cs, rs = deque([start]), 0, 0
+        while queue:
+            i = queue.popleft()
+            rs |= 1 << i
+            for q in rows[i]:
+                cs |= 1 << q
+                for k in meets[q]:
+                    if k not in reached:
+                        reached.add(k)
+                        queue.append(k)
+        out.append([cs, rs])
+    return out
+
+
+def bit_list(mask):
+    """The positions of mask's bits, ascending."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def expected_blocks(rows, required):
+    """row_blocks by its contract: the first row that is empty, or (with as
+    many required columns as rows) meets every required column, decides;
+    otherwise the components."""
+    dense = required.bit_count() == len(rows)
+    for row in rows:
+        if not row:
+            return None
+        if dense and set(row) >= set(bit_list(required)):
+            return [[required, (1 << len(rows)) - 1]]
+    return bfs_blocks(rows)
+
+
+@st.composite
+def incidences(draw):
+    """Sparse rows over columns 0..9 (at times an empty row, and columns no
+    row meets), and a required mask; a third of the time as many required
+    columns as rows, with at times a row that meets them all."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 9), st.just(1),
+                                         min_size=1, max_size=3),
+                         max_size=10))
+    if rows and draw(RARELY):
+        rows[draw(st.integers(0, len(rows) - 1))] = {}
+    required = draw(st.integers(0, 2 ** 10 - 1))
+    if rows and draw(st.integers(0, 2)) == 0:
+        cols = draw(st.permutations(range(10)))[:min(len(rows), 10)]
+        rows = rows[:len(cols)]
+        required = sum(1 << q for q in cols)
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, len(rows) - 1))] = dict.fromkeys(cols, 1)
+    return rows, required
+
+
+class TestRowBlocks:
+    @settings(max_examples=300)
+    @given(incidences())
+    def test_matches_breadth_first_search(self, case):
+        rows, required = case
+        assert R.row_blocks(rows, required) == expected_blocks(rows, required)
+
+    @given(incidences(), st.data())
+    def test_shuffled_rows_and_columns(self, case, data):
+        # the blocks of a matrix with its rows and columns shuffled are its
+        # blocks shuffled, listed by their new first rows (with no empty
+        # row, the order of the rows cannot decide an early exit)
+        rows, required = case
+        assume(all(rows))
+        rp = data.draw(st.permutations(range(len(rows))))
+        cp = data.draw(st.permutations(range(10)))
+        moved = [{cp[q]: c for q, c in rows[i].items()} for i in rp]
+        got = R.row_blocks(moved, sum(1 << cp[q] for q in bit_list(required)))
+        want = expected_blocks(rows, required)
+
+        def back(block):
+            cs, rs = block
+            return (sum(1 << q for q in range(10) if cs >> cp[q] & 1),
+                    sum(1 << rp[i] for i in bit_list(rs)))
+
+        assert sorted(map(back, got)) == sorted(map(tuple, want))
+        assert [rs & -rs for _, rs in got] == sorted(rs & -rs for _, rs in got)
+
+    def test_examples(self):
+        # two interleaved blocks, in the order of their first rows; column
+        # 6 meets no row and is in no block
+        rows = TestStateSums.INTERLEAVED
+        assert R.row_blocks(rows, 1 << 6) == [[0b010101, 0b010101],
+                                              [0b101010, 0b101010]]
+        assert R.row_blocks(rows + [{}], 0) is None
+        # the dense exit: six required columns, and row 0 meets them all,
+        # so the rows are one block though they would split; without that
+        # row, or with a seventh required column, they split
+        full = [{q: 1 for q in range(6)}]
+        assert R.row_blocks(full + rows[1:], 0b111111) == [[0b111111,
+                                                            0b111111]]
+        assert R.row_blocks([{2: 1}] + rows[1:], 0b111111) == [
+            [0b010101, 0b010101], [0b101010, 0b101010]]
+        assert R.row_blocks(full + rows[1:] + [{6: 1}], 0b1111111) == [
+            [0b0111111, 0b0111111], [0b1000000, 0b1000000]]
+        # the first empty or all-meeting row decides
+        assert R.row_blocks([{}] + full, 0b11) is None
+        assert R.row_blocks([{0: 1, 1: 1}, {}], 0b11) == [[0b11, 0b11]]
+        assert R.row_blocks([], 0) == []
 
 
 # ---------------------------------------------------------------------------
