@@ -18,11 +18,10 @@ the core rows and of the whole presentation; the up-to-unit comparison of
 graded maps against the same comparison over every key in sorted order;
 and the output of normalize, which is built without validation, against
 validate, its role tags against normalized_roles, and a JSON round trip.
-Any mismatch aborts with a nonzero exit.  The engine and closed sweeps also
-count the diagrams that rings.state_sums and rings.integer_det split into
-two or more blocks of rings.row_blocks, from SPLIT_MIN_ROWS and
-BLOCK_MIN_ROWS rows on (a diagram with an empty row is not split: its
-value is 0 at once).
+Any mismatch aborts with a nonzero exit.  The engine sweep also counts
+the diagrams that rings.state_sums splits into two or more blocks of
+rings.row_blocks, from SPLIT_MIN_ROWS rows on (a diagram with an empty row
+is not split: its value is 0 at once).
 """
 
 import argparse
@@ -74,7 +73,6 @@ from bsfloer.homology import (
     torsion_order,
 )
 from bsfloer.rings import (
-    BLOCK_MIN_ROWS,
     SPLIT_MIN_ROWS,
     ZZ,
     GroupRing,
@@ -220,10 +218,9 @@ def sweep_engine(cfg: SweepConfig) -> str:
         if not (X.map_eq(bsda_z(d), z) and X.map_eq(bsda_zh(d), zh)
                 and generator_count(d) == len(enumerate_generators(d))):
             raise SystemExit(f"engine/enumeration mismatch at diagram {k}")
-        inc = incidence(d)
-        circles = sum(1 << q for q in inc.circles)
-        split += (len(inc.rows) >= SPLIT_MIN_ROWS
-                  and len(row_blocks(inc.rows, circles) or ()) > 1)
+        rows = incidence(d).rows
+        split += (len(rows) >= SPLIT_MIN_ROWS
+                  and len(row_blocks(rows) or ()) > 1)
     return (f"engine: {len(diagrams)} diagrams match generator enumeration, "
             f"{split} split into blocks")
 
@@ -280,7 +277,7 @@ def sweep_closed(cfg: SweepConfig) -> str:
     against the Leibniz sum for n <= 7 and the state sum (det_exact)
     beyond."""
     rng = random.Random(cfg.seed * 7919 + 13)
-    checked = nonzero = split = 0
+    checked = nonzero = 0
     for m, h in closed_cases(rng):
         n = len(m)
         want = leibniz_det(ZZ, m) if n <= 7 else det_exact(ZZ, m)
@@ -288,11 +285,8 @@ def sweep_closed(cfg: SweepConfig) -> str:
             raise SystemExit(f"closed bsda_z/determinant mismatch at n={n}")
         checked += 1
         nonzero += want != 0
-        blocks = n >= BLOCK_MIN_ROWS and row_blocks(incidence(h).rows,
-                                                    (1 << n) - 1)
-        split += len(blocks or ()) > 1
     return (f"closed: {checked} diagrams match the Leibniz sum (n <= 7) or "
-            f"det_exact, {nonzero} nonzero, {split} eliminated by blocks")
+            f"det_exact, {nonzero} nonzero")
 
 
 def group_ring_draw(ring):

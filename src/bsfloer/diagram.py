@@ -553,10 +553,11 @@ def diagram_signature(h: HeegaardDiagram):
 
 # Limits on a diagram document (alpha arcs and circles plus beta circles,
 # and intersection points), checked before any per-curve or per-point
-# structure is built.  The invariant of a closed diagram is an elimination
-# cubic in its circle count, so at MAX_CURVES a square closed diagram has
-# at most 256 circles; a dense one with MAX_POINTS crossings (a 4.8 MB
-# file) loads in 0.5 s and takes 3.2 s for bsda_z on a shared 2-core VM.
+# structure is built.  The invariant of a closed diagram is one elimination
+# cubic in its circle count whatever its blocks, so at MAX_CURVES a square
+# closed diagram has at most 256 circles and the dense square bounds the
+# closed case: with MAX_POINTS crossings (a 4.8 MB file) it loads in 0.5 to
+# 0.9 s and takes 3.2 to 5.5 s for bsda_z on a shared 2-core VM.
 # Fixtures, tests and benchmark inputs stay below 100 curves and 1,000
 # points, except the tests of these limits.
 MAX_CURVES = 512

@@ -11,8 +11,8 @@ comparison.  Also: the one sparse accumulate step (add a term to a dict,
 drop the key when the sum is zero), one polynomial kernel over Z and Q,
 limits on H, Smith normal form over Z under MAX_SNF_BITS, exact
 determinants (one state sum over occupied column sets for every ring,
-under MAX_STATES, and over Z fraction-free elimination; both work on the
-blocks of row_blocks), and the one "equal up to a unit" comparison.
+under MAX_STATES, split into the blocks of row_blocks, and over Z one
+fraction-free elimination), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -819,22 +819,18 @@ def _bits(m: int) -> list:
     return out
 
 
-def row_blocks(rows, required: int):
+def row_blocks(rows):
     """The connected components (blocks) of the row-column incidence of
     sparse rows {column: value}, as [column mask, row mask] pairs in the
-    order of their first rows, by union-find over rows.  The first row that
-    is empty, or that meets every required column when each row must take
-    one (as many required columns as rows), ends the search: it gives None,
-    or every row as one block over the required columns, since a second
-    block could not give its rows a required column (dense matrices)."""
-    n = len(rows)
-    dense = required.bit_count() == n
-    up, first, blocks = list(range(n)), {}, {}
+    order of their first rows, by union-find over rows; None at the first
+    empty row."""
+    up, first, blocks = list(range(len(rows))), {}, {}
     for i, row in enumerate(rows):
+        if not row:
+            return None
         own = blocks[i] = [0, 1 << i]
-        cols = 0
         for q in row:
-            cols |= 1 << q
+            own[0] |= 1 << q
             j = first.setdefault(q, i)
             while up[j] != j:
                 up[j] = j = up[up[j]]
@@ -843,11 +839,6 @@ def row_blocks(rows, required: int):
                 cs, rs = blocks.pop(j)
                 own[0] |= cs
                 own[1] |= rs
-        if not cols:
-            return None
-        if dense and cols & required == required:
-            return [[required, (1 << n) - 1]]
-        own[0] |= cols
     return sorted(blocks.values(), key=lambda b: b[1] & -b[1])
 
 
@@ -878,33 +869,22 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     rebuild the unsplit sign: that of the row reordering, on every value,
     and, for masks m_a of earlier blocks and m_b of a later one,
     popcount(m_a & _odd_below(m_b)) mod 2, the pairs of a pick in m_a and a
-    pick in m_b to its left.  An empty row or a block without states gives
-    {}.  The floor: in process, over 20 alternating rounds of seed 1,
-    splitting from 2 rows made a weighted_functor round (every state sum of
-    at most 5 rows) 5.0% slower and a bordered_chains round 3.1% slower
-    than from 6; floors of 4 and 8 were within 2% of 6 there, and never
-    splitting was 20% slower.
+    pick in m_b to its left.  An empty row, a required column in no block
+    or a block without states gives {}.  The floor: in process, over 20
+    alternating rounds of seed 1, splitting from 2 rows made a
+    weighted_functor round (every state sum of at most 5 rows) 5.0% slower
+    and a bordered_chains round 3.1% slower than from 6; floors of 4 and 8
+    were within 2% of 6 there, and never splitting was 20% slower.
     """
     need = required.bit_count()
     left = len(rows)
-    blocks = row_blocks(rows, required) if left >= SPLIT_MIN_ROWS else ()
+    blocks = row_blocks(rows) if left >= SPLIT_MIN_ROWS else ()
     if need > left or blocks is None:
-        return {}
-    # closing[i]: the required columns whose last entry is in row i; the
-    # walk back stops once every required column has been seen
-    closing, later = [0] * left, 0
-    for i in range(left - 1, -1, -1):
-        if not required & ~later:
-            break
-        cols = 0
-        for q in rows[i]:
-            cols |= 1 << q
-        closing[i] = cols & required & ~later
-        later |= cols
-    if required & ~later:
         return {}
     mul, add, neg, zero = ring.mul, ring.add, ring.neg, ring.zero()
     if len(blocks) > 1:
+        if required & ~sum(cs for cs, _ in blocks):  # disjoint masks
+            return {}
         flip = _odd_order(rs for _, rs in blocks)
         states, done = None, 0
         for cs, rs in blocks:
@@ -928,6 +908,19 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
                     nxt[ma | mb] = neg(t) if (ma & odd).bit_count() & 1 else t
             states = nxt
         return states
+    # closing[i]: the required columns whose last entry is in row i; the
+    # walk back stops once every required column has been seen
+    closing, later = [0] * left, 0
+    for i in range(left - 1, -1, -1):
+        if not required & ~later:
+            break
+        cols = 0
+        for q in rows[i]:
+            cols |= 1 << q
+        closing[i] = cols & required & ~later
+        later |= cols
+    if required & ~later:
+        return {}
     states = {0: ring.one()}
     for row, close in zip(rows, closing):
         left -= 1
@@ -962,14 +955,6 @@ def det_exact(ring: Ring, entries):
             for r in entries]
     full = (1 << n) - 1
     return state_sums(ring, rows, full).get(full, ring.zero())
-
-
-# From this many rows on, integer_det eliminates each block on its own.
-# Below it, one elimination was faster in process on random sparse
-# matrices (n = 3..11, a third of them split); on shuffled block-diagonal
-# matrices the two broke even at n = 12 and splitting won from n = 24
-# (1.4x there, 7x at n = 192).
-BLOCK_MIN_ROWS = 16
 
 
 def _bareiss(A: list) -> int:
@@ -1013,40 +998,15 @@ def _bareiss(A: list) -> int:
     return sign * scale[-1]
 
 
-def _dense(rows, cols) -> list:
-    """The sparse rows as dense lists over cols, in that order."""
-    at = {q: k for k, q in enumerate(cols)}
-    out = [[0] * len(at) for _ in rows]
-    for dense, row in zip(out, rows):
-        for q, c in row.items():
-            dense[at[q]] = c
-    return out
-
-
 def integer_det(rows) -> int:
     """Exact determinant of a square integer matrix held as n sparse rows
-    {column: int} with columns in range(n), by fraction-free elimination:
-    the fast path for Z (det_exact gives the same value by a state sum over
-    any ring).  From BLOCK_MIN_ROWS rows on, each block of row_blocks is
-    eliminated on its own, so its entries do not grow with the pivots of
-    the others, and the product takes the signs of the row and the column
-    reordering.  An empty row, or a block with more rows than columns or
-    fewer, gives 0."""
+    {column: int} with columns in range(n), by one fraction-free
+    elimination of the rows made dense: the fast path for Z (det_exact
+    gives the same value by a state sum over any ring).  The elimination
+    is cubic whatever the blocks of the matrix, so the dense 256 x 256
+    square of a closed diagram at diagram.MAX_CURVES bounds its cost."""
     n = len(rows)
-    if n < BLOCK_MIN_ROWS:
-        return _bareiss(_dense(rows, range(n)))
-    blocks = row_blocks(rows, (1 << n) - 1)
-    if blocks is None:
-        return 0
-    det = 1
-    for cs, rs in blocks:
-        if cs.bit_count() != rs.bit_count():
-            return 0
-        det *= _bareiss(_dense([rows[i] for i in _bits(rs)], _bits(cs)))
-        if not det:
-            return 0
-    rows_odd = _odd_order(rs for _, rs in blocks)
-    return -det if rows_odd ^ _odd_order(cs for cs, _ in blocks) else det
+    return _bareiss([[row.get(q, 0) for q in range(n)] for row in rows])
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:

@@ -17,11 +17,14 @@ import pytest
 
 from bsfloer import cli
 from bsfloer import diagram as D
+from bsfloer import exterior as X
 from bsfloer import rings as R
+from bsfloer.alexander import (
+    alexander_functor, bsda_map, compare_bsda_alexander)
 from bsfloer.cli import main
 from bsfloer.diagram import dumps, loads
 from bsfloer.fixtures import fixture_library, ordinary_from_matrix
-from bsfloer.selftest import CriterionResult
+from bsfloer.selftest import CriterionResult, random_diagram
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "fixtures"
@@ -357,6 +360,23 @@ class TestOutput:
                        "degree: 0\n"
                        "out{} <- in{}: [d=1] 3; [d=3] 0\n"
                        "unit: [d=1] 1; [d=3] 1\n")
+
+    def test_alexander_compare_on_a_normalized_file(self, capsys, tmp_path):
+        # the file is already normalized, so the printed map is its own
+        # functor; the unit is still that of normalize(h), which differs
+        # here from the unit that compares h itself
+        h = D.normalize(random_diagram(random.Random(9), D.GroupDescriptor(0)))
+        path = tmp_path / "normalized.json"
+        path.write_text(dumps(h))
+        assert cli._is_normalized(loads(path.read_text()))
+        code, out, _ = run(capsys, ["alexander", "--compare", "--ring", "z",
+                                    str(path)])
+        unit = compare_bsda_alexander(h, "z").unit
+        assert code == 0
+        assert out.splitlines()[-1] == f"unit: {cli._unit_str(R.ZZ, unit)}"
+        ok, own = X.eq_up_to_global_unit(alexander_functor(h, "z"),
+                                         bsda_map(h, "z"))
+        assert ok and own == -unit
 
     def test_fn_on_vanishing_fixture(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "zero_matrix.json")])

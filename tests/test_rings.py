@@ -696,15 +696,14 @@ class TestDeterminants:
         assert R.integer_det(sparse_rows(entries)) == want
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_integer_det_blocks_vs_state_sum(self, monkeypatch, seed):
-        # shuffled block-diagonal matrices from BLOCK_MIN_ROWS rows on, so
-        # that integer_det splits them: blocks of 1 to 4 rows with zeros
-        # (a zero leading pivot needs a swap), at times a singular block,
-        # an empty row or an empty column; split and unsplit against the
-        # state sum
+    def test_integer_det_blocks_vs_state_sum(self, seed):
+        # shuffled block-diagonal matrices of 16 rows and more: blocks of 1
+        # to 4 rows with zeros (a zero leading pivot needs a swap), at
+        # times a singular block, an empty row or an empty column; the one
+        # elimination against the state sum, which splits them
         rng = random.Random(seed)
         sizes = []
-        while sum(sizes) < R.BLOCK_MIN_ROWS + seed:
+        while sum(sizes) < 16 + seed:
             sizes.append(rng.randint(1, 4))
         n = sum(sizes)
         entries = [[0] * n for _ in range(n)]
@@ -725,8 +724,6 @@ class TestDeterminants:
         rows = sparse_rows(entries)
         assert not any(len(r) == n for r in rows)
         assert R.integer_det(rows) == want
-        monkeypatch.setattr(R, "BLOCK_MIN_ROWS", n + 1)
-        assert R.integer_det(rows) == want
 
     @pytest.mark.parametrize("n", [2, 17, 40])
     def test_integer_det_banded(self, n):
@@ -746,36 +743,6 @@ class TestDeterminants:
         entries = [[2, 0, -1, 0], [2, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 1, 0]]
         assert R.integer_det(sparse_rows(entries)) == 2
         assert brute_det(R.ZZ, entries) == 2
-
-    def test_integer_det_eliminates_blocks_apart(self, monkeypatch):
-        # from BLOCK_MIN_ROWS rows on one elimination per block, unless a
-        # row meets every column; below it one elimination
-        sizes = []
-        bareiss = R._bareiss
-
-        def counted(a):
-            sizes.append(len(a))
-            return bareiss(a)
-
-        monkeypatch.setattr(R, "_bareiss", counted)
-        rng = random.Random(4)
-        n = 3 * R.BLOCK_MIN_ROWS
-        rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
-        rows = [{} for _ in range(n)]
-        for b in range(0, n, 3):
-            for i in range(b, b + 3):
-                for j in range(b, b + 3):
-                    rows[rp[i]][cp[j]] = 1 + 3 * (i == j)
-        assert abs(R.integer_det(rows)) == 54 ** R.BLOCK_MIN_ROWS
-        assert sizes == [3] * R.BLOCK_MIN_ROWS
-        n = R.BLOCK_MIN_ROWS
-        diagonal = [{i: 2} for i in range(n)]
-        full = [{q: 1 for q in range(n)}] + diagonal[1:]
-        for rows, want in ((diagonal[:-1], [n - 1]), (full, [n]),
-                           (diagonal, [1] * n)):
-            sizes.clear()
-            R.integer_det(rows)
-            assert sizes == want
 
     def test_integer_det_keeps_zero_entries(self):
         # a cancelled crossing pair leaves an explicit 0 in the incidence
@@ -992,6 +959,10 @@ class TestStateSums:
                 assert got == unpruned_state_sums(R.ZZ, rows, required,
                                                   signed)
                 assert got and all(m & required == required for m in got)
+        # column 6 meets no row, so it is in no block
+        for signed in (True, False):
+            assert R.state_sums(R.ZZ, rows, 1 << 6, signed) == {}
+            assert unpruned_state_sums(R.ZZ, rows, 1 << 6, signed) == {}
 
     def test_block_short_of_its_required_columns(self):
         # the block on columns 1, 3, 5 has two rows for its three required
@@ -1098,58 +1069,40 @@ def bit_list(mask):
     return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
-def expected_blocks(rows, required):
-    """row_blocks by its contract: the first row that is empty, or (with as
-    many required columns as rows) meets every required column, decides;
-    otherwise the components."""
-    dense = required.bit_count() == len(rows)
-    for row in rows:
-        if not row:
-            return None
-        if dense and set(row) >= set(bit_list(required)):
-            return [[required, (1 << len(rows)) - 1]]
-    return bfs_blocks(rows)
+def expected_blocks(rows):
+    """row_blocks by its contract: None if a row is empty, otherwise the
+    components."""
+    return bfs_blocks(rows) if all(rows) else None
 
 
 @st.composite
 def incidences(draw):
-    """Sparse rows over columns 0..9 (at times an empty row, and columns no
-    row meets), and a required mask; a third of the time as many required
-    columns as rows, with at times a row that meets them all."""
+    """Sparse rows over columns 0..9, at times with an empty row, and
+    often with columns no row meets."""
     rows = draw(st.lists(st.dictionaries(st.integers(0, 9), st.just(1),
                                          min_size=1, max_size=3),
                          max_size=10))
     if rows and draw(RARELY):
         rows[draw(st.integers(0, len(rows) - 1))] = {}
-    required = draw(st.integers(0, 2 ** 10 - 1))
-    if rows and draw(st.integers(0, 2)) == 0:
-        cols = draw(st.permutations(range(10)))[:min(len(rows), 10)]
-        rows = rows[:len(cols)]
-        required = sum(1 << q for q in cols)
-        if draw(st.booleans()):
-            rows[draw(st.integers(0, len(rows) - 1))] = dict.fromkeys(cols, 1)
-    return rows, required
+    return rows
 
 
 class TestRowBlocks:
     @settings(max_examples=300)
     @given(incidences())
-    def test_matches_breadth_first_search(self, case):
-        rows, required = case
-        assert R.row_blocks(rows, required) == expected_blocks(rows, required)
+    def test_matches_breadth_first_search(self, rows):
+        assert R.row_blocks(rows) == expected_blocks(rows)
 
     @given(incidences(), st.data())
-    def test_shuffled_rows_and_columns(self, case, data):
+    def test_shuffled_rows_and_columns(self, rows, data):
         # the blocks of a matrix with its rows and columns shuffled are its
-        # blocks shuffled, listed by their new first rows (with no empty
-        # row, the order of the rows cannot decide an early exit)
-        rows, required = case
+        # blocks shuffled, listed by their new first rows
         assume(all(rows))
         rp = data.draw(st.permutations(range(len(rows))))
         cp = data.draw(st.permutations(range(10)))
         moved = [{cp[q]: c for q, c in rows[i].items()} for i in rp]
-        got = R.row_blocks(moved, sum(1 << cp[q] for q in bit_list(required)))
-        want = expected_blocks(rows, required)
+        got = R.row_blocks(moved)
+        want = expected_blocks(rows)
 
         def back(block):
             cs, rs = block
@@ -1160,26 +1113,21 @@ class TestRowBlocks:
         assert [rs & -rs for _, rs in got] == sorted(rs & -rs for _, rs in got)
 
     def test_examples(self):
-        # two interleaved blocks, in the order of their first rows; column
-        # 6 meets no row and is in no block
+        # two interleaved blocks, in the order of their first rows; a row
+        # that meets every column joins them, and a row on a new column is
+        # a block of its own
         rows = TestStateSums.INTERLEAVED
-        assert R.row_blocks(rows, 1 << 6) == [[0b010101, 0b010101],
-                                              [0b101010, 0b101010]]
-        assert R.row_blocks(rows + [{}], 0) is None
-        # the dense exit: six required columns, and row 0 meets them all,
-        # so the rows are one block though they would split; without that
-        # row, or with a seventh required column, they split
+        assert R.row_blocks(rows) == [[0b010101, 0b010101],
+                                      [0b101010, 0b101010]]
         full = [{q: 1 for q in range(6)}]
-        assert R.row_blocks(full + rows[1:], 0b111111) == [[0b111111,
-                                                            0b111111]]
-        assert R.row_blocks([{2: 1}] + rows[1:], 0b111111) == [
-            [0b010101, 0b010101], [0b101010, 0b101010]]
-        assert R.row_blocks(full + rows[1:] + [{6: 1}], 0b1111111) == [
+        assert R.row_blocks(full + rows[1:]) == [[0b111111, 0b111111]]
+        assert R.row_blocks(full + rows[1:] + [{6: 1}]) == [
             [0b0111111, 0b0111111], [0b1000000, 0b1000000]]
-        # the first empty or all-meeting row decides
-        assert R.row_blocks([{}] + full, 0b11) is None
-        assert R.row_blocks([{0: 1, 1: 1}, {}], 0b11) == [[0b11, 0b11]]
-        assert R.row_blocks([], 0) == []
+        # an empty row anywhere gives None
+        assert R.row_blocks(rows + [{}]) is None
+        assert R.row_blocks([{}] + full) is None
+        assert R.row_blocks([{0: 1, 1: 1}, {}]) is None
+        assert R.row_blocks([]) == []
 
 
 # ---------------------------------------------------------------------------
