@@ -4,6 +4,9 @@ Subcommands read diagrams from JSON files and print deterministic text, or
 JSON with --json.  Exit status: 0 on success, 1 on input or validation
 failure or when the reader of stdout has gone (a broken pipe, which ends
 silently), 2 when a comparison reports FAIL, 64 on usage errors.
+
+The verbs are one table, VERBS.  A call that names a verb builds only that
+verb's parser; any other call builds the full parser from the same table.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import sys
 
 from . import exterior as X
 from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
-from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
+from .bsda import bsda_z, enumerate_generators, generator_count, gr_da, incidence
 from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized_roles
 from .fixtures import fixture_library
 from .homology import k_element, vfn_sut
@@ -152,22 +155,23 @@ def _cmd_bsda(args):
 
 def _cmd_alexander(args):
     h = _load(args.file)
-    rep = compare_bsda_alexander(h, args.ring) if args.compare else None
-    if rep is not None and not _is_normalized(h):
-        f = rep.alexander  # already the functor of normalize(h)
-    else:
+    if not args.compare:
         f = alexander_functor(_ensure_normalized(h), args.ring)
-    if rep is None and args.json:
-        return json.dumps(_map_json(f), indent=2, sort_keys=True), 0
-    out = _map_text(f)
-    code = 0
-    if rep is not None:
-        if rep.match:
-            out.append(f"unit: {_unit_str(f.ring, rep.unit)}")
-        else:
-            out.append("FAIL: no single unit relates the two matrices")
-            code = 2
-    return "\n".join(out), code
+        if args.json:
+            return json.dumps(_map_json(f), indent=2, sort_keys=True), 0
+        return "\n".join(_map_text(f)), 0
+    if _is_normalized(h):
+        # the printed map is the file's own, so the unit compares the file
+        inc = incidence(h, args.ring != "z")
+        f = alexander_functor(h, args.ring, inc)
+        match, unit = X.eq_up_to_global_unit(f, bsda_map(h, args.ring, inc))
+    else:
+        rep = compare_bsda_alexander(h, args.ring)  # both maps of normalize(h)
+        f, match, unit = rep.alexander, rep.match, rep.unit
+    if not match:
+        return "\n".join(_map_text(f) + [
+            "FAIL: no single unit relates the two matrices"]), 2
+    return "\n".join(_map_text(f) + [f"unit: {_unit_str(f.ring, unit)}"]), 0
 
 
 def _cmd_fn(args):
@@ -240,78 +244,72 @@ def _cmd_selftest(args):
     return "\n".join(out), 0 if passed == len(results) else 2
 
 
+_FILE = (("file",), {})
+_OUTPUT = (("--output",), {})
+_PAIR = ((("left",), {}), (("right",), {}), _OUTPUT)
+_JSON = (("--json",), {"action": "store_true"})
+
+# name: (body, help, ((flags, options), ...)), in the order -h lists them
+VERBS = {
+    "validate": (_cmd_validate, "check a diagram file and summarize it", (_FILE,)),
+    "generators": (_cmd_generators, "list the generators of a diagram", (_FILE,)),
+    "bsda": (_cmd_bsda, "print the invariant matrix", (
+        _FILE, (("--ring",), {"choices": ("z", "zh", "zg", "qh"), "default": "z"}),
+        _JSON)),
+    "alexander": (_cmd_alexander, "print the determinant functor matrix", (
+        _FILE, (("--ring",), {"choices": ("z", "zg", "qh"), "default": "z"}), _JSON,
+        (("--compare",), {"action": "store_true",
+                          "help": "also compare against the invariant matrix"}))),
+    "fn": (_cmd_fn, "print the sutured TQFT data and map", (_FILE,)),
+    "glue": (_cmd_glue, "glue two diagrams along the shared interface", _PAIR),
+    "disjoint": (_cmd_disjoint, "disjoint union of two diagrams", _PAIR),
+    "normalize": (_cmd_normalize,
+                  "promote boundary arcs to circles with fresh arc pairs",
+                  (_FILE, _OUTPUT)),
+    "cap": (_cmd_cap, "close a diagram along chosen arc subsets "
+                      "(normalizing first when needed)", (
+        _FILE,
+        (("--in",), {"dest": "subset_in", "default": "", "metavar": "I",
+                     "help": "incoming arcs, e.g. 1,3"}),
+        (("--out",), {"dest": "subset_out", "default": "", "metavar": "J",
+                      "help": "outgoing arcs, e.g. 2"}),
+        _OUTPUT)),
+    "selftest": (_cmd_selftest, "run the twelve acceptance checks",
+                 ((("--seed",), {"type": int, "default": 0}),)),
+    "fixtures": (_cmd_fixtures, "list shipped fixtures, or write them as JSON files",
+                 ((("--output",), {"metavar": "DIR"}),)),
+}
+
+
+def _fill(parser, name):
+    body, _, arguments = VERBS[name]
+    parser.set_defaults(fn=body)
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
 def build_parser():
     p = Parser(prog="bsfloer",
                description="exact bordered sutured invariants from "
                            "combinatorial Heegaard diagram files")
     sub = p.add_subparsers(dest="verb", metavar="verb")
     sub.required = True
-
-    def add(name, fn, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("validate", _cmd_validate, "check a diagram file and summarize it")
-    sp.add_argument("file")
-
-    sp = add("generators", _cmd_generators, "list the generators of a diagram")
-    sp.add_argument("file")
-
-    sp = add("bsda", _cmd_bsda, "print the invariant matrix")
-    sp.add_argument("file")
-    sp.add_argument("--ring", choices=("z", "zh", "zg", "qh"), default="z")
-    sp.add_argument("--json", action="store_true")
-
-    sp = add("alexander", _cmd_alexander,
-             "print the determinant functor matrix")
-    sp.add_argument("file")
-    sp.add_argument("--ring", choices=("z", "zg", "qh"), default="z")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--compare", action="store_true",
-                    help="also compare against the invariant matrix")
-
-    sp = add("fn", _cmd_fn, "print the sutured TQFT data and map")
-    sp.add_argument("file")
-
-    sp = add("glue", _cmd_glue, "glue two diagrams along the shared interface")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--output")
-
-    sp = add("disjoint", _cmd_disjoint, "disjoint union of two diagrams")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--output")
-
-    sp = add("normalize", _cmd_normalize,
-             "promote boundary arcs to circles with fresh arc pairs")
-    sp.add_argument("file")
-    sp.add_argument("--output")
-
-    sp = add("cap", _cmd_cap, "close a diagram along chosen arc subsets "
-                              "(normalizing first when needed)")
-    sp.add_argument("file")
-    sp.add_argument("--in", dest="subset_in", default="",
-                    metavar="I", help="incoming arcs, e.g. 1,3")
-    sp.add_argument("--out", dest="subset_out", default="",
-                    metavar="J", help="outgoing arcs, e.g. 2")
-    sp.add_argument("--output")
-
-    sp = add("selftest", _cmd_selftest, "run the twelve acceptance checks")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("fixtures", _cmd_fixtures,
-             "list shipped fixtures, or write them as JSON files")
-    sp.add_argument("--output", metavar="DIR")
-
+    for name, (_, help_text, _) in VERBS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in VERBS:
+            # argparse names a subparser "<prog> <verb>", so this one parser
+            # prints the help, usage and errors that build_parser's would
+            parser = Parser(prog=f"bsfloer {argv[0]}")
+            args = _fill(parser, argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         text, code = args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

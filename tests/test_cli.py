@@ -217,6 +217,149 @@ class TestExitCodes:
         assert "0/1 passed" in out
 
 
+TOP_HELP = """\
+usage: bsfloer [-h] verb ...
+
+exact bordered sutured invariants from combinatorial Heegaard diagram files
+
+positional arguments:
+  verb
+    validate  check a diagram file and summarize it
+    generators
+              list the generators of a diagram
+    bsda      print the invariant matrix
+    alexander
+              print the determinant functor matrix
+    fn        print the sutured TQFT data and map
+    glue      glue two diagrams along the shared interface
+    disjoint  disjoint union of two diagrams
+    normalize
+              promote boundary arcs to circles with fresh arc pairs
+    cap       close a diagram along chosen arc subsets (normalizing first when
+              needed)
+    selftest  run the twelve acceptance checks
+    fixtures  list shipped fixtures, or write them as JSON files
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+class TestUsageSurface:
+    """Help, usage lines and usage errors, byte for byte at 80 columns.  The
+    error texts are argparse's own (CPython 3.11 wording)."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def help_of(capsys, parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_verb_help_is_the_subparser_help(self, capsys, verb):
+        full = self.help_of(
+            capsys, lambda: cli.build_parser().parse_args([verb, "-h"]))
+        assert full.startswith(f"usage: bsfloer {verb} [-h]")
+        assert self.help_of(capsys, lambda: main([verb, "-h"])) == full
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: bsfloer [-h] verb ..."),
+        (["bsda", "-h"],
+         "usage: bsfloer bsda [-h] [--ring {z,zh,zg,qh}] [--json] file"),
+        (["cap", "-h"],
+         "usage: bsfloer cap [-h] [--in I] [--out J] [--output OUTPUT] file"),
+        (["alexander", "-h"], "usage: bsfloer alexander [-h] "
+                              "[--ring {z,zg,qh}] [--json] [--compare] file"),
+        (["fixtures", "-h"], "usage: bsfloer fixtures [-h] [--output DIR]"),
+    ])
+    def test_help_usage_line(self, capsys, argv, usage):
+        out = self.help_of(capsys, lambda: main(argv))
+        assert out.splitlines()[0] == usage
+        if argv == ["-h"]:
+            assert out == TOP_HELP
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: verb"),
+        (["frobnicate"], "argument verb: invalid choice: 'frobnicate' "
+                         "(choose from 'validate', 'generators', 'bsda', "
+                         "'alexander', 'fn', 'glue', 'disjoint', 'normalize', "
+                         "'cap', 'selftest', 'fixtures')"),
+        (["--version"], "the following arguments are required: verb"),
+        (["bsda"], "the following arguments are required: file"),
+        (["bsda", "x", "--ring", "zz"],
+         "argument --ring: invalid choice: 'zz' "
+         "(choose from 'z', 'zh', 'zg', 'qh')"),
+        (["bsda", "x", "extra"], "unrecognized arguments: extra"),
+        (["bsda", "--ring"], "argument --ring: expected one argument"),
+        (["selftest", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["glue", "a"], "the following arguments are required: right"),
+        (["validate", "--bogus", "x"], "unrecognized arguments: --bogus"),
+        (["cap", str(SHIPPED / "identity_n1.json"), "--in", "a,b"],
+         "subset must be comma-separated integers, got 'a,b'"),
+    ])
+    def test_usage_error_line(self, capsys, argv, message):
+        assert run(capsys, argv) == (64, "", f"usage error: {message}\n")
+
+    def test_one_shot_process_help(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        proc = subprocess.run([sys.executable, "-m", "bsfloer.cli", "bsda",
+                               "-h"], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout.decode() == (
+            "usage: bsfloer bsda [-h] [--ring {z,zh,zg,qh}] [--json] file\n"
+            "\n"
+            "positional arguments:\n"
+            "  file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --ring {z,zh,zg,qh}\n"
+            "  --json\n")
+
+
+class TestDispatch:
+    def test_a_named_verb_never_builds_the_full_parser(self, capsys,
+                                                       monkeypatch, tmp_path):
+        def full_parser():
+            raise AssertionError("build_parser called for a named verb")
+
+        monkeypatch.setattr(cli, "build_parser", full_parser)
+        fx = str(SHIPPED / "identity_n1.json")
+        out = str(tmp_path / "out.json")
+        cases = {
+            "validate": ([fx], 0),
+            "generators": ([fx], 0),
+            "bsda": ([fx, "--ring", "zh"], 0),
+            "alexander": ([fx, "--compare"], 0),
+            "fn": ([fx], 0),
+            "glue": ([fx, fx, "--output", out], 0),
+            "disjoint": ([fx, fx, "--output", out], 0),
+            "normalize": ([fx, "--bogus"], 64),
+            "cap": ([fx, "--in", "a,b"], 64),
+            "selftest": (["--seed", "x"], 64),
+            "fixtures": ([], 0),
+        }
+        assert list(cases) == list(cli.VERBS)
+        for verb, (rest, code) in cases.items():
+            assert run(capsys, [verb, *rest])[0] == code, verb
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        fx = str(SHIPPED / "identity_n1.json")
+        expected = run(capsys, ["validate", fx])
+        monkeypatch.setattr(sys, "argv", ["bsfloer", "validate", fx])
+        assert run(capsys, None) == expected
+        assert expected[0] == 0 and expected[1].endswith("ok\n")
+
+
 class TestOutput:
     def test_bsda_text_byte_stable(self, capsys, fxdir):
         path = str(fxdir / "bordered_mixed.json")
@@ -363,20 +506,30 @@ class TestOutput:
 
     def test_alexander_compare_on_a_normalized_file(self, capsys, tmp_path):
         # the file is already normalized, so the printed map is its own
-        # functor; the unit is still that of normalize(h), which differs
-        # here from the unit that compares h itself
+        # functor and the unit compares the file itself; here that unit
+        # differs from the one that compares normalize(h)
         h = D.normalize(random_diagram(random.Random(9), D.GroupDescriptor(0)))
         path = tmp_path / "normalized.json"
         path.write_text(dumps(h))
         assert cli._is_normalized(loads(path.read_text()))
         code, out, _ = run(capsys, ["alexander", "--compare", "--ring", "z",
                                     str(path)])
-        unit = compare_bsda_alexander(h, "z").unit
-        assert code == 0
-        assert out.splitlines()[-1] == f"unit: {cli._unit_str(R.ZZ, unit)}"
         ok, own = X.eq_up_to_global_unit(alexander_functor(h, "z"),
                                          bsda_map(h, "z"))
-        assert ok and own == -unit
+        assert code == 0 and ok
+        assert out.splitlines()[-1] == f"unit: {cli._unit_str(R.ZZ, own)}"
+        assert own == -compare_bsda_alexander(h, "z").unit
+
+    def test_alexander_compare_fail_on_a_normalized_file(self, capsys,
+                                                         tmp_path, monkeypatch):
+        h = D.normalize(random_diagram(random.Random(9), D.GroupDescriptor(0)))
+        path = tmp_path / "normalized.json"
+        path.write_text(dumps(h))
+        monkeypatch.setattr(X, "eq_up_to_global_unit", lambda g, f: (False, None))
+        code, out, _ = run(capsys, ["alexander", "--compare", str(path)])
+        assert code == 2
+        assert out.splitlines()[-1] == (
+            "FAIL: no single unit relates the two matrices")
 
     def test_fn_on_vanishing_fixture(self, capsys, fxdir):
         code, out, _ = run(capsys, ["fn", str(fxdir / "zero_matrix.json")])
