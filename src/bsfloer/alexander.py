@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import exterior as X
 from .bsda import Incidence, _arcs, bsda_z, bsda_zh, incidence, map_transform
-from .diagram import HeegaardDiagram, normalize, normalized_roles
+from .diagram import HeegaardDiagram, normalized, normalized_roles
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
                     state_sums)
 
@@ -240,10 +240,11 @@ class CompareReport:
 
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
-    """Normalize, compute both maps from one incidence, compare up to a unit."""
+    """Compute both maps of normalized(h) from one incidence, compare up to
+    a unit; a normalize output is compared as it is."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
-    hn = normalize(h)
+    hn = normalized(h)
     inc = incidence(hn, ring_tag != "z")
     f = bsda_map(hn, ring_tag, inc)
     g = alexander_functor(hn, ring_tag, inc)

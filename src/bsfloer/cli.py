@@ -16,8 +16,8 @@ import sys
 
 from . import exterior as X
 from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
-from .bsda import bsda_z, enumerate_generators, generator_count, gr_da, incidence
-from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized_roles
+from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
+from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized
 from .fixtures import fixture_library
 from .homology import k_element, vfn_sut
 from .rings import ZZ
@@ -99,18 +99,6 @@ def _emit_diagram(h, output, comment=None):
     return text, 0
 
 
-def _is_normalized(h) -> bool:
-    try:
-        normalized_roles(h)
-        return True
-    except ValueError:
-        return False
-
-
-def _ensure_normalized(h):
-    return h if _is_normalized(h) else normalize(h)
-
-
 # subcommand bodies
 
 def _cmd_validate(args):
@@ -156,18 +144,12 @@ def _cmd_bsda(args):
 def _cmd_alexander(args):
     h = _load(args.file)
     if not args.compare:
-        f = alexander_functor(_ensure_normalized(h), args.ring)
+        f = alexander_functor(normalized(h), args.ring)
         if args.json:
             return json.dumps(_map_json(f), indent=2, sort_keys=True), 0
         return "\n".join(_map_text(f)), 0
-    if _is_normalized(h):
-        # the printed map is the file's own, so the unit compares the file
-        inc = incidence(h, args.ring != "z")
-        f = alexander_functor(h, args.ring, inc)
-        match, unit = X.eq_up_to_global_unit(f, bsda_map(h, args.ring, inc))
-    else:
-        rep = compare_bsda_alexander(h, args.ring)  # both maps of normalize(h)
-        f, match, unit = rep.alexander, rep.match, rep.unit
+    rep = compare_bsda_alexander(h, args.ring)
+    f, match, unit = rep.alexander, rep.match, rep.unit
     if not match:
         return "\n".join(_map_text(f) + [
             "FAIL: no single unit relates the two matrices"]), 2
@@ -176,7 +158,7 @@ def _cmd_alexander(args):
 
 def _cmd_fn(args):
     h = _load(args.file)
-    hn = _ensure_normalized(h)
+    hn = normalized(h)
     rows, cols = hn.b, hn.a  # the shape of the presentation
     ke = k_element(hn)
     f = vfn_sut(hn, ke)
@@ -211,7 +193,7 @@ def _cmd_normalize(args):
 
 
 def _cmd_cap(args):
-    h = _ensure_normalized(_load(args.file))
+    h = normalized(_load(args.file))
     I = _parse_subset(args.subset_in)
     J = _parse_subset(args.subset_out)
     return _emit_diagram(cap(h, I, J), args.output)

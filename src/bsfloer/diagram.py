@@ -457,6 +457,16 @@ def normalized_roles(h: HeegaardDiagram):
     return range(h.n1), range(h.n1, core_end), range(core_end, h.b)
 
 
+def normalized(h: HeegaardDiagram) -> HeegaardDiagram:
+    """h itself when normalized_roles accepts it (a normalize output),
+    else normalize(h)."""
+    try:
+        normalized_roles(h)
+    except ValueError:
+        return normalize(h)
+    return h
+
+
 # ---------------------------------------------------------------------------
 # one-sided reinterpretation and capping
 
@@ -613,8 +623,12 @@ def _arcs_from_json(obj, where: str) -> ArcDiagram:
     for c in obj.get("components", []):
         _check_keys(c, ("kind", "points"), f"{where}.components[]")
         comps.append((c["kind"], _json_int(c["points"], "point count")))
-    matching = [tuple(_json_int(x, "matched point") for x in pair)
-                for pair in obj.get("matching", [])]
+    matching = []
+    for pair in obj.get("matching", []):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{where}.matching[] entry {pair!r} is not a "
+                             "pair of points")
+        matching.append(tuple(_json_int(x, "matched point") for x in pair))
     return ArcDiagram(tuple(comps), tuple(matching), obj.get("type", "alpha"))
 
 
@@ -690,7 +704,10 @@ def from_json_dict(obj: dict) -> HeegaardDiagram:
         _check_keys(e, ("id", "role"), "beta.circles[]")
         if "id" not in e:
             raise ValueError("missing id in beta.circles[]")
-        betas.append((_json_str(e["id"], "beta.circles[] id"), e.get("role")))
+        role = e.get("role")
+        if role is not None:
+            role = _json_str(role, "beta.circles[] role")
+        betas.append((_json_str(e["id"], "beta.circles[] id"), role))
     points = []
     for e in obj.get("points", []):
         _check_keys(e, ("alpha", "beta", "sign", "weight"), "points[]")

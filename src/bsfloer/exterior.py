@@ -10,36 +10,38 @@ the block structure is positional, not nested.
 Sign conventions follow the super rule throughout: moving a degree-p
 symbol past a degree-q symbol costs (-1)^{pq}.
 
-Keys are canonical on construction: an ExtElement or a GradedMap accepts
-only strictly increasing int subsets of indices >= 1 and never re-keys or
-re-adds its terms, so an engine-built map costs one pass.  Lookups are
-canonicalized.
+Keys are canonical on construction: an ExtElement or a GradedMap accepts a
+subset only as a tuple S with S == tuple(sorted({int(i) for i in S})) and
+indices in 1..rank, and never re-keys or re-adds its terms, so an
+engine-built map costs one pass.  Callers pass canonical tuples; nothing
+here sorts, deduplicates or converts a key for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .rings import (Ring, accumulate, join_terms, signed_term,
                     values_eq_up_to_unit)
 
 
-def subset_key(indices) -> tuple:
-    """The canonical key of a subset: its distinct indices as ints, in
-    increasing order.  Keys are immutable tuples, answered from a bounded
-    memo, which GradedMap consults for subsets it has not yet seen."""
-    return _tuple_key(indices if type(indices) is tuple else tuple(indices))
-
-
 _MEMO_SIZE = 1 << 12
-_CANONICAL: set = set()   # subsets GradedMap found canonical, at most _MEMO_SIZE
+_CANONICAL: set = set()   # subsets found canonical, at most _MEMO_SIZE
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _tuple_key(indices: tuple) -> tuple:
-    return tuple(sorted({int(i) for i in indices}))
+def _canonical(S) -> bool:
+    """S == tuple(sorted({int(i) for i in S})), the key rule of both
+    constructors.  The memo holds only subsets that passed the rule, and a
+    subset equal to one that passed passes it too, so a hit gives the same
+    verdict as the rule."""
+    if S in _CANONICAL:
+        return True
+    if tuple(sorted({int(i) for i in S})) != S:
+        return False
+    if len(_CANONICAL) < _MEMO_SIZE:
+        _CANONICAL.add(S)
+    return True
 
 
 def sort_key(I: tuple) -> tuple:
@@ -86,7 +88,7 @@ class ExtElement:
     def __post_init__(self) -> None:
         is_zero, clean = self.ring.is_zero, {}
         for S, c in self.terms.items():
-            if _tuple_key(S) != S:
+            if not _canonical(S):
                 raise ValueError(f"term {S!r} is not canonical")
             if S and not (1 <= S[0] and S[-1] <= self.rank):
                 raise ValueError(f"index out of range in {S!r}")
@@ -97,13 +99,6 @@ class ExtElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self):
-        """The common cardinality of all terms, or None if mixed or zero."""
-        sizes = {len(S) for S in self.terms}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
-
 
 def ext_zero(ring: Ring, rank: int) -> ExtElement:
     return ExtElement(ring, rank, {})
@@ -111,7 +106,7 @@ def ext_zero(ring: Ring, rank: int) -> ExtElement:
 
 def ext_basis(ring: Ring, rank: int, I, coeff=None) -> ExtElement:
     c = ring.one() if coeff is None else coeff
-    return ExtElement(ring, rank, {subset_key(I): c})
+    return ExtElement(ring, rank, {I: c})
 
 
 def ext_add(x: ExtElement, y: ExtElement) -> ExtElement:
@@ -204,11 +199,11 @@ class GradedMap:
         clean: dict = {}
         for key, c in self.entries.items():
             I, J = key
-            if not (I in _CANONICAL and J in _CANONICAL):
-                if _tuple_key(I) != I or _tuple_key(J) != J:
-                    raise ValueError(f"entry {key!r} is not canonical")
-                if len(_CANONICAL) < _MEMO_SIZE:
-                    _CANONICAL.update(key)
+            # the memo hit inline: every engine map comes through here, and
+            # two calls of _canonical per key cost bordered_chains ~4%
+            if not (I in _CANONICAL and J in _CANONICAL
+                    or _canonical(I) and _canonical(J)):
+                raise ValueError(f"entry {key!r} is not canonical")
             if I and (I[0] < 1 or I[-1] > n0):
                 raise ValueError("input subset out of range")
             if J and (J[0] < 1 or J[-1] > n1):
@@ -222,9 +217,6 @@ class GradedMap:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def entry(self, I, J):
-        return self.entries.get((subset_key(I), subset_key(J)), self.ring.zero())
 
 
 def zero_map(ring: Ring, n0: int, n1: int, degree: int) -> GradedMap:
@@ -377,7 +369,7 @@ def map_lines(f: GradedMap) -> list:
 
 
 def compose_eps_tensor(element: ExtElement, n0: int, n1: int,
-                       degree=None) -> GradedMap:
+                       degree: int) -> GradedMap:
     """Turn an element of the rank n0+n1 algebra (incoming block first) into
     the graded map sending g_I to the top-pairing of g_I against the incoming
     part, tensored with the outgoing part.
@@ -400,9 +392,4 @@ def compose_eps_tensor(element: ExtElement, n0: int, n1: int,
         I = tuple(i for i in range(1, n0 + 1) if i not in aset)
         sign = n0 * len(B) + cross_inversions(I, A)
         accumulate(ring, out, (I, B), c if sign % 2 == 0 else ring.neg(c))
-    if degree is None:
-        k = element.homogeneous_degree()
-        if k is None and element.terms:
-            raise ValueError("inhomogeneous element has no single degree")
-        degree = (k - n0) if k is not None else 0
     return GradedMap(ring, n0, n1, degree, out)

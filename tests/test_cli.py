@@ -135,16 +135,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("invalid JSON" if points is None else "point count") in err
 
+    @pytest.mark.parametrize("pair", [[0, 1, 2], [0], 0, {"p": 0}])
+    def test_matching_entry_must_be_a_pair(self, capsys, tmp_path, fxdir,
+                                           pair):
+        p = tmp_path / "bad.json"
+        doc = json.loads((fxdir / "identity_n1.json").read_text())
+        doc["boundary_left"]["matching"] = [pair]
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "boundary_left.matching[]" in err
+
     @pytest.mark.parametrize("edit", [
         {"circles": "AB"},
         {"circles": [{"x": 1}]},
         {"alpha id": 5},
         {"beta id": {"x": 1}},
         {"point beta": 1},
+        {"beta role": 5},
     ], ids=["circles-text", "circle-object", "alpha-id-number",
-            "beta-id-object", "point-beta-number"])
+            "beta-id-object", "point-beta-number", "beta-role-number"])
     def test_curve_ids_must_be_strings(self, capsys, tmp_path, fxdir, edit):
-        """Curve ids are JSON strings and alpha.circles a list; each edit
+        """Curve ids and beta roles are JSON strings and alpha.circles a
+        list; each edit
         keeps every reference consistent once ids are turned into text."""
         doc = json.loads((fxdir / "identity_n1.json").read_text())
         if "circles" in edit:
@@ -159,6 +174,8 @@ class TestExitCodes:
             doc["beta"]["circles"][0]["id"] = "1"
             for pt in doc["points"]:
                 pt["beta"] = 1
+        if "beta role" in edit:
+            doc["beta"]["circles"][0]["role"] = 5
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["validate", str(p)])
@@ -506,19 +523,20 @@ class TestOutput:
 
     def test_alexander_compare_on_a_normalized_file(self, capsys, tmp_path):
         # the file is already normalized, so the printed map is its own
-        # functor and the unit compares the file itself; here that unit
-        # differs from the one that compares normalize(h)
+        # functor and the unit compares the file itself, in the library as
+        # in the CLI; here that unit differs from the one of normalize(h)
         h = D.normalize(random_diagram(random.Random(9), D.GroupDescriptor(0)))
         path = tmp_path / "normalized.json"
         path.write_text(dumps(h))
-        assert cli._is_normalized(loads(path.read_text()))
+        D.normalized_roles(loads(path.read_text()))     # a normalize output
         code, out, _ = run(capsys, ["alexander", "--compare", "--ring", "z",
                                     str(path)])
+        rep = compare_bsda_alexander(h, "z")
         ok, own = X.eq_up_to_global_unit(alexander_functor(h, "z"),
                                          bsda_map(h, "z"))
-        assert code == 0 and ok
+        assert code == 0 and ok and rep.match and rep.unit == own
         assert out.splitlines()[-1] == f"unit: {cli._unit_str(R.ZZ, own)}"
-        assert own == -compare_bsda_alexander(h, "z").unit
+        assert own == -compare_bsda_alexander(D.normalize(h), "z").unit
 
     def test_alexander_compare_fail_on_a_normalized_file(self, capsys,
                                                          tmp_path, monkeypatch):

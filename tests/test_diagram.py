@@ -300,6 +300,9 @@ class TestNormalizeIsValid:
             assert loaded == hn, name
             assert (tuple(map(list, D.normalized_roles(loaded)))
                     == tagged_rows(loaded)), name
+            # normalized(h) is h itself on a normalize output only
+            assert D.normalized(loaded) is loaded, name
+            assert D.normalized(h) == hn, name
 
 
 class TestReinterpret:

@@ -69,28 +69,6 @@ def trivial_units(ring, scalars=(1, -1)):
 
 
 class TestCombinatorics:
-    def test_subset_key(self):
-        assert X.subset_key([3, 1, 2]) == (1, 2, 3)
-        assert X.subset_key(()) == ()
-
-    def test_subset_key_canonicalizes_every_input(self):
-        assert X.subset_key([2, 2, 1]) == (1, 2)
-        assert X.subset_key((3, 1, 3)) == (1, 3)
-        assert X.subset_key((1, 3)) == (1, 3)
-        assert X.subset_key(iter([4, 2])) == (2, 4)
-        key = X.subset_key((True, 2))
-        assert key == (1, 2) and all(type(i) is int for i in key)
-
-    def test_subset_key_memo_is_not_aliased(self):
-        # a list is read, never cached; equal tuples give equal keys
-        indices = [3, 1]
-        key = X.subset_key(indices)
-        indices.append(0)
-        assert key == (1, 3)
-        assert X.subset_key(tuple(indices)) == (0, 1, 3)
-        assert X.subset_key((3, 1)) == (1, 3)
-        assert key == (1, 3)
-
     def test_cross_inversions(self):
         assert X.cross_inversions((1, 3), (2,)) == 1
         assert X.cross_inversions((2,), (1,)) == 1
@@ -176,12 +154,6 @@ class TestWedge:
         with pytest.raises(ValueError):
             X.ExtElement(R.ZZ, 2, {(3,): 1})
 
-    def test_homogeneous_degree(self):
-        assert basis(R.ZZ, 3, (1, 2)).homogeneous_degree() == 2
-        mixed = X.ext_add(basis(R.ZZ, 3, (1,)), basis(R.ZZ, 3, (1, 2)))
-        assert mixed.homogeneous_degree() is None
-        assert X.ext_zero(R.ZZ, 3).homogeneous_degree() is None
-
 
 class TestEpsilon:
     def test_examples(self):
@@ -245,8 +217,8 @@ class TestGradedMap:
 
     def test_entry_access(self):
         f = X.GradedMap(R.ZZ, 2, 2, 0, {((1,), (2,)): 5})
-        assert f.entry((1,), (2,)) == 5
-        assert f.entry((2,), (1,)) == 0
+        assert f.entries.get(((1,), (2,)), 0) == 5
+        assert f.entries.get(((2,), (1,)), 0) == 0
 
     def test_rank_mismatch(self):
         f = X.GradedMap(R.ZZ, 1, 1, 0, {})
@@ -283,21 +255,56 @@ class TestGradedMap:
         with pytest.raises(ValueError):
             X.GradedMap(R.ZZ, 2, 2, 0, {((2, 1), (1, 2)): 1})
         assert (2, 1) not in X._CANONICAL
-        assert all(X.subset_key(S) == S for S in X._CANONICAL)
+        assert all(S == tuple(sorted({int(i) for i in S}))
+                   for S in X._CANONICAL)
+        assert not X._canonical((2, 1)) and X._canonical((1, 2))
         with pytest.raises(ValueError):
             X.GradedMap(R.ZZ, 2, 2, 0, {((1, 1), (2,)): 1})
-
-    def test_entry_lookup_is_canonicalized(self):
-        f = X.GradedMap(R.ZZ, 2, 2, 0, {((1, 2), (1, 2)): 5, ((), ()): 3})
-        assert f.entry([2, 1], (2, 1, 2)) == 5
-        assert f.entry(iter(()), []) == 3
-        assert f.entry((2,), (1,)) == 0
 
     def test_keys_are_kept_as_given(self):
         entries = {((1,), (2,)): 4, ((2,), (1,)): 0, ((), ()): -1}
         f = X.GradedMap(R.ZZ, 2, 2, 0, entries)
         assert f.entries == {((1,), (2,)): 4, ((), ()): -1}
         assert all(k in entries for k in f.entries)
+
+
+def follows_key_rule(S, rank) -> bool:
+    try:
+        canonical = S == tuple(sorted({int(i) for i in S}))
+    except ValueError:          # int() of a string that is not a numeral
+        return False
+    return canonical and (not S or 1 <= S[0] and S[-1] <= rank)
+
+
+def accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+KEY_ITEMS = st.one_of(st.integers(-1, 4), st.booleans(),
+                      st.sampled_from([1.0, 1.5]), st.text(max_size=2))
+
+
+class TestKeyRule:
+    @given(st.lists(KEY_ITEMS, max_size=4).map(tuple))
+    def test_constructors_follow_the_rule_cold_and_warm(self, S):
+        """Both constructors accept a subset exactly when it is its own
+        sorted set of ints and lies in 1..rank, whatever the memo holds."""
+        rank, want = 3, follows_key_rule(S, 3)
+        builds = [lambda: X.ExtElement(R.ZZ, rank, {S: 1}),
+                  lambda: X.GradedMap(R.ZZ, rank, rank, 0, {(S, S): 1}),
+                  lambda: X.GradedMap(R.ZZ, rank, rank, len(S), {((), S): 1})]
+        X._CANONICAL.clear()
+        for build in builds:
+            assert accepts(build) == want
+            X._CANONICAL.clear()
+        X.identity_map(R.ZZ, 4)      # every subset of 1..4, some out of range
+        for _ in range(2):           # the second pass also sees S if it passed
+            for build in builds:
+                assert accepts(build) == want
 
 
 def compose_oracle(g, f):
@@ -405,8 +412,8 @@ class TestSuperTensor:
         t = X.super_tensor(f, X.identity_map(R.ZZ, 1))
         for (I, J), v in t.entries.items():
             i2 = len([i for i in I if i > 1])
-            base = f.entry(tuple(i for i in I if i <= 1),
-                           tuple(j for j in J if j <= 2))
+            base = f.entries.get((tuple(i for i in I if i <= 1),
+                                  tuple(j for j in J if j <= 2)), 0)
             assert v == ((-1) ** (c * i2)) * base
 
     @given(graded_maps(R.ZZ, 1, 1, 1), graded_maps(R.ZZ, 1, 1, 0),
@@ -466,10 +473,11 @@ class TestBraiding:
 
     def test_sign_pattern(self):
         b = X.braiding(R.ZZ, 1, 1)
-        assert b.entry((), ()) == 1
-        assert b.entry((1,), (2,)) == 1     # v in first slot moves to second
-        assert b.entry((2,), (1,)) == 1
-        assert b.entry((1, 2), (1, 2)) == -1
+        assert b.entries.get(((), ()), 0) == 1
+        # v in first slot moves to second
+        assert b.entries.get(((1,), (2,)), 0) == 1
+        assert b.entries.get(((2,), (1,)), 0) == 1
+        assert b.entries.get(((1, 2), (1, 2)), 0) == -1
 
 
 class TestGlobalUnit:
@@ -628,14 +636,9 @@ class TestRendering:
 class TestComposeEpsTensor:
     def test_minus_identity_from_two_terms(self):
         w = X.ExtElement(R.ZZ, 2, {(1,): -1, (2,): 1})
-        f = X.compose_eps_tensor(w, 1, 1)
+        f = X.compose_eps_tensor(w, 1, 1, 0)
         assert f.degree == 0
         assert f.entries == {((), ()): -1, ((1,), (1,)): -1}
-
-    def test_degree_inference(self):
-        w = basis(R.ZZ, 3, (1, 2))   # n0 = 2, n1 = 1, |S| = 2
-        f = X.compose_eps_tensor(w, 2, 1)
-        assert f.degree == 0
         z = X.compose_eps_tensor(X.ext_zero(R.ZZ, 3), 2, 1, degree=-1)
         assert z.is_zero() and z.degree == -1
 
@@ -643,7 +646,8 @@ class TestComposeEpsTensor:
     def test_against_epsilon(self, A, B):
         n0 = n1 = 2
         S = A + tuple(b + n0 for b in B)
-        f = X.compose_eps_tensor(basis(R.ZZ, n0 + n1, S), n0, n1)
+        f = X.compose_eps_tensor(basis(R.ZZ, n0 + n1, S), n0, n1,
+                                 len(S) - n0)
         for I in X.subsets(n0):
             got = X.apply_map(f, basis(R.ZZ, n0, I))
             pair = X.epsilon(basis(R.ZZ, n0, I), basis(R.ZZ, n0, A))
@@ -653,4 +657,4 @@ class TestComposeEpsTensor:
 
     def test_rank_guard(self):
         with pytest.raises(ValueError):
-            X.compose_eps_tensor(basis(R.ZZ, 2, (1,)), 2, 1)
+            X.compose_eps_tensor(basis(R.ZZ, 2, (1,)), 2, 1, -1)
