@@ -146,10 +146,10 @@ def bsda_map(h: HeegaardDiagram, ring_tag: str, inc=None) -> X.GradedMap:
     ring_tag != "z"))."""
     if ring_tag == "z":
         return bsda_z(h, inc)
-    f = bsda_zh(h, inc)
     if ring_tag == "zh":
-        return f
-    return map_transform(f, *_ring_change(h.group, ring_tag))
+        return bsda_zh(h, inc)
+    change = _ring_change(h.group, ring_tag)    # refuses a bad tag first
+    return map_transform(bsda_zh(h, inc), *change)
 
 
 def random_equivalent_presentation(pres: Matrix, seed: int):

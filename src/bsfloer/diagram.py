@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, replace
 
 from .rings import GroupDescriptor, parse_weight
@@ -579,28 +580,28 @@ def _check_size(count: int, what: str, name: str, limit: int) -> None:
         raise ValueError(f"{count} {what} exceed the limit {name} = {limit}")
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object")
-    extra = set(obj) - set(allowed)
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _json(x, kind: type, what: str):
+    """x itself when it is a JSON value of type kind (int, str, list or
+    dict); a boolean or a float is not an integer, and nothing is turned
+    into text.  The refusal names the field path what."""
+    if type(x) is not kind:
+        raise ValueError(f"{what} {reprlib.repr(x)} is not {_KINDS[kind]}")
+    return x
+
+
+def _record(obj, where: str, required: tuple, optional: tuple) -> dict:
+    """obj itself when it is a JSON object with every required key and no
+    key outside required and optional."""
+    extra = sorted(_json(obj, dict, where).keys() - {*required, *optional})
     if extra:
-        raise ValueError(f"unknown field(s) {sorted(extra)} in {where}")
-
-
-def _json_int(x, what: str) -> int:
-    """x itself when it is a JSON integer; floats, infinities and booleans
-    are refused, not truncated."""
-    if type(x) is not int:
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
-
-
-def _json_str(x, what: str) -> str:
-    """x itself when it is a JSON string; numbers, lists and objects are
-    refused, not turned into text."""
-    if type(x) is not str:
-        raise ValueError(f"{what} {x!r} is not a string")
-    return x
+        raise ValueError(f"unknown field(s) {extra} in {where}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing {key} in {where}")
+    return obj
 
 
 def _arcs_to_json(z: ArcDiagram):
@@ -616,20 +617,21 @@ def _arcs_to_json(z: ArcDiagram):
 def _arcs_from_json(obj, where: str) -> ArcDiagram:
     if obj is None:
         return EMPTY_ARCS
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object or null")
-    _check_keys(obj, ("components", "matching", "type"), where)
+    _record(obj, where, (), ("components", "matching", "type"))
     comps = []
-    for c in obj.get("components", []):
-        _check_keys(c, ("kind", "points"), f"{where}.components[]")
-        comps.append((c["kind"], _json_int(c["points"], "point count")))
+    for c in _json(obj.get("components", []), list, f"{where}.components"):
+        _record(c, f"{where}.components[]", ("kind", "points"), ())
+        comps.append((_json(c["kind"], str, f"{where}.components[].kind"),
+                      _json(c["points"], int, f"{where}.components[].points")))
     matching = []
-    for pair in obj.get("matching", []):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{where}.matching[] entry {pair!r} is not a "
-                             "pair of points")
-        matching.append(tuple(_json_int(x, "matched point") for x in pair))
-    return ArcDiagram(tuple(comps), tuple(matching), obj.get("type", "alpha"))
+    for pair in _json(obj.get("matching", []), list, f"{where}.matching"):
+        if len(_json(pair, list, f"{where}.matching[]")) != 2:
+            raise ValueError(f"{where}.matching[] {reprlib.repr(pair)} is "
+                             "not a pair of points")
+        matching.append(tuple(_json(x, int, f"{where}.matching[][]")
+                              for x in pair))
+    return ArcDiagram(tuple(comps), tuple(matching),
+                      _json(obj.get("type", "alpha"), str, f"{where}.type"))
 
 
 def to_json_dict(h: HeegaardDiagram) -> dict:
@@ -661,65 +663,56 @@ def to_json_dict(h: HeegaardDiagram) -> dict:
 
 
 def from_json_dict(obj: dict) -> HeegaardDiagram:
-    if not isinstance(obj, dict):
-        raise ValueError("diagram document must be a JSON object")
-    _check_keys(obj, ("group", "boundary_left", "boundary_right",
-                      "alpha", "beta", "points", "comment"), "diagram")
-    gobj = obj.get("group", {})
-    _check_keys(gobj, ("free_rank", "torsion_order"), "group")
+    _record(obj, "diagram", (), ("group", "boundary_left", "boundary_right",
+                                 "alpha", "beta", "points", "comment"))
+    _json(obj.get("comment", ""), str, "comment")
+    gobj = _record(obj.get("group", {}), "group", (),
+                   ("free_rank", "torsion_order"))
     group = GroupDescriptor(gobj.get("free_rank", 0),
                             gobj.get("torsion_order", 1))
-    aobj, bobj = obj.get("alpha", {}), obj.get("beta", {})
-    _check_keys(aobj, ("out", "circles", "in"), "alpha")
-    _check_keys(bobj, ("circles",), "beta")
-    # lists only: anything else is refused below with its own message
-    curves = [aobj.get("out"), aobj.get("circles"), aobj.get("in"),
-              bobj.get("circles")]
-    _check_size(sum(len(c) for c in curves if isinstance(c, list)),
+    aobj = _record(obj.get("alpha", {}), "alpha", (), ("out", "circles", "in"))
+    bobj = _record(obj.get("beta", {}), "beta", (), ("circles",))
+    outs, circles, ins = (_json(aobj.get(k, []), list, f"alpha.{k}")
+                          for k in ("out", "circles", "in"))
+    betas = _json(bobj.get("circles", []), list, "beta.circles")
+    listed = _json(obj.get("points", []), list, "points")
+    _check_size(len(outs) + len(circles) + len(ins) + len(betas),
                 "curves", "MAX_CURVES", MAX_CURVES)
-    listed = obj.get("points")
-    _check_size(len(listed) if isinstance(listed, list) else 0,
-                "points", "MAX_POINTS", MAX_POINTS)
+    _check_size(len(listed), "points", "MAX_POINTS", MAX_POINTS)
     zl = _arcs_from_json(obj.get("boundary_left"), "boundary_left")
     zr = _arcs_from_json(obj.get("boundary_right"), "boundary_right")
-
-    def arc_list(lst, default_orient, where):
-        out = []
-        for e in lst:
-            _check_keys(e, ("id", "orient"), where)
-            if "id" not in e:
-                raise ValueError(f"missing id in {where}")
-            out.append((_json_str(e["id"], f"{where} id"),
-                        e.get("orient", default_orient)))
-        return out
-
-    alpha_out = arc_list(aobj.get("out", []), "same", "alpha.out[]")
-    alpha_in = arc_list(aobj.get("in", []), "opposite", "alpha.in[]")
-    circles = aobj.get("circles", [])
-    if not isinstance(circles, list):
-        raise ValueError("alpha.circles must be a list")
-    circles = [_json_str(c, "alpha circle id") for c in circles]
-    betas = []
-    for e in bobj.get("circles", []):
-        _check_keys(e, ("id", "role"), "beta.circles[]")
-        if "id" not in e:
-            raise ValueError("missing id in beta.circles[]")
+    alpha = {}
+    for side, arcs, orient in (("out", outs, "same"), ("in", ins, "opposite")):
+        where = f"alpha.{side}[]"
+        alpha[side] = []
+        for e in arcs:
+            _record(e, where, ("id",), ("orient",))
+            alpha[side].append((
+                _json(e["id"], str, f"{where}.id"),
+                _json(e.get("orient", orient), str, f"{where}.orient")))
+    circles = [_json(c, str, "alpha.circles[]") for c in circles]
+    roles = []
+    for e in betas:
+        _record(e, "beta.circles[]", ("id",), ("role",))
         role = e.get("role")
         if role is not None:
-            role = _json_str(role, "beta.circles[] role")
-        betas.append((_json_str(e["id"], "beta.circles[] id"), role))
+            _json(role, str, "beta.circles[].role")
+        roles.append((_json(e["id"], str, "beta.circles[].id"), role))
     points = []
-    for e in obj.get("points", []):
-        _check_keys(e, ("alpha", "beta", "sign", "weight"), "points[]")
-        for key in ("alpha", "beta", "sign"):
-            if key not in e:
-                raise ValueError(f"missing {key} in points[]")
-        sign = _json_int(e["sign"], "point sign")
-        w = parse_weight(group, e.get("weight", "1"))
-        points.append(Point(_json_str(e["alpha"], "point alpha"),
-                            _json_str(e["beta"], "point beta"), sign, w))
-    return make_diagram(group, zl, zr, alpha_out, circles, alpha_in,
-                        betas, points)
+    for e in listed:
+        _record(e, "points[]", ("alpha", "beta", "sign"), ("weight",))
+        w = group.identity()
+        if "weight" in e:
+            text = _json(e["weight"], str, "points[].weight")
+            try:
+                w = parse_weight(group, text)
+            except ValueError as err:
+                raise ValueError(f"points[].weight: {err}") from None
+        points.append(Point(_json(e["alpha"], str, "points[].alpha"),
+                            _json(e["beta"], str, "points[].beta"),
+                            _json(e["sign"], int, "points[].sign"), w))
+    return make_diagram(group, zl, zr, alpha["out"], circles, alpha["in"],
+                        roles, points)
 
 
 def dumps(h: HeegaardDiagram, comment: str = None) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import exterior as X
-from .bsda import Incidence, _state_sums, incidence, weight_ring
+from .bsda import _state_sums, incidence, weight_ring
 from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
@@ -29,14 +29,12 @@ from .rings import (
 )
 
 
-def presentation_matrix(h: HeegaardDiagram, ring: str = "z",
-                        inc: Incidence | None = None) -> Matrix:
-    """Rows = beta circles, cols = alpha circles: the incidence of h (inc)
-    made dense on the circles; arc crossings are not part of it."""
+def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Matrix:
+    """Rows = beta circles, cols = alpha circles: the incidence of h made
+    dense on the circles; arc crossings are not part of it."""
     if ring not in ("z", "zh"):
         raise ValueError("ring must be z or zh")
-    if inc is None:
-        inc = incidence(h, weighted=ring == "zh")
+    inc = incidence(h, weighted=ring == "zh")
     R = inc.ring
     return Matrix(R, [[row[q] if q in row else R.zero() for q in inc.circles]
                       for row in inc.rows])
@@ -141,9 +139,9 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
     the generator sum times (-1)^(free rank of the presentation cokernel)."""
     if h.n0 or h.n1:
         raise ValueError("surrogate needs empty boundaries")
+    s = generator_sum(h, ring)      # refuses a bad ring before the rank
     m = presentation_matrix(h, "z")
     b1 = m.rows - integer_rank(m.entries)
-    s = generator_sum(h, ring)
     R = weight_ring(h) if ring == "zh" else ZZ
     return s if b1 % 2 == 0 else R.neg(s)
 

@@ -265,9 +265,10 @@ class TestFunctor:
 def per_entry_functor(hn, tag):
     """The functor one determinant per entry: sign * alexander_function
     over entry_vectors, on the presentation mapped entrywise into the
-    target ring.  The oracle for the state-sum alexander_functor."""
+    target ring (tag "zh": the Z[H] presentation itself).  The oracle for
+    the state-sum alexander_functor."""
     pres = presentation_matrix(hn, "z" if tag == "z" else "zh")
-    if tag != "z":
+    if tag in ("zg", "qh"):
         ring, fn = _ring_change(hn.group, tag)
         pres = Matrix(ring, [[fn(e) for e in row] for row in pres.entries])
     ring = pres.ring
@@ -310,6 +311,29 @@ class TestStateSumFunctor:
             assert functor_matches_oracle(hn) is None, k
             nonzero += not alexander_functor(hn, "qh").is_zero()
         assert nonzero >= 20
+
+    def test_invariant_is_the_functor_over_zh(self):
+        """The paper's G-analogue claim where the weights carry the Spin^c
+        data: bsda_zh equals the per-entry functor over Z[H] up to one
+        trivial unit +-t^f*s^k, on the fixtures and on random normalized
+        diagrams over Z^0..2 x Z/{1,2,3,4,6}."""
+        import random
+
+        from bsfloer.selftest import random_diagram
+
+        rng = random.Random(21)
+        groups = [GroupDescriptor(r, m) for r in range(3)
+                  for m in (1, 2, 3, 4, 6)]
+        hns = [normalize(h) for h, _ in fixture_library().values()]
+        hns += [normalize(random_diagram(rng, group=groups[k % len(groups)]))
+                for k in range(150)]
+        nonzero = 0
+        for k, hn in enumerate(hns):
+            f = bsda_zh(hn)
+            ok, unit = X.eq_up_to_global_unit(f, per_entry_functor(hn, "zh"))
+            assert ok and list(unit.values()) in ([1], [-1]), k
+            nonzero += not f.is_zero()
+        assert len(hns) == 176 and nonzero >= 100
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_normalized_identities(self, k):
@@ -378,6 +402,16 @@ class TestBsdaMap:
     def test_bad_tag(self):
         with pytest.raises(ValueError):
             bsda_map(mixed_2x2(), "nope")
+
+    def test_bad_tag_refused_before_the_state_sum(self, monkeypatch):
+        import bsfloer.bsda
+
+        def engine(*args, **kwargs):
+            raise AssertionError("state sum run for an unknown ring tag")
+
+        monkeypatch.setattr(bsfloer.bsda, "state_sums", engine)
+        with pytest.raises(ValueError, match="unknown ring tag 'bogus'"):
+            bsda_map(annulus(2, weighted=True), "bogus")
 
     def test_to_free_part(self):
         assert to_free_part({(2, 1): 3, (2, 0): -3}) == {}

@@ -133,7 +133,8 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert ("invalid JSON" if points is None else "point count") in err
+        assert ("invalid JSON" if points is None
+                else "boundary_left.components[].points") in err
 
     @pytest.mark.parametrize("pair", [[0, 1, 2], [0], 0, {"p": 0}])
     def test_matching_entry_must_be_a_pair(self, capsys, tmp_path, fxdir,
@@ -182,7 +183,38 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "is not a string" in err or "must be a list" in err
+        assert "is not a string" in err or "is not a list" in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("boundary_left", "matching"), 5,
+         "boundary_left.matching 5 is not a list"),
+        (("boundary_left", "components"), 5,
+         "boundary_left.components 5 is not a list"),
+        (("points",), 5, "points 5 is not a list"),
+        (("beta",), {"circles": 5}, "beta.circles 5 is not a list"),
+        (("alpha",), {"out": 5}, "alpha.out 5 is not a list"),
+        (("points", 0, "weight"), 5, "points[].weight 5 is not a string"),
+        (("boundary_left", "components", 0, "kind"), None,
+         "missing kind in boundary_left.components[]"),
+    ], ids=["matching", "components", "points", "beta-circles", "alpha-out",
+            "weight", "component-kind"])
+    def test_refusal_names_the_field_path(self, capsys, tmp_path, fxdir,
+                                          path, value, message):
+        """One field of a valid file edited (None: deleted) ends in exit 1
+        and one error line naming the field by its path."""
+        doc = json.loads((fxdir / "identity_n1.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {p}: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])

@@ -497,5 +497,5 @@ class TestLoadsFuzz:
             doc = value
         try:
             D.loads(json.dumps(doc))
-        except ValueError:
-            pass
+        except ValueError as e:
+            assert not str(e).startswith("malformed diagram data"), str(e)

@@ -367,6 +367,16 @@ class TestChiSurrogate:
         with pytest.raises(ValueError, match="empty"):
             chi_sfh_surrogate(identity_diagram(Z1))
 
+    def test_bad_ring_refused_before_the_presentation(self, monkeypatch):
+        import bsfloer.homology as H
+
+        def rank(entries):
+            raise AssertionError("presentation ranked for an unknown ring")
+
+        monkeypatch.setattr(H, "integer_rank", rank)
+        with pytest.raises(ValueError, match="ring must be z or zh"):
+            chi_sfh_surrogate(mixed_2x2(), "qh")
+
 
 class TestCapping:
     CASES = [
