@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import exterior as X
 from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
@@ -48,10 +49,21 @@ def _load(path):
             text = fh.read()
     except OSError as e:
         raise CommandError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CommandError(f"cannot read {path}: {e}")
     try:
         return loads(text)
     except ValueError as e:
         raise CommandError(f"{path}: {e}")
+
+
+@contextmanager
+def _writing(path):
+    """An OSError from the block, which writes path, is one error line."""
+    try:
+        yield
+    except OSError as e:
+        raise CommandError(f"cannot write {path}: {e.strerror or e}")
 
 
 def _parse_subset(text):
@@ -83,8 +95,7 @@ def _map_text(f):
 
 def _map_json(f):
     entries = []
-    for I, J in sorted(f.entries, key=lambda k: (X.sort_key(k[0]),
-                                                 X.sort_key(k[1]))):
+    for I, J in X.entry_order(f):
         entries.append({"in": list(I), "out": list(J),
                         "value": f.ring.to_str(f.entries[(I, J)])})
     return {"degree": f.degree, "entries": entries}
@@ -93,7 +104,7 @@ def _map_json(f):
 def _emit_diagram(h, output, comment=None):
     text = dumps(h, comment=comment)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _writing(output), open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
         return f"wrote {output}", 0
     return text, 0
@@ -202,12 +213,10 @@ def _cmd_cap(args):
 def _cmd_fixtures(args):
     lib = fixture_library()
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        for name in sorted(lib):
-            h, comment = lib[name]
-            path = os.path.join(args.output, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps(h, comment=comment))
+        with _writing(args.output):
+            os.makedirs(args.output, exist_ok=True)
+        for name, (h, comment) in sorted(lib.items()):
+            _emit_diagram(h, os.path.join(args.output, f"{name}.json"), comment)
         return f"wrote {len(lib)} fixtures to {args.output}", 0
     return "\n".join(f"{name}: {lib[name][1]}" for name in sorted(lib)), 0
 

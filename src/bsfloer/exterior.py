@@ -356,9 +356,14 @@ def eq_up_to_global_unit(f: GradedMap, g: GradedMap):
     return values_eq_up_to_unit(f.ring, pairs)
 
 
+def entry_order(f: GradedMap) -> list:
+    """The keys (I, J) of f in print order: by I, then J, each by sort_key."""
+    return sorted(f.entries, key=lambda k: (sort_key(k[0]), sort_key(k[1])))
+
+
 def map_lines(f: GradedMap) -> list:
     lines = []
-    for I, J in sorted(f.entries, key=lambda k: (sort_key(k[0]), sort_key(k[1]))):
+    for I, J in entry_order(f):
         v = f.ring.to_str(f.entries[(I, J)])
         lines.append(f"out{subset_str(J)} <- in{subset_str(I)}: {v}")
     return lines

@@ -9,10 +9,11 @@ The rings offer no division: determinants are state sums, and units are
 only read off (unit_part) and inverted (unit_inv) for the up-to-unit
 comparison.  Also: the one sparse accumulate step (add a term to a dict,
 drop the key when the sum is zero), one polynomial kernel over Z and Q,
-limits on H, Smith normal form over Z under MAX_SNF_BITS, exact
-determinants (one state sum over occupied column sets for every ring,
-under MAX_STATES, split into the blocks of row_blocks, and over Z one
-fraction-free elimination), and the one "equal up to a unit" comparison.
+limits on H, one reader of group-ring text (_monomial), Smith normal form
+over Z under MAX_SNF_BITS, exact determinants (one state sum over occupied
+column sets for every ring, under MAX_STATES, split into the blocks of
+row_blocks, and over Z one fraction-free elimination), and the one "equal
+up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -499,74 +501,56 @@ def augmentation(a) -> int:
     return total
 
 
-# element parsing for the integer-coefficient grammar, e.g. "1 - t1 + t1^2*t2^-1*s"
+# Group-ring text: a weight is "1" or factors t<i>, t<i>^<e>, s and s^<k>
+# joined by "*" (weight_str); an element is signed terms, each a digit
+# coefficient, a weight or both.  Spaces are ignored, and a refusal quotes
+# the term or factor at fault through reprlib.repr, so it stays short.
 
-_TERM_RE = re.compile(r"^(?P<coeff>\d+)?(?P<rest>(\*?[a-z]\w*(\^-?\d+)?)*)$")
-_FACTOR_RE = re.compile(r"^(?P<name>[a-z]\w*?)(\^(?P<exp>-?\d+))?$")
+# an index is an int() literal: t01 is t1, t1_0 is t10
+_FACTOR_RE = re.compile(r"(?:t(\d+(?:_\d+)*)|s)(?:\^(-?\d+))?")
+# a sign starts a term unless it opens the text or follows "^", as in t1^-2
+_SIGN_RE = re.compile(r"(?<=[^^])(?=[+-])")
+# "$" also matches before a final newline, which may end a term
+_TERM_RE = re.compile(r"([+-]?)(\d*)(?:\*?(.+))?$")
+
+
+def _monomial(group: GroupDescriptor, text: str) -> tuple:
+    """The weight of the factors in text."""
+    free = [0] * group.free_rank
+    tors = 0
+    for factor in text.split("*"):
+        m = _FACTOR_RE.fullmatch(factor)
+        if not m:
+            raise ValueError(f"malformed factor {reprlib.repr(factor)}")
+        exp = int(m[2] or 1)
+        if m[1] is None:
+            if group.torsion_order == 1:
+                raise ValueError("torsion generator s in a torsion-free group")
+            tors += exp
+        elif 0 < int(m[1]) <= group.free_rank:
+            free[int(m[1]) - 1] += exp
+        else:
+            raise ValueError(f"unknown variable {reprlib.repr(factor)}")
+    return (*free, tors % group.torsion_order)
 
 
 def parse_element(ring: GroupRing, text: str):
-    """Parse the textual Laurent form into a GroupRing element."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty element string")
-    # split into signed terms
-    terms = []
-    sign = 1
-    buf = ""
-    for i, ch in enumerate(s):
-        # a sign splits terms unless it is an exponent sign as in t1^-2
-        if ch in "+-" and i != 0 and s[i - 1] != "^":
-            terms.append((sign, buf))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch in "+-" and i == 0:
-            sign = 1 if ch == "+" else -1
-        else:
-            buf += ch
-    terms.append((sign, buf))
+    """Read signed terms with digit coefficients, as in "1 - 2*t1^-1*s"."""
     out = ring.zero()
-    for sg, term in terms:
-        if not term:
-            raise ValueError(f"malformed term in {text!r}")
+    for term in _SIGN_RE.split(text.replace(" ", "")):
         m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"malformed term {term!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        free = [0] * ring.free_rank
-        tors = 0
-        rest = m.group("rest") or ""
-        for fac in filter(None, rest.split("*")):
-            fm = _FACTOR_RE.match(fac)
-            if not fm:
-                raise ValueError(f"malformed factor {fac!r}")
-            name = fm.group("name")
-            exp = int(fm.group("exp")) if fm.group("exp") else 1
-            if name == "s":
-                if ring.torsion_order == 1:
-                    raise ValueError("torsion generator used in a torsion-free ring")
-                tors += exp
-            elif name.startswith("t"):
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < ring.free_rank:
-                    raise ValueError(f"unknown variable {name!r}")
-                free[idx] += exp
-            else:
-                raise ValueError(f"unknown variable {name!r}")
-        out = ring.add(out, {ring.group.make_weight(free, tors):
-                             ring.coeff.from_int(sg * coeff)})
+        if not m or term in ("", "+", "-"):
+            raise ValueError(f"malformed term {reprlib.repr(term)}")
+        w = _monomial(ring.group, m[3]) if m[3] else ring.group.identity()
+        accumulate(ring.coeff, out, w,
+                   ring.coeff.from_int(int(m[1] + (m[2] or "1"))))
     return out
 
 
 def parse_weight(group: GroupDescriptor, text: str) -> tuple:
-    """A weight is a single monomial with coefficient +1 (default "1")."""
-    elem = parse_element(GroupRing(group.free_rank, group.torsion_order), text)
-    if len(elem) != 1:
-        raise ValueError(f"weight must be a single monomial: {text!r}")
-    (g, c), = elem.items()
-    if c != 1:
-        raise ValueError(f"weight must have coefficient 1: {text!r}")
-    return g
+    """Read a weight as weight_str prints it: "1" or factors joined by "*"."""
+    s = text.replace(" ", "")
+    return group.identity() if s == "1" else _monomial(group, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, deterministic output, JSON shape,
 and the fixture round-trip."""
 
+import errno
 import itertools
 import json
 import math
@@ -196,8 +197,10 @@ class TestExitCodes:
         (("points", 0, "weight"), 5, "points[].weight 5 is not a string"),
         (("boundary_left", "components", 0, "kind"), None,
          "missing kind in boundary_left.components[]"),
+        (("points", 0, "weight"), "x" * 10**6,
+         "points[].weight: malformed factor 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
     ], ids=["matching", "components", "points", "beta-circles", "alpha-out",
-            "weight", "component-kind"])
+            "weight", "component-kind", "weight-1mb"])
     def test_refusal_names_the_field_path(self, capsys, tmp_path, fxdir,
                                           path, value, message):
         """One field of a valid file edited (None: deleted) ends in exit 1
@@ -220,6 +223,30 @@ class TestExitCodes:
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
         assert code == 1
         assert "cannot read" in err
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {p}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, target, errno_", [
+        (["normalize", "{fx}/identity_n1.json", "--output"], "{tmp}/none/x.json",
+         errno.ENOENT),
+        (["glue", "{fx}/identity_n1.json", "{fx}/identity_n1.json", "--output"],
+         "{tmp}", errno.EISDIR),
+        (["fixtures", "--output"], "{tmp}/file.json/out", errno.ENOTDIR),
+    ], ids=["missing-dir", "is-a-dir", "not-a-dir"])
+    def test_write_failure_is_one_line(self, capsys, tmp_path, fxdir, argv,
+                                       target, errno_):
+        (tmp_path / "file.json").write_text("{}")
+        target = target.format(tmp=tmp_path)
+        argv = [a.format(fx=fxdir) for a in argv] + [target]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: {os.strerror(errno_)}\n"
 
     def test_unknown_verb_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])

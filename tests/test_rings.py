@@ -401,14 +401,37 @@ class TestGrammar:
             with pytest.raises(ValueError):
                 R.parse_element(Zt, bad)
 
+    @pytest.mark.parametrize("bad", [
+        "t1 + " + "x" * 10**6,
+        "t1*" + "x" * 10**6,
+        "t" + "1" * 10**6,
+        "9" * 10**6 + "*t1",
+    ], ids=["term", "factor", "index", "coefficient"])
+    def test_refusal_of_long_input_is_short(self, bad):
+        with pytest.raises(ValueError) as e:
+            R.parse_element(R.GroupRing(1), bad)
+        assert len(str(e.value)) < 200
+
     def test_weight_parse(self):
         G = R.GroupDescriptor(2, 3)
         assert R.parse_weight(G, "t1*t2^-2*s^2") == (1, -2, 2)
         assert R.parse_weight(G, "1") == G.identity()
-        with pytest.raises(ValueError):
-            R.parse_weight(G, "1 + t1")
-        with pytest.raises(ValueError):
-            R.parse_weight(G, "2*t1")
+        assert R.parse_weight(G, "t1 * s") == (1, 0, 1)
+        # a weight is read as weight_str prints it: no sign, coefficient or
+        # sum, even one that comes to a single monomial
+        for bad in ["1 + t1", "2*t1", "+t1", "-t1", "1*t1", "01*t1",
+                    "t1 + 0*t2", "t1 - t1 + t2", ""]:
+            with pytest.raises(ValueError):
+                R.parse_weight(G, bad)
+
+    @given(st.data())
+    def test_weight_round_trip(self, data):
+        G = R.GroupDescriptor(data.draw(st.integers(0, 3)),
+                              data.draw(st.integers(1, 6)))
+        free = data.draw(st.lists(st.integers(-30, 30), min_size=G.free_rank,
+                                  max_size=G.free_rank))
+        w = G.make_weight(free, data.draw(st.integers(0, G.torsion_order - 1)))
+        assert R.parse_weight(G, G.weight_str(w)) == w
 
     @given(gr_elements(2, 3))
     def test_round_trip_random(self, a):
