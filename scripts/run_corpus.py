@@ -59,7 +59,6 @@ from bsfloer.diagram import (
     loads,
     normalize,
     normalized_roles,
-    parse_role,
     validate,
 )
 from bsfloer.fixtures import (
@@ -399,11 +398,11 @@ def sweep_core(cfg: SweepConfig) -> str:
 
 def tagged_rows(hn) -> tuple:
     """The beta rows tagged newOut(1..n1), core and newIn(1..n0), in that
-    order, read off the tags one by one."""
-    parsed = [parse_role(r) for _, r in hn.beta_circles]
-    return ([parsed.index(("newOut", j)) for j in range(1, hn.n1 + 1)],
-            [r for r, (kind, _) in enumerate(parsed) if kind == "core"],
-            [parsed.index(("newIn", i)) for i in range(1, hn.n0 + 1)])
+    order, each found by its exact tag string."""
+    tags = [r for _, r in hn.beta_circles]
+    return ([tags.index(f"newOut({j})") for j in range(1, hn.n1 + 1)],
+            [r for r, tag in enumerate(tags) if tag == "core"],
+            [tags.index(f"newIn({i})") for i in range(1, hn.n0 + 1)])
 
 
 def sweep_normalize(cfg: SweepConfig) -> str:
@@ -419,10 +418,10 @@ def sweep_normalize(cfg: SweepConfig) -> str:
     diagrams += [glue(*random_gluable_pair(rng)) for _ in range(cfg.pairs)]
     for k, h in enumerate(diagrams):
         hn = normalize(h)
-        bad = validate(hn)
-        if bad:
-            raise SystemExit(
-                f"normalize output invalid at diagram {k}: {bad[0]}")
+        try:
+            validate(hn)
+        except ValueError as e:
+            raise SystemExit(f"normalize output invalid at diagram {k}: {e}")
         if tuple(map(list, normalized_roles(hn))) != tagged_rows(hn):
             raise SystemExit(f"role ranges miss their tags at diagram {k}")
         if loads(dumps(hn)) != hn:

@@ -137,17 +137,20 @@ def _readout(h: HeegaardDiagram):
 
 
 def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
+    """The grading of one generator, read off its own alpha ids and not
+    from the engine's mask decoder, so that it can test that decoder."""
     _check_generator(h, x)
     i_sum = sum(1 for p in x.points if p.sign == -1)
     pos = {aid: i for i, aid in enumerate(h.alpha_order())}
     inv_sigma = X.perm_inversions([pos[p.alpha] for p in x.points])
-    mask = sum(1 << pos[p.alpha] for p in x.points)
-    o_r, obar_l, parity = _readout(h)(mask)
-    o_l = tuple(j for j in range(1, h.n1 + 1) if j not in obar_l)
+    used = set(x.alpha_ids())
+    o_l = tuple(j for j, (aid, _) in enumerate(h.alpha_out, 1) if aid in used)
+    obar_l = tuple(j for j in range(1, h.n1 + 1) if j not in o_l)
+    o_r = tuple(i for i, (aid, _) in enumerate(h.alpha_in, 1) if aid in used)
     obar_r = tuple(i for i in range(1, h.n0 + 1) if i not in o_r)
     inv_idem = X.cross_inversions(obar_l, o_l)
     correction = (h.a + h.n1) * len(o_r) % 2
-    total = (i_sum + inv_sigma + parity) % 2
+    total = (i_sum + inv_sigma + inv_idem + correction) % 2
     return GradingData(
         intersection_parity=i_sum % 2,
         inv_sigma_x=inv_sigma,

@@ -13,7 +13,6 @@ All orderings are array orders.  The total order on alpha curves is always
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from dataclasses import dataclass, replace
 
@@ -54,27 +53,30 @@ class ArcDiagram:
     def is_empty(self) -> bool:
         return not self.components and not self.matching
 
-    def violations(self) -> list:
-        out = []
+    def check(self, where: str = "") -> None:
+        """Raise ValueError at the first fault, its message prefixed by
+        where: the type tag, each component, each matched point, and last
+        the points left unmatched."""
         if self.type_tag not in ("alpha", "beta"):
-            out.append(f"arc diagram type {self.type_tag!r} not alpha/beta")
+            raise ValueError(f"{where}arc diagram type "
+                             f"{reprlib.repr(self.type_tag)} not alpha/beta")
         for kind, count in self.components:
             if kind not in ("interval", "circle"):
-                out.append(f"component kind {kind!r} not interval/circle")
+                raise ValueError(f"{where}component kind {reprlib.repr(kind)} "
+                                 "not interval/circle")
             if count < 0:
-                out.append("negative point count on a component")
-        seen: set = set()
-        for p, q in self.matching:
-            for x in (p, q):
-                if not 0 <= x < self.point_count:
-                    out.append(f"matched point {x} out of range")
-                if x in seen:
-                    out.append(f"point {x} matched twice")
-                seen.add(x)
-        if p_missing := self.point_count - len(seen):
-            if not out:
-                out.append(f"{p_missing} points left unmatched")
-        return out
+                raise ValueError(f"{where}negative point count on a component")
+        total, seen = self.point_count, set()
+        for x in (x for pair in self.matching for x in pair):
+            if not 0 <= x < total:
+                raise ValueError(f"{where}matched point {reprlib.repr(x)} "
+                                 "out of range")
+            if x in seen:
+                raise ValueError(f"{where}point {x} matched twice")
+            seen.add(x)
+        if missing := total - len(seen):
+            raise ValueError(f"{where}{reprlib.repr(missing)} points left "
+                             "unmatched")
 
 
 EMPTY_ARCS = ArcDiagram()
@@ -82,9 +84,7 @@ EMPTY_ARCS = ArcDiagram()
 
 def build_arc_diagram(components, matching, type_tag: str = "alpha") -> ArcDiagram:
     z = ArcDiagram(tuple(components), tuple(matching), type_tag)
-    bad = z.violations()
-    if bad:
-        raise ValueError("; ".join(bad))
+    z.check()
     return z
 
 
@@ -137,19 +137,6 @@ class Point:
     beta: str
     sign: int
     weight: tuple       # a GroupDescriptor weight (e1, ..., er, s)
-
-
-ROLE_RE = re.compile(r"^(core|newOut\((\d+)\)|newIn\((\d+)\))$")
-
-
-def parse_role(role: str):
-    m = ROLE_RE.match(role)
-    if not m:
-        raise ValueError(f"malformed role {role!r}")
-    if role == "core":
-        return ("core", None)
-    kind = "newOut" if role.startswith("newOut") else "newIn"
-    return (kind, int(m.group(2) or m.group(3)))
 
 
 @dataclass(frozen=True)
@@ -213,71 +200,72 @@ def make_diagram(group, boundary_left, boundary_right, alpha_out,
         points=tuple(points),
     )
     if check:
-        bad = validate(h)
-        if bad:
-            raise ValueError("; ".join(bad))
+        validate(h)
     return h
 
 
-def validate(h: HeegaardDiagram) -> list:
-    """All structural violations as strings; empty list means well formed."""
-    out = []
+def validate(h: HeegaardDiagram) -> None:
+    """Raise ValueError at the first structural fault: the boundaries, the
+    arc counts, duplicate ids, orientation flags, each point, then the
+    role tags (role_rows).  Every quoted value goes through reprlib.repr."""
     for side, z in (("left", h.boundary_left), ("right", h.boundary_right)):
-        out.extend(f"boundary {side}: {v}" for v in z.violations())
+        z.check(f"boundary {side}: ")
         if not z.is_empty() and z.type_tag != "alpha":
-            out.append(f"boundary {side} must be an alpha arc diagram")
+            raise ValueError(f"boundary {side} must be an alpha arc diagram")
     if len(h.alpha_out) != h.boundary_left.arc_count:
-        out.append(f"{len(h.alpha_out)} outgoing arcs for "
-                   f"{h.boundary_left.arc_count} matching arcs")
+        raise ValueError(f"{len(h.alpha_out)} outgoing arcs for "
+                         f"{h.boundary_left.arc_count} matching arcs")
     if len(h.alpha_in) != h.boundary_right.arc_count:
-        out.append(f"{len(h.alpha_in)} incoming arcs for "
-                   f"{h.boundary_right.arc_count} matching arcs")
-    alpha_ids = list(h.alpha_order())
-    if len(set(alpha_ids)) != len(alpha_ids):
-        out.append("duplicate alpha id")
-    beta_ids = list(h.beta_ids())
-    if len(set(beta_ids)) != len(beta_ids):
-        out.append("duplicate beta id")
+        raise ValueError(f"{len(h.alpha_in)} incoming arcs for "
+                         f"{h.boundary_right.arc_count} matching arcs")
+    alpha_ids, beta_ids = h.alpha_order(), h.beta_ids()
+    aset, bset = set(alpha_ids), set(beta_ids)
+    if len(aset) != len(alpha_ids):
+        raise ValueError("duplicate alpha id")
+    if len(bset) != len(beta_ids):
+        raise ValueError("duplicate beta id")
     for _, orient in h.alpha_out + h.alpha_in:
         if orient not in ("same", "opposite"):
-            out.append(f"orientation flag {orient!r} not same/opposite")
-    aset, bset = set(alpha_ids), set(beta_ids)
+            raise ValueError(f"orientation flag {reprlib.repr(orient)} not "
+                             "same/opposite")
     for p in h.points:
         if p.alpha not in aset:
-            out.append(f"point references missing alpha {p.alpha!r}")
+            raise ValueError("point references missing alpha "
+                             f"{reprlib.repr(p.alpha)}")
         if p.beta not in bset:
-            out.append(f"point references missing beta {p.beta!r}")
+            raise ValueError("point references missing beta "
+                             f"{reprlib.repr(p.beta)}")
         if p.sign not in (1, -1):
-            out.append(f"point sign {p.sign!r} not +1/-1")
+            raise ValueError(f"point sign {reprlib.repr(p.sign)} not +1/-1")
         if len(p.weight) != h.group.free_rank + 1:
-            out.append("point weight has wrong free rank")
-        elif not 0 <= p.weight[-1] < h.group.torsion_order:
-            out.append("point weight torsion exponent out of range")
-    out.extend(_role_violations(h))
-    return out
+            raise ValueError("point weight has wrong free rank")
+        if not 0 <= p.weight[-1] < h.group.torsion_order:
+            raise ValueError("point weight torsion exponent out of range")
+    role_rows(h)
 
 
-def _role_violations(h: HeegaardDiagram) -> list:
-    """Role tags, when present, run newOut(1..), core, newIn(1..), so each
-    role is a range of beta rows (normalized_roles)."""
+def role_rows(h: HeegaardDiagram):
+    """The beta rows by role tag as three ranges (newOut, core, newIn), or
+    None when h has beta circles and no tags.  The tags must be all present
+    and run exactly newOut(1), ..., newOut(p), then core any number of
+    times, then newIn(1), ..., newIn(q); each is compared as an exact
+    string, and the first tag out of that run is refused with its row."""
     roles = [r for _, r in h.beta_circles]
-    if all(r is None for r in roles):
-        return []
-    if any(r is None for r in roles):
-        return ["role tags must be all present or all absent"]
-    try:
-        parsed = [parse_role(r) for r in roles]
-    except ValueError as e:
-        return [str(e)]
-    kinds = [k for k, _ in parsed]
-    order = {"newOut": 0, "core": 1, "newIn": 2}
-    if [order[k] for k in kinds] != sorted(order[k] for k in kinds):
-        return ["roles must run (newOut, core, newIn)"]
-    for kind in ("newOut", "newIn"):
-        js = [j for k, j in parsed if k == kind]
-        if js != list(range(1, len(js) + 1)):
-            return [f"{kind} indices must run 1..{len(js)}"]
-    return []
+    if roles and all(r is None for r in roles):
+        return None
+    if None in roles:
+        raise ValueError("role tags must be all present or all absent")
+    p = q = 0
+    for row, tag in enumerate(roles):
+        if row == p and tag == f"newOut({p + 1})":
+            p += 1
+        elif tag == f"newIn({q + 1})":
+            q += 1
+        elif q or tag != "core":
+            raise ValueError(f"role {reprlib.repr(tag)} of beta row {row} "
+                             "breaks the run newOut(1..), core, newIn(1..)")
+    b = len(roles)
+    return range(p), range(p, b - q), range(b - q, b)
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +431,18 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
 
 
 def normalized_roles(h: HeegaardDiagram):
-    """The beta rows of a normalized diagram by role, as ranges: newOut
-    (out-arc j at row j - 1), core, newIn (in-arc i at row b - n0 + i - 1).
-    validate pins the tags to that order; raises when they are absent or
-    their newOut and newIn counts are not n1 and n0."""
-    roles = [r for _, r in h.beta_circles]
-    if None in roles:
+    """The beta rows of a normalized diagram by role, as role_rows reads
+    them: newOut (out-arc j at row j - 1), core, newIn (in-arc i at row
+    b - n0 + i - 1).  Raises when the tags are absent or out of their run,
+    or their newOut and newIn counts are not n1 and n0."""
+    rows = role_rows(h)
+    if rows is None:
         raise ValueError("diagram lacks role tags: not a normalize output")
-    if sum(r.startswith("newOut") for r in roles) != h.n1:
+    if len(rows[0]) != h.n1:
         raise ValueError("newOut roles do not cover the outgoing arcs")
-    if sum(r.startswith("newIn") for r in roles) != h.n0:
+    if len(rows[2]) != h.n0:
         raise ValueError("newIn roles do not cover the incoming arcs")
-    core_end = h.b - h.n0
-    return range(h.n1), range(h.n1, core_end), range(core_end, h.b)
+    return rows
 
 
 def normalized(h: HeegaardDiagram) -> HeegaardDiagram:

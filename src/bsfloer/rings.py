@@ -522,13 +522,17 @@ def _monomial(group: GroupDescriptor, text: str) -> tuple:
         m = _FACTOR_RE.fullmatch(factor)
         if not m:
             raise ValueError(f"malformed factor {reprlib.repr(factor)}")
-        exp = int(m[2] or 1)
+        try:
+            exp, index = int(m[2] or 1), int(m[1] or 0)
+        except ValueError:      # more digits than int() converts
+            raise ValueError("number too long in factor "
+                             f"{reprlib.repr(factor)}") from None
         if m[1] is None:
             if group.torsion_order == 1:
                 raise ValueError("torsion generator s in a torsion-free group")
             tors += exp
-        elif 0 < int(m[1]) <= group.free_rank:
-            free[int(m[1]) - 1] += exp
+        elif 0 < index <= group.free_rank:
+            free[index - 1] += exp
         else:
             raise ValueError(f"unknown variable {reprlib.repr(factor)}")
     return (*free, tors % group.torsion_order)
@@ -542,8 +546,12 @@ def parse_element(ring: GroupRing, text: str):
         if not m or term in ("", "+", "-"):
             raise ValueError(f"malformed term {reprlib.repr(term)}")
         w = _monomial(ring.group, m[3]) if m[3] else ring.group.identity()
-        accumulate(ring.coeff, out, w,
-                   ring.coeff.from_int(int(m[1] + (m[2] or "1"))))
+        try:
+            c = int(m[1] + (m[2] or "1"))
+        except ValueError:      # more digits than int() converts
+            raise ValueError("number too long in term "
+                             f"{reprlib.repr(term)}") from None
+        accumulate(ring.coeff, out, w, ring.coeff.from_int(c))
     return out
 
 

@@ -620,6 +620,19 @@ class TestStateSumEngine:
         assert weight_ring(h).eq(generator_sum(h, "zh"), sum_h)
         assert generator_count(h) == count
 
+    def test_oracle_catches_a_wrong_decoder(self, monkeypatch):
+        """gr_da reads no final mask, so a mask decoder with the wrong
+        shuffle parity, #{(on j, off i) : j > i}, disagrees with the
+        enumeration on the corpus."""
+        def wrong(n, bits):
+            on, off, _ = _arcs(n, bits)
+            return on, off, X.cross_inversions(on, off) & 1
+
+        corpus = [p.values[0] for p in differential_corpus()]
+        monkeypatch.setattr(B, "_arcs", wrong)
+        assert any(not X.map_eq(bsda_z(h), enumeration_oracle(h)[0])
+                   for h in corpus)
+
     def test_count_needs_every_circle(self):
         g = GroupDescriptor(0)
         h = make_diagram(g, None, None, [], ["A1"], [], [], [])

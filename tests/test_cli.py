@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import reprlib
 import subprocess
 import sys
 import time
@@ -218,6 +219,50 @@ class TestExitCodes:
         code, out, err = run(capsys, ["validate", str(p)])
         assert (code, out) == (1, "")
         assert err == f"error: {p}: {message}\n"
+
+    @pytest.mark.parametrize("edit", ["faulty-points", "alpha-1mb",
+                                      "role-1mb", "orient-1mb"])
+    def test_hostile_diagram_is_one_short_line(self, capsys, tmp_path, fxdir,
+                                               edit):
+        """MAX_POINTS faulty points, or a 1 MB alpha id, role tag or
+        orientation: the first fault alone, quoted short, ends in exit 1."""
+        h = loads((fxdir / "identity_n1.json").read_text())
+        doc = json.loads(dumps(D.normalize(h)))
+        big = "x" * 10**6
+        if edit == "faulty-points":
+            doc["points"] = [{"alpha": "A", "beta": "B", "sign": 5}] * D.MAX_POINTS
+        elif edit == "alpha-1mb":
+            doc["points"][0]["alpha"] = big
+        elif edit == "role-1mb":
+            doc["beta"]["circles"][1]["role"] = big
+        else:
+            doc["alpha"]["out"][0]["orient"] = big
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert "malformed diagram data" not in err
+
+    @pytest.mark.parametrize("row, tag", [
+        (1, "core\n"), (0, "newOut(1)\n"), (2, "newIn(01)"),
+        (2, "newIn(١)"), (2, "newIn(" + "1" * 5000 + ")"),
+    ], ids=["core-newline", "newOut-newline", "leading-zero", "arabic-digit",
+            "index-5000-digits"])
+    def test_role_tags_are_exact_strings(self, capsys, tmp_path, fxdir,
+                                         row, tag):
+        """A role tag other than the exact strings newOut(j), core and
+        newIn(i) is refused by name and row."""
+        h = loads((fxdir / "identity_n1.json").read_text())
+        doc = json.loads(dumps(D.normalize(h)))
+        doc["beta"]["circles"][row]["role"] = tag
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {p}: role {reprlib.repr(tag)} of beta row "
+                       f"{row} breaks the run newOut(1..), core, newIn(1..)\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])

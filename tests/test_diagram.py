@@ -26,11 +26,14 @@ class TestArcDiagram:
 
     def test_violations(self):
         bad = D.ArcDiagram((("interval", 2),), ((0, 5),))
-        assert any("out of range" in v for v in bad.violations())
+        with pytest.raises(ValueError, match="out of range"):
+            bad.check()
         bad = D.ArcDiagram((("interval", 4),), ((0, 1), (1, 2)))
-        assert any("matched twice" in v for v in bad.violations())
+        with pytest.raises(ValueError, match="matched twice"):
+            bad.check()
         bad = D.ArcDiagram((("interval", 4),), ((0, 1),))
-        assert any("unmatched" in v for v in bad.violations())
+        with pytest.raises(ValueError, match="unmatched"):
+            bad.check()
         with pytest.raises(ValueError):
             D.build_arc_diagram([("interval", 2)], [(0, 2)])
 
@@ -59,7 +62,7 @@ class TestArcDiagram:
 class TestValidation:
     def test_identity_is_valid(self):
         h = D.identity_diagram(Z2)
-        assert D.validate(h) == []
+        D.validate(h)
 
     def test_missing_beta_reference(self):
         h = D.identity_diagram(Z1)
@@ -67,29 +70,33 @@ class TestValidation:
             h.group, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in, h.beta_circles,
             h.points + (D.Point("aOut1", "nope", 1, h.group.identity()),))
-        assert any("missing beta" in v for v in D.validate(bad))
+        with pytest.raises(ValueError, match="missing beta"):
+            D.validate(bad)
 
     def test_arc_count_mismatch(self):
         h = D.identity_diagram(Z1)
         bad = D.HeegaardDiagram(
             h.group, Z2, h.boundary_right, h.alpha_out, h.alpha_circles,
             h.alpha_in, h.beta_circles, h.points)
-        assert any("outgoing arcs" in v for v in D.validate(bad))
+        with pytest.raises(ValueError, match="outgoing arcs"):
+            D.validate(bad)
 
     def test_role_patterns(self):
         h = D.normalize(D.identity_diagram(Z1))
-        assert D.validate(h) == []
+        D.validate(h)
         scrambled = D.HeegaardDiagram(
             h.group, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in,
             tuple(reversed(h.beta_circles)), h.points)
-        assert any("newOut" in v or "roles" in v for v in D.validate(scrambled))
+        with pytest.raises(ValueError, match="newOut|roles"):
+            D.validate(scrambled)
         partial = D.HeegaardDiagram(
             h.group, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in,
             (h.beta_circles[0], (h.beta_circles[1][0], None),
              h.beta_circles[2]), h.points)
-        assert any("all present" in v for v in D.validate(partial))
+        with pytest.raises(ValueError, match="all present"):
+            D.validate(partial)
 
     def test_weight_shape_checked(self):
         g = GroupDescriptor(1, 2)
@@ -98,7 +105,8 @@ class TestValidation:
             g, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in, h.beta_circles,
             (D.Point("aOut1", "b1", -1, (1, 2, 0)), h.points[1]))
-        assert any("free rank" in v for v in D.validate(bad))
+        with pytest.raises(ValueError, match="free rank"):
+            D.validate(bad)
 
     def test_torsion_exponent_range_checked(self):
         g = GroupDescriptor(1, 2)
@@ -107,8 +115,9 @@ class TestValidation:
             g, h.boundary_left, h.boundary_right, h.alpha_out,
             h.alpha_circles, h.alpha_in, h.beta_circles,
             (D.Point("aOut1", "b1", -1, (0, 2)), h.points[1]))
-        assert D.validate(bad) == [
-            "point weight torsion exponent out of range"]
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == "point weight torsion exponent out of range"
 
 
 class TestBuilders:
@@ -148,7 +157,7 @@ class TestGlue:
         assert (g.a, g.b) == (1, 2)
         assert len(g.points) == 4
         assert g.n0 == g.n1 == 1
-        assert D.validate(g) == []
+        D.validate(g)
         # the merged circle holds one point from each side
         circle = g.alpha_circles[0]
         assert len(g.points_on_alpha(circle)) == 2
@@ -190,7 +199,7 @@ class TestDisjoint:
         u = D.disjoint(D.identity_diagram(Z1), D.identity_diagram(Z2))
         assert u.n0 == u.n1 == 3
         assert u.b == 3
-        assert D.validate(u) == []
+        D.validate(u)
 
     def test_left_block_first(self):
         u = D.disjoint(D.identity_diagram(Z1), D.identity_diagram(Z2))
@@ -211,7 +220,7 @@ class TestNormalize:
     def test_counts_identity1(self):
         h = D.normalize(D.identity_diagram(Z1))
         assert (h.b, h.a, h.n0, h.n1) == (3, 2, 1, 1)
-        assert D.validate(h) == []
+        D.validate(h)
         outs, cores, ins = D.normalized_roles(h)
         assert (outs, cores, ins) == (range(1), range(1, 2), range(2, 3))
         assert h.beta_ids()[cores[0]] == "b1"
@@ -247,6 +256,21 @@ class TestNormalize:
         fresh_in = h.alpha_in[0][0]
         assert [p.sign for p in h.points_on_alpha(fresh_in)] == [1]
 
+    def test_roles_out_of_their_run_are_refused(self):
+        """normalized_roles reads the tags themselves, so a diagram built
+        without validate cannot hand it reversed tags as row ranges."""
+        h = D.normalize(D.identity_diagram(Z1))
+        rev = D.HeegaardDiagram(
+            h.group, h.boundary_left, h.boundary_right, h.alpha_out,
+            h.alpha_circles, h.alpha_in, tuple(reversed(h.beta_circles)),
+            h.points)
+        message = ("role 'core' of beta row 1 breaks the run newOut(1..), "
+                   "core, newIn(1..)")
+        for read in (D.normalized_roles, D.validate):
+            with pytest.raises(ValueError) as e:
+                read(rev)
+            assert str(e.value) == message
+
     def test_core_betas_preserved(self):
         base = D.identity_diagram(Z2)
         h = D.normalize(base)
@@ -273,11 +297,11 @@ def normalize_inputs(draw):
 
 def tagged_rows(hn):
     """The beta rows tagged newOut(1..n1), core and newIn(1..n0), in that
-    order, read off the tags one by one."""
-    parsed = [D.parse_role(r) for _, r in hn.beta_circles]
-    return ([parsed.index(("newOut", j)) for j in range(1, hn.n1 + 1)],
-            [r for r, (kind, _) in enumerate(parsed) if kind == "core"],
-            [parsed.index(("newIn", i)) for i in range(1, hn.n0 + 1)])
+    order, each found by its exact tag string."""
+    tags = [r for _, r in hn.beta_circles]
+    return ([tags.index(f"newOut({j})") for j in range(1, hn.n1 + 1)],
+            [r for r, tag in enumerate(tags) if tag == "core"],
+            [tags.index(f"newIn({i})") for i in range(1, hn.n0 + 1)])
 
 
 class TestNormalizeIsValid:
@@ -287,15 +311,15 @@ class TestNormalizeIsValid:
     @given(normalize_inputs())
     def test_drawn_diagrams(self, h):
         hn = D.normalize(h)
-        assert D.validate(hn) == []
-        assert D.validate(D.normalize(hn)) == []
+        D.validate(hn)
+        D.validate(D.normalize(hn))
         assert tuple(map(list, D.normalized_roles(hn))) == tagged_rows(hn)
 
     def test_every_fixture(self):
         assert len(FIXTURES) == 26
         for name, (h, _) in FIXTURES.items():
             hn = D.normalize(h)
-            assert D.validate(hn) == [], name
+            D.validate(hn)
             loaded = D.loads(D.dumps(hn))
             assert loaded == hn, name
             assert (tuple(map(list, D.normalized_roles(loaded)))
@@ -310,7 +334,7 @@ class TestReinterpret:
         h = D.reinterpret_one_sided(D.identity_diagram(Z1))
         assert h.n0 == 0 and h.n1 == 2
         assert h.points == D.identity_diagram(Z1).points
-        assert D.validate(h) == []
+        D.validate(h)
 
     def test_in_arcs_first_with_flipped_flags(self):
         h = D.reinterpret_one_sided(D.identity_diagram(Z1))
@@ -328,7 +352,7 @@ class TestCap:
         h = D.cap(D.normalize(D.identity_diagram(Z1)), [1], [1])
         assert (h.n0, h.n1) == (0, 0)
         assert (h.b, h.a) == (3, 3)
-        assert D.validate(h) == []
+        D.validate(h)
 
     def test_balanced_iff_degree_matched(self):
         hn = D.normalize(D.identity_diagram(Z1))

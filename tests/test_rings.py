@@ -412,6 +412,27 @@ class TestGrammar:
             R.parse_element(R.GroupRing(1), bad)
         assert len(str(e.value)) < 200
 
+    @pytest.mark.parametrize("text, message", [
+        ("t" + "1" * 5000, "number too long in factor 't11111111111...1111111111111'"),
+        ("t1^" + "1" * 5000, "number too long in factor 't1^111111111...1111111111111'"),
+        ("s^-" + "1" * 5000, "number too long in factor 's^-111111111...1111111111111'"),
+    ], ids=["index", "exponent", "torsion-exponent"])
+    def test_number_past_int_limit_names_the_factor(self, text, message):
+        """A number with more digits than int() converts is refused in one
+        short line naming its factor, by both readers."""
+        G = R.GroupDescriptor(1, 3)
+        for read in (lambda t: R.parse_weight(G, t),
+                     lambda t: R.parse_element(R.GroupRing(1, 3), "2 - " + t)):
+            with pytest.raises(ValueError) as e:
+                read(text)
+            assert str(e.value) == message
+
+    def test_coefficient_past_int_limit_names_the_term(self):
+        with pytest.raises(ValueError) as e:
+            R.parse_element(R.GroupRing(1), "t1 - " + "1" * 5000 + "*t1")
+        assert str(e.value) == ("number too long in term "
+                                "'-11111111111...1111111111*t1'")
+
     def test_weight_parse(self):
         G = R.GroupDescriptor(2, 3)
         assert R.parse_weight(G, "t1*t2^-2*s^2") == (1, -2, 2)
