@@ -3,7 +3,8 @@
 
 Draws gluable pairs and standalone diagrams from a seed, then reports how
 often each identity was exercised nontrivially: gluing against composition
-(over Z, and with weights over Z[H], Q[H] and for the Z[G] functor),
+(over Z, and with weights over Z[H], Q[H] and for the Z[H] and Z[G]
+functors, the weighted pairs biased toward nonzero composites),
 normalization invariance, and the determinant-functor comparison per
 coefficient ring.  It also checks the state-sum engine behind the
 invariant matrix against generator enumeration, disjoint unions and
@@ -123,38 +124,57 @@ def sweep_gluing(cfg: SweepConfig) -> str:
     return f"gluing: {cfg.pairs} pairs ok, {nonzero} nonzero composites"
 
 
+GLUE_DRAWS = 4      # draws per weighted gluing slot, until one is nonzero
+
+
 def sweep_weighted_gluing(cfg: SweepConfig) -> str:
     """Pairs glued as random_gluable_pair glues them, with weights in the
     sweep's groups: bsda_zh and the Q[H] matrix of the glued diagram
-    against the composite of its pieces', and the Z[G] Alexander functor
-    of the normalized glued diagram against the composite functor, each
-    up to a unit."""
+    against the composite of its pieces', and the Z[H] and Z[G] Alexander
+    functors of the normalized glued diagram against the composite
+    functors, each up to a unit.  A slot draws up to GLUE_DRAWS pairs and
+    stops at the first whose glued Z[H] matrix is nonzero; every draw is
+    checked, and at least a quarter of the slots must end nonzero."""
     rng = random.Random(cfg.seed * 7919 + 12)
-    nonzero = functor_nonzero = 0
+    draws = nonzero = 0
+    functor_nonzero = {"zh": 0, "zg": 0}
     for k in range(cfg.pairs):
         group = GROUPS[k % len(GROUPS)]
-        mid = interval_arcs(rng.randint(1, 3))
-        left = _random_piece(rng, interval_arcs(rng.randint(0, 2)), mid,
-                             group=group)
-        need = ["same" if flag == "opposite" else "opposite"
-                for _, flag in left.alpha_in]
-        right = _random_piece(rng, mid, interval_arcs(rng.randint(0, 2)),
-                              out_flags=need, group=group)
-        h = glue(left, right)
-        f, a = bsda_zh(h), alexander_functor(normalize(h), "zg")
-        checks = [(f, bsda_zh(left), bsda_zh(right)),
-                  (bsda_map(h, "qh"), bsda_map(left, "qh"),
-                   bsda_map(right, "qh")),
-                  (a, alexander_functor(normalize(left), "zg"),
-                   alexander_functor(normalize(right), "zg"))]
-        for glued, lf, rf in checks:
-            if not X.eq_up_to_global_unit(glued, X.compose(lf, rf))[0]:
-                raise SystemExit(f"weighted glue/compose mismatch at pair {k}")
+        for _ in range(GLUE_DRAWS):
+            mid = interval_arcs(rng.randint(1, 3))
+            left = _random_piece(rng, interval_arcs(rng.randint(0, 2)), mid,
+                                 group=group)
+            need = ["same" if flag == "opposite" else "opposite"
+                    for _, flag in left.alpha_in]
+            right = _random_piece(rng, mid, interval_arcs(rng.randint(0, 2)),
+                                  out_flags=need, group=group)
+            h = glue(left, right)
+            f = bsda_zh(h)
+            checks = [(f, bsda_zh(left), bsda_zh(right)),
+                      (bsda_map(h, "qh"), bsda_map(left, "qh"),
+                       bsda_map(right, "qh"))]
+            functors = {tag: alexander_functor(normalize(h), tag)
+                        for tag in functor_nonzero}
+            checks += [(a, alexander_functor(normalize(left), tag),
+                        alexander_functor(normalize(right), tag))
+                       for tag, a in functors.items()]
+            for glued, lf, rf in checks:
+                if not X.eq_up_to_global_unit(glued, X.compose(lf, rf))[0]:
+                    raise SystemExit(
+                        f"weighted glue/compose mismatch at draw {draws}")
+            draws += 1
+            if not f.is_zero():
+                break
         nonzero += not f.is_zero()
-        functor_nonzero += not a.is_zero()
-    return (f"weighted gluing: {cfg.pairs} pairs over {len(GROUPS)} groups "
-            f"ok, {nonzero} nonzero Z[H] composites, {functor_nonzero} "
-            f"nonzero functor composites")
+        for tag, a in functors.items():
+            functor_nonzero[tag] += not a.is_zero()
+    if nonzero < cfg.pairs // 4:
+        raise SystemExit(f"degenerate weighted gluing corpus: only {nonzero} "
+                         f"of {cfg.pairs} nonzero composites")
+    return (f"weighted gluing: {draws} pairs over {len(GROUPS)} groups ok, "
+            f"{nonzero} of {cfg.pairs} slots with nonzero Z[H] composites, "
+            f"{functor_nonzero['zh']} nonzero Z[H] and "
+            f"{functor_nonzero['zg']} nonzero Z[G] functor composites")
 
 
 def sweep_identities() -> str:

@@ -1,4 +1,4 @@
-"""Alexander functions and functors over Z, Z[G], and Q[H].
+"""Alexander functions and functors over Z, Z[H], Z[G], and Q[H].
 
 The function takes a deficiency-d presentation and d vectors in row
 coordinates and returns the determinant of the matrix with those vectors
@@ -23,6 +23,15 @@ through the J^c rows it is inv(J, J^c) + |J^c|*(k + n0) with k core rows,
 which cancels the rule's own inv(J, J^c), and c + k + n0 = a.
 Over Z[G] and Q[H] the functor is evaluated over Z[H] and mapped entrywise
 by the ring change the invariant uses; ring maps commute with determinants.
+
+The comparison with the invariant over Z[G] or Q[H] is made over Z[H]
+first, where the units are the trivial ones +-t^f*s^k.  A ring map sends
+units to units, so a match there is a match of the images, and the unit is
+the image of the Z[H] unit, except where the mapped functor vanishes: there
+it is one, on the whole map over Z[G] and per component over Q[H], as the
+search over the image ring gives it.  Only when the Z[H] compare fails are
+the images searched: for m outside {1, 2, 3, 4, 6} Z[H] has more units
+than the trivial ones (Higman), and a unit of the image need not lift.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .diagram import HeegaardDiagram, normalized, normalized_roles
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
                     state_sums)
 
-RING_TAGS = ("z", "zg", "qh")
+RING_TAGS = ("z", "zh", "zg", "qh")
 
 
 def to_free_part(zh_elem: dict) -> dict:
@@ -136,7 +145,7 @@ def alexander_functor(h_norm: HeegaardDiagram, ring_tag: str = "z",
         parity = d + a * len(jc) + len(I) * len(held) + p
         entries[(I, J)] = ring.neg(val) if parity & 1 else val
     f = X.GradedMap(ring, n0, n1, h_norm.degree, entries)
-    if ring_tag == "z":
+    if ring_tag in ("z", "zh"):
         return f
     return map_transform(f, *_ring_change(h_norm.group, ring_tag))
 
@@ -238,15 +247,36 @@ class CompareReport:
     alexander: X.GradedMap
 
 
+def _unit_image(ring, u, g: X.GradedMap):
+    """The image u of a Z[H] unit as the search over ring reports it: one
+    wherever the mapped functor g vanishes, per component over Q[H]."""
+    if isinstance(ring, QHRing):
+        return tuple(x if any(not c.is_zero(e[i]) for e in g.entries.values())
+                     else c.one()
+                     for i, (c, x) in enumerate(zip(ring.components, u)))
+    return u if g.entries else ring.one()
+
+
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
     """Compute both maps of normalized(h) from one incidence, compare up to
-    a unit; a normalize output is compared as it is."""
+    a unit; a normalize output is compared as it is.  Over Z[G] and Q[H]
+    both maps are built and compared over Z[H], then mapped by one ring
+    change; the unit is the image of the Z[H] unit, and only a failed Z[H]
+    compare searches the images (module docstring)."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     hn = normalized(h)
-    inc = incidence(hn, ring_tag != "z")
-    f = bsda_map(hn, ring_tag, inc)
-    g = alexander_functor(hn, ring_tag, inc)
+    base = "z" if ring_tag == "z" else "zh"
+    inc = incidence(hn, base == "zh")
+    f = bsda_map(hn, base, inc)
+    g = alexander_functor(hn, base, inc)
     ok, unit = X.eq_up_to_global_unit(g, f)
+    if ring_tag in ("zg", "qh"):
+        ring, fn = _ring_change(hn.group, ring_tag)
+        f, g = map_transform(f, ring, fn), map_transform(g, ring, fn)
+        if ok:
+            unit = _unit_image(ring, fn(unit), g)
+        else:
+            ok, unit = X.eq_up_to_global_unit(g, f)
     return CompareReport(ring_tag, ok, unit, f, g)

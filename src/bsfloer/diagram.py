@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from dataclasses import dataclass, replace
 
 from .rings import GroupDescriptor, parse_weight
@@ -711,11 +712,15 @@ def dumps(h: HeegaardDiagram, comment: str = None) -> str:
 
 def loads(text: str) -> HeegaardDiagram:
     """Parse a diagram document; every malformed input, nesting too deep
-    for the parser included, raises ValueError."""
+    for the parser and an integer past int()'s digit limit included, raises
+    ValueError."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}") from None
+    except ValueError:      # only int() raises a plain one: too many digits
+        raise ValueError("invalid JSON: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     try:
         return from_json_dict(obj)
     except (TypeError, KeyError, AttributeError, RecursionError) as e:

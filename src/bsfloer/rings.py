@@ -609,15 +609,17 @@ class QHRing(Ring):
         return "; ".join(parts)
 
     def from_zh(self, zh_elem):
-        """Decompose a Z[H] element into character components."""
+        """Decompose a Z[H] element into character components: on component
+        d the terms c*t^f*s^k of one free part f add c to z^(k mod d), and
+        that polynomial is reduced mod Phi_d once."""
         out = []
         for d, comp in zip(self.divisors, self.components):
-            F = comp.coeff
-            acc: dict = {}
+            polys: dict = {}
             for g, c in zh_elem.items():
-                accumulate(F, acc, (*g[:-1], 0),
-                           F.mul(F.from_int(c), F.zeta_power(g[-1])))
-            out.append(acc)
+                polys.setdefault((*g[:-1], 0), [0] * d)[g[-1] % d] += c
+            F = comp.coeff
+            values = {f: F._reduce(p) for f, p in polys.items()}
+            out.append({f: x for f, x in values.items() if not F.is_zero(x)})
         return tuple(out)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bsfloer import exterior as X
 from bsfloer.alexander import (
+    CompareReport,
     _ring_change,
     alexander_function,
     alexander_functor,
@@ -22,6 +23,7 @@ from bsfloer.alexander import (
     transport_vector,
 )
 from bsfloer.bsda import bsda_z, bsda_zh, incidence
+from bsfloer.cli import _unit_str
 from bsfloer.diagram import (
     GroupDescriptor,
     Point,
@@ -29,6 +31,7 @@ from bsfloer.diagram import (
     interval_arcs,
     make_diagram,
     normalize,
+    normalized,
 )
 from bsfloer.fixtures import (
     annulus,
@@ -259,7 +262,7 @@ class TestFunctor:
     def test_ring_tag_checked(self):
         hn = normalize(mixed_2x2())
         with pytest.raises(ValueError):
-            alexander_functor(hn, "zh")
+            alexander_functor(hn, "zx")
 
 
 def per_entry_functor(hn, tag):
@@ -284,7 +287,7 @@ def per_entry_functor(hn, tag):
 
 
 def functor_matches_oracle(hn):
-    for tag in ("z", "zg", "qh"):
+    for tag in ("z", "zh", "zg", "qh"):
         f, want = alexander_functor(hn, tag), per_entry_functor(hn, tag)
         if not X.map_eq(f, want):
             return tag
@@ -375,6 +378,108 @@ class TestStateSumFunctor:
         assert alexander_functor(hn, "z").is_zero() != c1_on_b2
         for tag in ("z", "zg", "qh"):
             assert compare_bsda_alexander(h, tag).match
+
+
+def searched_compare(h, tag):
+    """The compare by the unit search over the target ring: both maps built
+    there, each through its own ring change, and eq_up_to_global_unit of
+    the mapped maps.  The slow oracle of the Z[H]-first compare."""
+    hn = normalized(h)
+    f, g = bsda_map(hn, tag), alexander_functor(hn, tag)
+    ok, unit = X.eq_up_to_global_unit(g, f)
+    return CompareReport(tag, ok, unit, f, g)
+
+
+def printed(rep):
+    """What the CLI prints of a report: the verdict, the unit and both maps."""
+    unit = _unit_str(rep.alexander.ring, rep.unit) if rep.match else None
+    return (rep.match, unit, X.map_lines(rep.bsda), X.map_lines(rep.alexander))
+
+
+class TestZHFirstCompare:
+    """compare_bsda_alexander over Z[G] and Q[H] compares over Z[H] first
+    and maps the unit (module docstring of bsfloer.alexander)."""
+
+    def test_matches_the_search_over_the_target_ring(self):
+        import random
+
+        from bsfloer.selftest import random_diagram
+
+        rng = random.Random(24)
+        groups = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 7)]
+        hs = [h for h, _ in fixture_library().values()]
+        hs += [random_diagram(rng, group=groups[k % len(groups)])
+               for k in range(360)]
+        nonzero = {"zg": 0, "qh": 0}
+        one_for_the_image = {"zg": 0, "qh": 0}
+        for k, h in enumerate(hs):
+            zh = compare_bsda_alexander(h, "zh")
+            assert zh.match, k
+            for tag in ("zg", "qh"):
+                rep = compare_bsda_alexander(h, tag)
+                assert printed(rep) == printed(searched_compare(h, tag)), (k, tag)
+                ring, fn = _ring_change(h.group, tag)
+                nonzero[tag] += not rep.alexander.is_zero()
+                one_for_the_image[tag] += not ring.eq(rep.unit, fn(zh.unit))
+        assert min(nonzero.values()) >= 150
+        assert min(one_for_the_image.values()) >= 3
+
+    def test_failed_zh_compare_falls_back_to_the_search(self, monkeypatch):
+        names = ("bordered_mixed", "torsion_vanishing", "weighted_free2",
+                 "weighted_torsion3", "annulus_n3_weighted")
+        cases = [(fixture_library()[name][0], tag)
+                 for name in names for tag in ("zg", "qh")]
+        wants = [searched_compare(h, tag) for h, tag in cases]
+        real, rings = X.eq_up_to_global_unit, []
+
+        def zh_fails(f, g):
+            rings.append(f.ring.name)
+            return (False, None) if len(rings) == 1 else real(f, g)
+
+        monkeypatch.setattr(X, "eq_up_to_global_unit", zh_fails)
+        for (h, tag), want in zip(cases, wants):
+            rings.clear()
+            rep = compare_bsda_alexander(h, tag)
+            zh = GroupRing(h.group.free_rank, h.group.torsion_order)
+            assert rings == [zh.name, want.alexander.ring.name], tag
+            assert printed(rep) == printed(want), tag
+            assert rep.unit == want.unit
+
+    def test_unit_is_one_on_the_zero_component(self):
+        rep = compare_bsda_alexander(torsion_vanishing(), "qh")
+        R = rep.alexander.ring
+        (val,) = rep.alexander.entries.values()
+        assert R.divisors == [1, 2]
+        assert R.components[0].is_zero(val[0])
+        assert rep.match and rep.unit[0] == R.components[0].one()
+        rep = compare_bsda_alexander(torsion_vanishing(), "zg")
+        assert rep.alexander.is_zero()
+        assert rep.match and rep.unit == rep.alexander.ring.one()
+
+    def test_one_ring_change_and_one_zh_compare_per_call(self, monkeypatch):
+        import bsfloer.alexander as A
+
+        changes, compares = [], []
+        ring_change, eq = A._ring_change, X.eq_up_to_global_unit
+
+        def counting_change(group, tag):
+            changes.append(tag)
+            return ring_change(group, tag)
+
+        def counting_eq(f, g):
+            compares.append(f.ring.name)
+            return eq(f, g)
+
+        monkeypatch.setattr(A, "_ring_change", counting_change)
+        monkeypatch.setattr(X, "eq_up_to_global_unit", counting_eq)
+        for h in (bordered_mixed(), weighted_torsion3()):
+            zh = GroupRing(h.group.free_rank, h.group.torsion_order).name
+            for tag in ("zg", "qh"):
+                changes.clear()
+                compares.clear()
+                assert compare_bsda_alexander(h, tag).match
+                assert changes == [tag]
+                assert compares == [zh]
 
 
 class TestBsdaMap:

@@ -264,6 +264,20 @@ class TestExitCodes:
         assert err == (f"error: {p}: role {reprlib.repr(tag)} of beta row "
                        f"{row} breaks the run newOut(1..), core, newIn(1..)\n")
 
+    def test_integer_past_int_limit_is_invalid_json(self, capsys, tmp_path,
+                                                     fxdir):
+        """A JSON integer longer than int() converts is refused in one line
+        that names the limit, not in Python's own message."""
+        doc = json.loads((fxdir / "identity_n1.json").read_text())
+        doc["points"][0]["sign"] = 0
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc).replace('"sign": 0', '"sign": '
+                                             + "1" * 5000, 1))
+        code, out, err = run(capsys, ["validate", str(p)])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {p}: invalid JSON: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["bsda", "/nonexistent/x.json"])
         assert code == 1

@@ -337,6 +337,20 @@ class TestCharacters:
         assert qh.eq(qh.from_zh(Zh.add(a, b)),
                      qh.add(qh.from_zh(a), qh.from_zh(b)))
 
+    @pytest.mark.parametrize("r, m", [(0, 5), (1, 6), (2, 4), (1, 1)])
+    @given(data=st.data())
+    def test_character_map_term_by_term(self, r, m, data):
+        # the oracle: each term c*t^f*s^k sent to c*zeta_d^k in component d
+        # and summed there with the component's own ring operations
+        a = data.draw(gr_elements(r, m, max_terms=8))
+        qh = R.QHRing(R.GroupDescriptor(r, m))
+        for d, comp, got in zip(qh.divisors, qh.components, qh.from_zh(a)):
+            F, want = comp.coeff, comp.zero()
+            for g, c in a.items():
+                want = comp.add(want, comp.monomial(
+                    (*g[:-1], 0), F.mul(F.from_int(c), F.zeta_power(g[-1]))))
+            assert got == want, d
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_joint_characters_injective(self, m):
         G = R.GroupDescriptor(1, m)
