@@ -32,6 +32,8 @@ it is one, on the whole map over Z[G] and per component over Q[H], as the
 search over the image ring gives it.  Only when the Z[H] compare fails are
 the images searched: for m outside {1, 2, 3, 4, 6} Z[H] has more units
 than the trivial ones (Higman), and a unit of the image need not lift.
+One slot keeps the Z[H] stage of the last diagram compared over zg or qh,
+keyed by its identity, so that diagram's other image reuses the stage.
 """
 
 from __future__ import annotations
@@ -257,26 +259,40 @@ def _unit_image(ring, u, g: X.GradedMap):
     return u if g.entries else ring.one()
 
 
+def _stage(h: HeegaardDiagram, base: str) -> tuple:
+    """(normalized(h), invariant, functor, *their compare) over base."""
+    hn = normalized(h)
+    inc = incidence(hn, base == "zh")
+    f, g = bsda_map(hn, base, inc), alexander_functor(hn, base, inc)
+    return (hn, f, g, *X.eq_up_to_global_unit(g, f))
+
+
+_LAST_ZH: tuple = (None, None)  # (h, _stage(h, "zh")), read and set whole
+
+
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
     """Compute both maps of normalized(h) from one incidence, compare up to
     a unit; a normalize output is compared as it is.  Over Z[G] and Q[H]
     both maps are built and compared over Z[H], then mapped by one ring
     change; the unit is the image of the Z[H] unit, and only a failed Z[H]
-    compare searches the images (module docstring)."""
+    compare searches the images (module docstring).  zg and qh reuse the
+    Z[H] stage of the last zg or qh call on this very h (one entry only)."""
+    global _LAST_ZH
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
-    hn = normalized(h)
-    base = "z" if ring_tag == "z" else "zh"
-    inc = incidence(hn, base == "zh")
-    f = bsda_map(hn, base, inc)
-    g = alexander_functor(hn, base, inc)
-    ok, unit = X.eq_up_to_global_unit(g, f)
-    if ring_tag in ("zg", "qh"):
-        ring, fn = _ring_change(hn.group, ring_tag)
-        f, g = map_transform(f, ring, fn), map_transform(g, ring, fn)
-        if ok:
-            unit = _unit_image(ring, fn(unit), g)
-        else:
-            ok, unit = X.eq_up_to_global_unit(g, f)
+    if ring_tag in ("z", "zh"):
+        _, f, g, ok, unit = _stage(h, ring_tag)
+        return CompareReport(ring_tag, ok, unit, f, g)
+    held, stage = _LAST_ZH
+    if held is not h:
+        stage = _stage(h, "zh")
+        _LAST_ZH = (h, stage)
+    hn, f, g, ok, unit = stage
+    ring, fn = _ring_change(hn.group, ring_tag)
+    f, g = map_transform(f, ring, fn), map_transform(g, ring, fn)
+    if ok:
+        unit = _unit_image(ring, fn(unit), g)
+    else:
+        ok, unit = X.eq_up_to_global_unit(g, f)
     return CompareReport(ring_tag, ok, unit, f, g)

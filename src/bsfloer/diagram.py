@@ -24,7 +24,7 @@ from .rings import GroupDescriptor, parse_weight
 # arc diagrams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcDiagram:
     """A finite union of intervals and circles with 2k matched points.
 
@@ -132,7 +132,7 @@ def concat_arcs(z1: ArcDiagram, z2: ArcDiagram) -> ArcDiagram:
 # Heegaard diagrams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     alpha: str
     beta: str
@@ -140,7 +140,7 @@ class Point:
     weight: tuple       # a GroupDescriptor weight (e1, ..., er, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeegaardDiagram:
     group: GroupDescriptor
     boundary_left: ArcDiagram       # Z1, read by the outgoing arcs
@@ -573,11 +573,12 @@ _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 def _json(x, kind: type, what: str):
     """x itself when it is a JSON value of type kind (int, str, list or
-    dict); a boolean or a float is not an integer, and nothing is turned
-    into text.  The refusal names the field path what."""
+    dict), a string interned, since a file repeats each id on every point;
+    a boolean or a float is not an integer, and nothing is turned into
+    text.  The refusal names the field path what."""
     if type(x) is not kind:
         raise ValueError(f"{what} {reprlib.repr(x)} is not {_KINDS[kind]}")
-    return x
+    return sys.intern(x) if kind is str else x
 
 
 def _record(obj, where: str, required: tuple, optional: tuple) -> dict:

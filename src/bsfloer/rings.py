@@ -40,7 +40,7 @@ MAX_FREE_RANK = 32
 MAX_TORSION_ORDER = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupDescriptor:
     """H = Z^free_rank x Z/torsion_order, torsion_order 1 meaning torsion-free."""
 

@@ -5,6 +5,8 @@ functor matching the invariant matrix entrywise with unit +1, and the
 component decomposition of the torsion fixtures.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,9 +398,16 @@ def printed(rep):
     return (rep.match, unit, X.map_lines(rep.bsda), X.map_lines(rep.alexander))
 
 
+def same_report(rep, want):
+    """printed(...) equal and the unit equal in the report's ring."""
+    return (printed(rep) == printed(want)
+            and rep.alexander.ring.eq(rep.unit, want.unit))
+
+
 class TestZHFirstCompare:
     """compare_bsda_alexander over Z[G] and Q[H] compares over Z[H] first
-    and maps the unit (module docstring of bsfloer.alexander)."""
+    and maps the unit, and keeps the Z[H] stage of the last diagram (module
+    docstring of bsfloer.alexander)."""
 
     def test_matches_the_search_over_the_target_ring(self):
         import random
@@ -412,22 +421,36 @@ class TestZHFirstCompare:
                for k in range(360)]
         nonzero = {"zg": 0, "qh": 0}
         one_for_the_image = {"zg": 0, "qh": 0}
+        wants = []
         for k, h in enumerate(hs):
             zh = compare_bsda_alexander(h, "zh")
             assert zh.match, k
+            want = {tag: searched_compare(h, tag) for tag in ("zg", "qh")}
+            wants.append(want)
             for tag in ("zg", "qh"):
                 rep = compare_bsda_alexander(h, tag)
-                assert printed(rep) == printed(searched_compare(h, tag)), (k, tag)
+                assert same_report(rep, want[tag]), (k, tag)
                 ring, fn = _ring_change(h.group, tag)
                 nonzero[tag] += not rep.alexander.is_zero()
                 one_for_the_image[tag] += not ring.eq(rep.unit, fn(zh.unit))
+            for order in (("qh", "zg"), ("zg", "zg")):
+                copy = replace(h)
+                for tag in order:
+                    rep = compare_bsda_alexander(copy, tag)
+                    assert same_report(rep, want[tag]), (k, order, tag)
         assert min(nonzero.values()) >= 150
         assert min(one_for_the_image.values()) >= 3
+        for k in range(len(hs) - 1):
+            tag = ("zg", "qh")[k % 2]
+            for j in (k, k + 1, k):
+                rep = compare_bsda_alexander(hs[j], tag)
+                assert same_report(rep, wants[j][tag]), (k, j, tag)
 
     def test_failed_zh_compare_falls_back_to_the_search(self, monkeypatch):
         names = ("bordered_mixed", "torsion_vanishing", "weighted_free2",
                  "weighted_torsion3", "annulus_n3_weighted")
-        cases = [(fixture_library()[name][0], tag)
+        lib = fixture_library()
+        cases = [(replace(lib[name][0]), tag)
                  for name in names for tag in ("zg", "qh")]
         wants = [searched_compare(h, tag) for h, tag in cases]
         real, rings = X.eq_up_to_global_unit, []
@@ -457,9 +480,13 @@ class TestZHFirstCompare:
         assert rep.match and rep.unit == rep.alexander.ring.one()
 
     def test_one_ring_change_and_one_zh_compare_per_call(self, monkeypatch):
+        """One Z[H] stage per diagram: zg then qh on one object normalize
+        once, run two state sums and one Z[H] compare; an equal copy that
+        is not the same object computes the stage again."""
         import bsfloer.alexander as A
+        import bsfloer.bsda as B
 
-        changes, compares = [], []
+        changes, compares, calls = [], [], []
         ring_change, eq = A._ring_change, X.eq_up_to_global_unit
 
         def counting_change(group, tag):
@@ -470,17 +497,104 @@ class TestZHFirstCompare:
             compares.append(f.ring.name)
             return eq(f, g)
 
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
         monkeypatch.setattr(A, "_ring_change", counting_change)
         monkeypatch.setattr(X, "eq_up_to_global_unit", counting_eq)
+        monkeypatch.setattr(A, "normalized", counted("normalized",
+                                                     A.normalized))
+        for mod in (A, B):
+            monkeypatch.setattr(mod, "state_sums", counted("state_sums",
+                                                           mod.state_sums))
         for h in (bordered_mixed(), weighted_torsion3()):
             zh = GroupRing(h.group.free_rank, h.group.torsion_order).name
-            for tag in ("zg", "qh"):
+            for obj in (h, replace(h)):
                 changes.clear()
                 compares.clear()
-                assert compare_bsda_alexander(h, tag).match
-                assert changes == [tag]
+                calls.clear()
+                for tag in ("zg", "qh"):
+                    assert compare_bsda_alexander(obj, tag).match
+                assert changes == ["zg", "qh"]
                 assert compares == [zh]
+                assert sorted(calls) == ["normalized"] + ["state_sums"] * 2
 
+    def test_a_failed_stage_leaves_the_slot(self, monkeypatch):
+        import bsfloer.alexander as A
+
+        h = bordered_mixed()
+        want = searched_compare(h, "qh")
+        compare_bsda_alexander(h, "zg")
+        slot = A._LAST_ZH
+
+        def broken(*args):
+            raise RuntimeError("bsda_zh failed")
+
+        monkeypatch.setattr(A, "bsda_zh", broken)
+        with pytest.raises(RuntimeError, match="bsda_zh failed"):
+            compare_bsda_alexander(weighted_torsion3(), "qh")
+        assert A._LAST_ZH is slot
+        assert same_report(compare_bsda_alexander(h, "qh"), want)
+
+    def test_a_mutated_report_leaves_the_next_one(self):
+        for h in (bordered_mixed(), weighted_torsion3(), torsion_vanishing()):
+            for first, then in (("zg", "qh"), ("qh", "zg"), ("zg", "zg")):
+                rep = compare_bsda_alexander(h, first)
+                for f in (rep.bsda, rep.alexander):
+                    for v in f.entries.values():
+                        if isinstance(v, dict):
+                            v.clear()
+                    f.entries.clear()
+                rep = compare_bsda_alexander(h, then)
+                assert same_report(rep, searched_compare(h, then)), (first,
+                                                                     then)
+
+    def test_z_and_zh_neither_read_nor_write_the_slot(self, monkeypatch):
+        import bsfloer.alexander as A
+
+        h = weighted_torsion3()
+        poisoned = (h, (None,) * 5)
+        monkeypatch.setattr(A, "_LAST_ZH", poisoned)
+        for tag in ("z", "zh"):
+            rep = compare_bsda_alexander(h, tag)
+            assert rep.match
+            assert printed(rep) == printed(searched_compare(h, tag))
+            assert A._LAST_ZH is poisoned
+
+    def test_bad_tag_refused_before_the_slot_is_read(self, monkeypatch):
+        import bsfloer.alexander as A
+
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("slot read for an unknown ring tag")
+
+        monkeypatch.setattr(A, "_LAST_ZH", Unreadable())
+        with pytest.raises(ValueError, match="ring must be one of"):
+            compare_bsda_alexander(bordered_mixed(), "bogus")
+
+    def test_alternating_diagrams_recompute_the_stage(self, monkeypatch):
+        """One entry: h1, h2, h1, h2 computes the Z[H] stage on every call,
+        so a round of distinct diagrams never reuses one across them."""
+        import bsfloer.alexander as A
+
+        stages, stage = [], A._stage
+
+        def counting_stage(h, base):
+            stages.append((h, base))
+            return stage(h, base)
+
+        monkeypatch.setattr(A, "_stage", counting_stage)
+        h1, h2 = bordered_mixed(), weighted_torsion3()
+        for h in (h1, h2, h1, h2):
+            for tag in ("zg", "qh"):
+                rep = compare_bsda_alexander(h, tag)
+                assert same_report(rep, searched_compare(h, tag))
+        assert [(id(h), b) for h, b in stages] == [(id(h), "zh")
+                                                   for h in (h1, h2, h1, h2)]
+        assert A._LAST_ZH[0] is h2
 
 class TestBsdaMap:
     def test_z_tag(self):

@@ -472,6 +472,21 @@ class TestJson:
         with pytest.raises(ValueError):
             D.from_json_dict(doc)
 
+    def test_loaded_ids_are_shared_and_records_have_slots(self):
+        """Each id of a loaded file is one string object on every curve and
+        point that names it, and the frozen records keep no __dict__."""
+        text = D.dumps(D.normalize(D.identity_diagram(Z2)))
+        h1, h2 = D.loads(text), D.loads(text)
+        names = {}
+        for h in (h1, h2):
+            for p in h.points:
+                for name in (p.alpha, p.beta):
+                    assert names.setdefault(name, name) is name
+            for i, _ in h.beta_circles + h.alpha_out + h.alpha_in:
+                assert names[i] is i
+        for x in (h1, h1.points[0], h1.group, h1.boundary_left):
+            assert not hasattr(x, "__dict__")
+
 
 # every key the loader reads, in a normalized weighted document that has
 # them all
