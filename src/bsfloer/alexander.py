@@ -92,7 +92,7 @@ def _ring_change(group, ring_tag: str) -> tuple:
     if ring_tag == "qh":
         R = QHRing(group)
         return R, R.from_zh
-    raise ValueError(f"unknown ring tag {ring_tag!r}")
+    raise ValueError(f"ring must be one of {RING_TAGS}")
 
 
 def entry_vectors(h_norm: HeegaardDiagram) -> dict:

@@ -300,22 +300,36 @@ def half_identity(z: ArcDiagram, side: str, group=None) -> HeegaardDiagram:
     return make_diagram(group, None, z, [], [], arcs, betas, points)
 
 
+def braid_diagram(z: ArcDiagram, z2: ArcDiagram,
+                  group=None) -> HeegaardDiagram:
+    """Swap cobordism: incoming z followed by z2, outgoing z2 followed by z.
+
+    Beta j still joins in-arc j to its own out-arc, but the outgoing arcs
+    are listed with the two blocks exchanged, so the matrix realizes the
+    graded transposition.
+    """
+    group = group if group is not None else GroupDescriptor(0)
+    n, n2 = z.arc_count, z2.arc_count
+    total = n + n2
+    one = group.identity()
+    out_order = [n + p for p in range(1, n2 + 1)] + list(range(1, n + 1))
+    outs = [(f"aOut{j}", "same") for j in out_order]
+    ins = [(f"aIn{j}", "opposite") for j in range(1, total + 1)]
+    betas = [(f"b{j}", None) for j in range(1, total + 1)]
+    pts = []
+    for j in range(1, total + 1):
+        pts.append(Point(f"aOut{j}", f"b{j}", -1, one))
+        pts.append(Point(f"aIn{j}", f"b{j}", 1, one))
+    return make_diagram(group, concat_arcs(z2, z), concat_arcs(z, z2),
+                        outs, [], ins, betas, pts)
+
+
 def identity_diagram(z: ArcDiagram, group=None) -> HeegaardDiagram:
     """Both boundaries z; beta_j crosses aOut_j with sign -1 and aIn_j with
-    sign +1, no alpha circles."""
+    sign +1, no alpha circles: the braid of z past no arcs."""
     if z.type_tag != "alpha":
         raise ValueError("identity diagram needs an alpha arc diagram")
-    group = group if group is not None else GroupDescriptor(0)
-    n = z.arc_count
-    one = group.identity()
-    outs = [(f"aOut{j+1}", "same") for j in range(n)]
-    ins = [(f"aIn{j+1}", "opposite") for j in range(n)]
-    betas = [(f"b{j+1}", None) for j in range(n)]
-    points = []
-    for j in range(n):
-        points.append(Point(outs[j][0], betas[j][0], -1, one))
-        points.append(Point(ins[j][0], betas[j][0], 1, one))
-    return make_diagram(group, z, z, outs, [], ins, betas, points)
+    return braid_diagram(z, EMPTY_ARCS, group)
 
 
 # ---------------------------------------------------------------------------

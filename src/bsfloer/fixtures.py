@@ -10,7 +10,7 @@ from __future__ import annotations
 from .diagram import (
     HeegaardDiagram,
     Point,
-    concat_arcs,
+    braid_diagram,
     glue,
     identity_diagram,
     interval_arcs,
@@ -56,29 +56,6 @@ def ordinary_from_matrix(rows) -> HeegaardDiagram:
                        for _ in range(abs(m)))
     return make_diagram(g, None, None, [], [f"A{i+1}" for i in range(a)], [],
                         [(f"B{j+1}", None) for j in range(b)], pts)
-
-
-def braid_diagram(z, z2, group=None) -> HeegaardDiagram:
-    """Swap cobordism: incoming z followed by z2, outgoing z2 followed by z.
-
-    Beta j still joins in-arc j to its own out-arc, but the outgoing arcs
-    are listed with the two blocks exchanged, so the matrix realizes the
-    graded transposition.
-    """
-    group = group if group is not None else GroupDescriptor(0)
-    n, n2 = z.arc_count, z2.arc_count
-    total = n + n2
-    one = group.identity()
-    out_order = [n + p for p in range(1, n2 + 1)] + list(range(1, n + 1))
-    outs = [(f"aOut{j}", "same") for j in out_order]
-    ins = [(f"aIn{j}", "opposite") for j in range(1, total + 1)]
-    betas = [(f"b{j}", None) for j in range(1, total + 1)]
-    pts = []
-    for j in range(1, total + 1):
-        pts.append(Point(f"aOut{j}", f"b{j}", -1, one))
-        pts.append(Point(f"aIn{j}", f"b{j}", 1, one))
-    return make_diagram(group, concat_arcs(z2, z), concat_arcs(z, z2),
-                        outs, [], ins, betas, pts)
 
 
 def zero_matrix() -> HeegaardDiagram:

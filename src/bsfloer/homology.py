@@ -57,13 +57,14 @@ class KElement:
 
 def _core_analysis(h_norm: HeegaardDiagram):
     """Everything about the presentation M of a normalized diagram, from
-    one Smith normal form U*C*V = D of its core rows C, with r nonzero
-    diagonal entries.  star3_ok means r equals the number of core rows;
-    then the prefactor (the order of coker C) is the product of those
-    entries, else 0.  The readings are the in/out rows of -M*V on the
-    columns r.. .  With the core rows first, M*V is [[U^-1 D_r, 0],
-    [X, -readings^T]] and V is unimodular, so under star3 rank M is
-    r + rank(readings), and M is injective when that is the column count.
+    one Smith normal form U*C*V = D of its core rows C, read as D's
+    diagonal and V (U is never built), with r nonzero diagonal entries.
+    star3_ok means r equals the number of core rows; then the prefactor
+    (the order of coker C) is the product of those entries, else 0.  The
+    readings are the in/out rows of -M*V on the columns r.. .  With the
+    core rows first, M*V is [[U^-1 D_r, 0], [X, -readings^T]] and V is
+    unimodular, so under star3 rank M is r + rank(readings), and M is
+    injective when that is the column count.
     Without star3 injective reads False; no caller reads it then.
     """
     outs, cores, ins = normalized_roles(h_norm)
@@ -72,8 +73,8 @@ def _core_analysis(h_norm: HeegaardDiagram):
     C = [M[r] for r in cores]
 
     if cores:
-        _, D, V = smith_normal_form(C)
-        diagonal = [D[i][i] for i in range(min(len(D), cols)) if D[i][i] != 0]
+        diagonal, V = smith_normal_form(C)
+        diagonal = [d for d in diagonal if d != 0]
     else:
         V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
         diagonal = []

@@ -9,11 +9,12 @@ The rings offer no division: determinants are state sums, and units are
 only read off (unit_part) and inverted (unit_inv) for the up-to-unit
 comparison.  Also: the one sparse accumulate step (add a term to a dict,
 drop the key when the sum is zero), one polynomial kernel over Z and Q,
-limits on H, one reader of group-ring text (_monomial), Smith normal form
-over Z under MAX_SNF_BITS, exact determinants (one state sum over occupied
-column sets for every ring, under MAX_STATES, split into the blocks of
-row_blocks, and over Z one fraction-free elimination), and the one "equal
-up to a unit" comparison.
+limits on H, one reader of group-ring text (_monomial), the invariant
+factors and the column transform V of a Smith normal form over Z under
+MAX_SNF_BITS (the row transform is not built), exact determinants (one
+state sum over occupied column sets for every ring, under MAX_STATES,
+split into the blocks of row_blocks, and over Z one fraction-free
+elimination), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -276,16 +277,15 @@ def cyclotomic_polynomial(d: int) -> list:
 class CycloField(Ring):
     """Q(zeta_d) as Q[z]/Phi_d(z); elements are coefficient tuples of length
     phi(d), whose coefficients stay ints while integral: only inv and
-    from_fraction bring in Fractions."""
-
-    INV_MEMO_SIZE = 1024
+    from_fraction bring in Fractions.  inv runs extended Euclid on every
+    call and keeps no memo: compare_bsda_alexander over Q[H] compares over
+    Z[H] first, and inverts here only when that compare fails."""
 
     def __init__(self, d: int):
         self.d = d
         self.modulus = cyclotomic_polynomial(d)
         self.degree = len(self.modulus) - 1
         self.name = f"Q(zeta_{d})"
-        self._inv_memo: dict = {}
 
     def zero(self):
         return (0,) * self.degree
@@ -330,13 +330,7 @@ class CycloField(Ring):
         return tuple(a) == tuple(b)
 
     def inv(self, a):
-        """Inverse via extended Euclid over Q[x] against Phi_d, answered
-        from the memo when a was inverted before; the memo is emptied when
-        it holds INV_MEMO_SIZE entries."""
-        key = tuple(a)
-        memo = self._inv_memo
-        if key in memo:
-            return memo[key]
+        """Inverse via extended Euclid over Q[x] against Phi_d."""
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         # r0 = Phi_d, r1 = a; track s-coefficients for a only
@@ -349,10 +343,7 @@ class CycloField(Ring):
             s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
         # r0 is the gcd, a nonzero constant since Phi_d is irreducible
         c = r0[0]
-        if len(memo) >= self.INV_MEMO_SIZE:
-            memo.clear()
-        memo[key] = out = self._reduce([x / c for x in s0])
-        return out
+        return self._reduce([x / c for x in s0])
 
     def to_str(self, a) -> str:
         return join_terms(signed_term(str(c), "1" if i == 0 else
@@ -652,7 +643,7 @@ def _identity_entries(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-# The most bits an entry of A, U or V in smith_normal_form may hold when a
+# The most bits an entry of A or V in smith_normal_form may hold when a
 # pivot that is not a unit (the one kind that repeats) starts a pass.  The
 # tests stay under a few hundred bits, selftest and the benchmark at 3; some
 # dense 7 x 7 matrices pass 10^5 bits within a second and grow on.
@@ -660,39 +651,32 @@ MAX_SNF_BITS = 1024
 
 
 def smith_normal_form(entries):
-    """U, D, V with U*M*V = D diagonal, d1 | d2 | ..., U and V unimodular.
-    The pivot is the first entry of least absolute value in row-major order,
-    so the search stops at the first +-1; row and column operations touch
-    only the nonzero entries of their source.  An entry over MAX_SNF_BITS
-    bits raises ValueError."""
+    """(diagonal, V): the min(r, c) diagonal entries d1 | d2 | ... of the
+    Smith normal form D = U*M*V, and the unimodular V.  The row transform
+    U is never built, since no caller reads it.  The pivot is the first
+    entry of least absolute value in row-major order, so the search stops
+    at the first +-1; row and column operations touch only the nonzero
+    entries of their source.  An entry over MAX_SNF_BITS bits raises
+    ValueError."""
     A = [[int(x) for x in row] for row in entries]
     r = len(A)
     c = len(A[0]) if A else 0
-    U = _identity_entries(r)
     V = _identity_entries(c)
 
     def row_op(i, j, q):  # row_i -= q*row_j
-        for M in (A, U):
-            target = M[i]
-            for k, x in enumerate(M[j]):
-                if x:
-                    target[k] -= q * x
+        target = A[i]
+        for k, x in enumerate(A[j]):
+            if x:
+                target[k] -= q * x
 
     def col_op(i, j, q):  # col_i -= q*col_j
-        for M in (A, V):
-            for row in M:
-                if row[j]:
-                    row[i] -= q * row[j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        for row in A + V:
+            if row[j]:
+                row[i] -= q * row[j]
 
     def col_swap(i, j):
-        for k in range(r):
-            A[k][i], A[k][j] = A[k][j], A[k][i]
-        for k in range(c):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(r, c):
@@ -709,14 +693,14 @@ def smith_normal_form(entries):
                 break
         if best is None:
             break
-        row_swap(t, best[0])
+        A[t], A[best[0]] = A[best[0]], A[t]
         col_swap(t, best[1])
         again = True
         while again:
             again = False
             if abs(A[t][t]) != 1:
-                bits = max(max(max(row), -min(row)) for M in (A, U, V)
-                           for row in M).bit_length()
+                bits = max(max(max(row), -min(row))
+                           for row in A + V).bit_length()
                 if bits > MAX_SNF_BITS:
                     raise ValueError(
                         f"Smith normal form over the budget MAX_SNF_BITS = "
@@ -726,7 +710,7 @@ def smith_normal_form(entries):
                 if A[i][t]:
                     row_op(i, t, A[i][t] // A[t][t])
                     if A[i][t]:
-                        row_swap(t, i)
+                        A[t], A[i] = A[i], A[t]
                         again = True
             for j in range(t + 1, c):
                 if A[t][j]:
@@ -742,18 +726,13 @@ def smith_normal_form(entries):
             if bad is not None:
                 row_op(t, bad, -1)  # add row bad to row t, then re-reduce
                 continue
-        if A[t][t] < 0:
-            for k in range(c):
-                A[t][k] = -A[t][k]
-            for k in range(r):
-                U[t][k] = -U[t][k]
         t += 1
-    return U, A, V
+    # a finished row of A is zero off the diagonal, so abs() is its sign fix
+    return [abs(A[i][i]) for i in range(min(r, c))], V
 
 
 def snf_diagonal(entries):
-    _, D, _ = smith_normal_form(entries)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+    return smith_normal_form(entries)[0]
 
 
 def integer_rank(entries) -> int:

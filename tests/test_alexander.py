@@ -5,6 +5,7 @@ functor matching the invariant matrix entrywise with unit +1, and the
 component decomposition of the torsion fixtures.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from bsfloer import exterior as X
 from bsfloer.alexander import (
+    RING_TAGS,
     CompareReport,
     _ring_change,
     alexander_function,
@@ -629,8 +631,12 @@ class TestBsdaMap:
             raise AssertionError("state sum run for an unknown ring tag")
 
         monkeypatch.setattr(bsfloer.bsda, "state_sums", engine)
-        with pytest.raises(ValueError, match="unknown ring tag 'bogus'"):
-            bsda_map(annulus(2, weighted=True), "bogus")
+        # the refusal names the tags, never the input: a 10^6-character tag
+        # gives the same short message
+        want = re.escape(f"ring must be one of {RING_TAGS}") + "$"
+        for tag in ("bogus", "x" * 10 ** 6):
+            with pytest.raises(ValueError, match=want):
+                bsda_map(annulus(2, weighted=True), tag)
 
     def test_to_free_part(self):
         assert to_free_part({(2, 1): 3, (2, 0): -3}) == {}

@@ -699,6 +699,17 @@ class TestOutput:
         assert names == sorted(names)
         assert len(names) == len(fixture_library())
 
+    def test_shipped_fixtures_match_their_builders(self, capsys, tmp_path):
+        # the goldens read the shipped files, so they must be exactly what
+        # the builders write today
+        code, _, _ = run(capsys, ["fixtures", "--output", str(tmp_path)])
+        assert code == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in SHIPPED.iterdir())
+        for name in written:
+            assert (tmp_path / name).read_bytes() == \
+                (SHIPPED / name).read_bytes(), name
+
 
 def rational_det(rows):
     """Gaussian elimination over Q: an oracle independent of the integer

@@ -3,6 +3,7 @@
 import itertools
 import random
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,7 +50,6 @@ from bsfloer.rings import (
     integer_kernel_is_zero,
     integer_rank,
     parse_element,
-    smith_normal_form,
     snf_diagonal,
 )
 from bsfloer.selftest import random_diagram, random_gluable_pair
@@ -59,19 +59,26 @@ Z2 = interval_arcs(2)
 
 
 def lattice_member(entries, w):
-    """Is w in the column lattice of the integer matrix?"""
-    rows = len(entries)
-    cols = len(entries[0]) if entries else 0
-    U, D, _ = smith_normal_form(entries) if entries else ([], [], [])
-    uw = [sum(U[i][t] * w[t] for t in range(rows)) for i in range(rows)]
-    for i in range(rows):
-        d = D[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if uw[i] != 0:
-                return False
-        elif uw[i] % d != 0:
-            return False
-    return True
+    """Is w in the column lattice L of the integer matrix?  L + Zw contains
+    L, and the two are equal exactly when they have the same rank and the
+    same covolume in their saturation, the product of the nonzero
+    invariant factors."""
+    def factors(m):
+        return [d for d in snf_diagonal(m) if d] if m else []
+
+    before = factors(entries)
+    after = factors([[*row, x] for row, x in zip(entries, w)])
+    return len(before) == len(after) and prod(before) == prod(after)
+
+
+def test_lattice_member_against_coordinates():
+    # L = 2Z x 3Z x 0 in Z^3: w is in L exactly when 2 | w0, 3 | w1, w2 = 0
+    entries = [[2, 0], [0, 3], [0, 0]]
+    for w in itertools.product(range(-3, 4), repeat=3):
+        want = w[0] % 2 == 0 and w[1] % 3 == 0 and w[2] == 0
+        assert lattice_member(entries, list(w)) == want
+    assert lattice_member([[4, 6]], [2])
+    assert not lattice_member([[4, 6]], [1])
 
 
 class TestPresentation:
