@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from . import exterior as X
 from .bsda import Incidence, _arcs, bsda_z, bsda_zh, incidence, map_transform
 from .diagram import HeegaardDiagram, normalized, normalized_roles
-from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
-                    state_sums)
+from .rings import (ZZ, GroupRing, Matrix, QHRing, _bareiss, accumulate,
+                    det_exact, group_ring, qh_ring, state_sums)
 
 RING_TAGS = ("z", "zh", "zg", "qh")
 
@@ -66,7 +66,9 @@ def _coerce(ring, x):
 def alexander_function(m: Matrix, u):
     """det of the presentation matrix m with the deficiency-many vectors
     appended as columns on the right.  Over a domain, or per component of
-    Q[H], it is zero whenever the presentation is not injective."""
+    Q[H], it is zero whenever the presentation is not injective.  Over Z
+    the determinant is one fraction-free elimination (rings._bareiss, as
+    integer_det); other rings take det_exact's state sum."""
     ring = m.ring
     rows, cols = m.rows, m.cols
     d = rows - cols
@@ -82,15 +84,17 @@ def alexander_function(m: Matrix, u):
         list(m.entries[i]) + [_coerce(ring, v[i]) for v in u]
         for i in range(rows)
     ]
-    return det_exact(ring, square)
+    return _bareiss(square) if ring is ZZ else det_exact(ring, square)
 
 
 def _ring_change(group, ring_tag: str) -> tuple:
-    """The zg or qh coefficient ring and the ring map into it from Z[H]."""
+    """The zg or qh coefficient ring, shared by every call over an equal
+    group (rings.group_ring, rings.qh_ring), and the ring map into it from
+    Z[H]."""
     if ring_tag == "zg":
-        return GroupRing(group.free_rank, 1), to_free_part
+        return group_ring(group.free_rank, 1), to_free_part
     if ring_tag == "qh":
-        R = QHRing(group)
+        R = qh_ring(group)
         return R, R.from_zh
     raise ValueError(f"ring must be one of {RING_TAGS}")
 

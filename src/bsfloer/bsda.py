@@ -30,7 +30,8 @@ from functools import lru_cache
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, reinterpret_one_sided
-from .rings import ZZ, GroupRing, augmentation, integer_det, state_sums
+from .rings import (ZZ, GroupRing, augmentation, group_ring, integer_det,
+                    state_sums)
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,9 @@ def gr_da(h: HeegaardDiagram, x: Generator) -> GradingData:
 
 
 def weight_ring(h: HeegaardDiagram) -> GroupRing:
-    return GroupRing(h.group.free_rank, h.group.torsion_order)
+    """Z[H] for h's group H, one shared object per group
+    (rings.group_ring)."""
+    return group_ring(h.group.free_rank, h.group.torsion_order)
 
 
 @dataclass(frozen=True)

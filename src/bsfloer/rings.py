@@ -5,16 +5,17 @@ group rings of finitely generated abelian groups H = Z^r x Z/m (Laurent
 polynomials in t1..tr with an order-m generator s), cyclotomic fields
 Q(zeta_d), Laurent rings over those fields, and the full rational group
 algebra of H presented componentwise by characters of the torsion part.
-The rings offer no division: determinants are state sums, and units are
-only read off (unit_part) and inverted (unit_inv) for the up-to-unit
-comparison.  Also: the one sparse accumulate step (add a term to a dict,
-drop the key when the sum is zero), one polynomial kernel over Z and Q,
-limits on H, one reader of group-ring text (_monomial), the invariant
-factors and the column transform V of a Smith normal form over Z under
-MAX_SNF_BITS (the row transform is not built), exact determinants (one
-state sum over occupied column sets for every ring, under MAX_STATES,
-split into the blocks of row_blocks, and over Z one fraction-free
-elimination), and the one "equal up to a unit" comparison.
+group_ring and qh_ring hand out one shared ring object per group, from
+bounded memos.  The rings offer no division: units are only read off
+(unit_part) and inverted (unit_inv) for the up-to-unit comparison.  Also:
+the one sparse accumulate step (add a term to a dict, drop the key when the
+sum is zero), one polynomial kernel over Z and Q, limits on H, one reader
+of group-ring text (_monomial), the invariant factors and the column
+transform V of a Smith normal form over Z under MAX_SNF_BITS (the row
+transform is not built), exact determinants (det_exact: one state sum over
+occupied column sets for every ring, under MAX_STATES, split into the
+blocks of row_blocks; integer_det: one fraction-free elimination over Z),
+and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -26,6 +27,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -324,7 +326,7 @@ class CycloField(Ring):
         return self._reduce(_poly_mul(a, b))
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def eq(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -600,18 +602,42 @@ class QHRing(Ring):
         return "; ".join(parts)
 
     def from_zh(self, zh_elem):
-        """Decompose a Z[H] element into character components: on component
-        d the terms c*t^f*s^k of one free part f add c to z^(k mod d), and
-        that polynomial is reduced mod Phi_d once."""
+        """Decompose a Z[H] element into character components.  One pass
+        over the terms c*t^f*s^k adds c to p_f[k], one length-m list per
+        free part f; component d folds it to q[j] = sum(p_f[j::d]), the
+        polynomial in z = zeta_d (p_f itself when d = m), and reduces that
+        mod Phi_d once."""
+        m = self.group.torsion_order
+        polys: dict = {}
+        for g, c in zh_elem.items():
+            polys.setdefault((*g[:-1], 0), [0] * m)[g[-1]] += c
         out = []
         for d, comp in zip(self.divisors, self.components):
-            polys: dict = {}
-            for g, c in zh_elem.items():
-                polys.setdefault((*g[:-1], 0), [0] * d)[g[-1] % d] += c
-            F = comp.coeff
-            values = {f: F._reduce(p) for f, p in polys.items()}
-            out.append({f: x for f, x in values.items() if not F.is_zero(x)})
+            reduce, part = comp.coeff._reduce, {}
+            for f, p in polys.items():
+                x = reduce(p if d == m else [sum(p[j::d]) for j in range(d)])
+                if any(x):
+                    part[f] = x
+            out.append(part)
         return tuple(out)
+
+
+# One coefficient ring per group: no ring object changes after it is built,
+# so every caller over an equal group can share one.  The memos are
+# bounded like bsda._arcs; a program that meets more groups builds the
+# evicted rings again.  A bad group raises in the constructor and is not
+# remembered.
+
+@lru_cache(maxsize=64)
+def group_ring(free_rank: int, torsion_order: int) -> GroupRing:
+    """The shared Z[Z^free_rank x Z/torsion_order]."""
+    return GroupRing(free_rank, torsion_order)
+
+
+@lru_cache(maxsize=64)
+def qh_ring(group: GroupDescriptor) -> QHRing:
+    """The shared Q[H] of group."""
+    return QHRing(group)
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +857,12 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     column empty after the last row with an entry in that column.  A
     required column no row meets gives {} at once.  Zero coefficients and
     zero sums are kept, so the work depends only on which entries are
-    present, not on their values.  There is no division, so any commutative
-    ring works.  Returns {mask: value} over the masks reached after the
-    last row; no rows give {0: one}.  More than MAX_STATES live states
-    after one state's picks, or in a product of blocks, raise ValueError.
+    present, not on their values.  A state's first product is stored as it
+    is, and ring.add runs only when a second pick reaches that state.
+    There is no division, so any commutative ring works.  Returns
+    {mask: value} over the masks reached after the last row; no rows give
+    {0: one}.  More than MAX_STATES live states after one state's picks,
+    or in a product of blocks, raise ValueError.
 
     Blocks.  From SPLIT_MIN_ROWS rows on, each block of row_blocks runs on
     its own with its share of required, and the results multiply, so a
@@ -854,7 +882,7 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
     blocks = row_blocks(rows) if left >= SPLIT_MIN_ROWS else ()
     if need > left or blocks is None:
         return {}
-    mul, add, neg, zero = ring.mul, ring.add, ring.neg, ring.zero()
+    mul, add, neg = ring.mul, ring.add, ring.neg
     if len(blocks) > 1:
         if required & ~sum(cs for cs, _ in blocks):  # disjoint masks
             return {}
@@ -909,7 +937,8 @@ def state_sums(ring: Ring, rows, required: int, signed: bool = True) -> dict:
                 t = mul(v, c)
                 if signed and (mask >> (q + 1)).bit_count() & 1:
                     t = neg(t)
-                nxt[new] = add(nxt.get(new, zero), t)
+                old = nxt.get(new)
+                nxt[new] = t if old is None else add(old, t)
             if len(nxt) > MAX_STATES:
                 raise _over_budget(len(nxt), len(rows) - left, len(rows))
         if close:

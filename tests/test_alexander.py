@@ -7,6 +7,7 @@ component decomposition of the torsion fixtures.
 
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,62 @@ class TestFunction:
         shifted = [u[i] + rows[i][j] for i in range(3)]
         assert alexander_function(pres, [shifted]) == alexander_function(
             pres, [u])
+
+    def test_integer_elimination_against_det_exact(self):
+        # over Z the function eliminates; det_exact's state sum is the
+        # oracle, on random squares up to 8 x 8 split at every deficiency
+        import random
+
+        rnd = random.Random(7)
+        for _ in range(300):
+            n = rnd.randint(0, 8)
+            density = rnd.choice((0.3, 0.6, 1.0))
+            square = [[rnd.randint(-3, 3) if rnd.random() < density else 0
+                       for _ in range(n)] for _ in range(n)]
+            d = rnd.randint(0, n)
+            pres = zpres([row[:n - d] for row in square])
+            u = [tuple(row[j] for row in square) for j in range(n - d, n)]
+            assert alexander_function(pres, u) == det_exact(ZZ, square), (
+                square, d)
+
+    def test_stabilized_presentations_against_det_exact(self):
+        # the determinants of selftest criterion 7 at seed 0
+        from bsfloer.selftest import STAB_FIXTURES
+
+        lib = fixture_library()
+        checked = 0
+        for fi, name in enumerate(STAB_FIXTURES):
+            hn = normalize(lib[name][0])
+            pres = presentation_matrix(hn, "z")
+            vecs = entry_vectors(hn)
+            for i in range(20):
+                new_pres, transport = random_equivalent_presentation(
+                    pres, 700 + 101 * fi + i)
+                for us in vecs.values():
+                    moved = [transport_vector(ZZ, transport, u) for u in us]
+                    square = [list(row) + [v[r] for v in moved]
+                              for r, row in enumerate(new_pres.entries)]
+                    assert (alexander_function(new_pres, moved)
+                            == det_exact(ZZ, square)), (name, i)
+                    checked += 1
+        assert checked >= 100
+
+    def test_other_rings_keep_det_exact(self, monkeypatch):
+        import bsfloer.alexander as A
+
+        seen = []
+
+        def recording(ring, entries):
+            seen.append(ring)
+            return det_exact(ring, entries)
+
+        monkeypatch.setattr(A, "det_exact", recording)
+        assert alexander_function(zpres([[1, 1], [-1, 1]]), []) == 2
+        assert seen == []
+        m = Matrix(LAUR, [[T1, LAUR.one()], [LAUR.one(), LAUR.one()]])
+        assert LAUR.eq(alexander_function(m, []),
+                       parse_element(LAUR, "t1 - 1"))
+        assert seen == [LAUR]
 
 
 class TestQHComponents:
@@ -597,6 +654,60 @@ class TestZHFirstCompare:
         assert [(id(h), b) for h, b in stages] == [(id(h), "zh")
                                                    for h in (h1, h2, h1, h2)]
         assert A._LAST_ZH[0] is h2
+
+
+class TestSharedRings:
+    """_ring_change and weight_ring hand out one ring object per group."""
+
+    def test_equal_groups_share_one_ring(self):
+        from bsfloer.bsda import weight_ring
+
+        for r, m in ((0, 1), (1, 3), (2, 6)):
+            G = GroupDescriptor(r, m)
+            for tag in ("zg", "qh"):
+                ring, fn = _ring_change(G, tag)
+                assert _ring_change(GroupDescriptor(r, m), tag)[0] is ring
+            zg, qh = _ring_change(G, "zg")[0], _ring_change(G, "qh")[0]
+            assert zg is not qh
+            # weight_ring reads only the diagram's group
+            h1 = SimpleNamespace(group=G)
+            h2 = SimpleNamespace(group=GroupDescriptor(r, m))
+            assert weight_ring(h1) is weight_ring(h2)
+            assert (weight_ring(h1).free_rank, weight_ring(h1).torsion_order
+                    ) == (r, m)
+            assert zg.torsion_order == 1 and qh.group == G
+        assert (_ring_change(GroupDescriptor(1, 3), "qh")[0]
+                is not _ring_change(GroupDescriptor(1, 2), "qh")[0])
+        assert (_ring_change(GroupDescriptor(1, 3), "zg")[0]
+                is not _ring_change(GroupDescriptor(2, 3), "zg")[0])
+
+    def test_bad_tag_raises_on_every_call(self):
+        G = GroupDescriptor(1, 3)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="ring must be one of"):
+                _ring_change(G, "bogus")
+
+    def test_a_second_group_member_builds_no_ring(self, monkeypatch):
+        import bsfloer.rings as R
+
+        builds = []
+        for cls in (R.QHRing, R.GroupRing):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__, **kw):
+                builds.append(_name)
+                _init(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for tag in ("qh", "zg"):
+            assert compare_bsda_alexander(weighted_torsion3(), tag).match
+        builds.clear()
+        for tag in ("qh", "zg"):
+            h = weighted_torsion3()      # a new diagram, the same group
+            rep = compare_bsda_alexander(h, tag)
+            assert same_report(rep, searched_compare(h, tag))
+            assert builds == [], tag
+
 
 class TestBsdaMap:
     def test_z_tag(self):

@@ -1428,3 +1428,42 @@ class TestMatrix:
         assert (m.rows, m.cols) == (2, 2)
         with pytest.raises(ValueError):
             R.Matrix(R.ZZ, [[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# one shared ring per group
+
+
+class TestSharedRings:
+    def test_equal_groups_share_one_ring(self):
+        assert R.group_ring(2, 3) is R.group_ring(2, 3)
+        G = R.GroupDescriptor(1, 6)
+        assert R.qh_ring(G) is R.qh_ring(R.GroupDescriptor(1, 6))
+        assert R.qh_ring(G).group == G
+        assert R.group_ring(1, 2) is not R.group_ring(1, 3)
+        assert R.group_ring(1, 2) is not R.group_ring(2, 2)
+        assert R.qh_ring(G) is not R.qh_ring(R.GroupDescriptor(2, 6))
+
+    @pytest.mark.parametrize("free_rank,order", [(-1, 1), (0, 0),
+                                                 (R.MAX_FREE_RANK + 1, 1)])
+    def test_bad_group_raises_and_is_not_kept(self, free_rank, order):
+        before = (R.group_ring.cache_info().currsize,
+                  R.qh_ring.cache_info().currsize)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                R.group_ring(free_rank, order)
+        assert (R.group_ring.cache_info().currsize,
+                R.qh_ring.cache_info().currsize) == before
+
+    def test_memo_is_bounded(self):
+        groups = [(r, m) for r in range(4) for m in range(1, 51)]
+        assert len(groups) == 200
+        for r, m in groups:
+            R.group_ring(r, m)
+            R.qh_ring(R.GroupDescriptor(r, m))
+        for memo in (R.group_ring, R.qh_ring):
+            info = memo.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize < 200
+        # an evicted group is built again, equal to the first one
+        assert R.group_ring(0, 1).group == R.GroupDescriptor(0, 1)

@@ -7,6 +7,7 @@ collect instead of being skipped.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from sympy import Matrix, Poly, Rational, ZZ, cyclotomic_poly, invert, symbols
@@ -105,3 +106,82 @@ def test_qh_components_against_cyclotomic_remainders(free_rank, order):
                 if any(rest):
                     want[f] = rest
             assert {f: list(v) for f, v in part.items()} == want, (d, zh)
+
+
+# Z[H], H = Z^r x Z/m with r <= 2, as a quotient of ZZ[t1, t2, s]: a row
+# is multiplied by the monomial in t1, t2 that makes its free exponents
+# nonnegative, and the determinant is divided by their product; then s^k
+# becomes s^(k mod m).  The torsion exponents of the entries are already
+# in range(m).
+
+LAURENT_GROUPS = [(r, m) for r in range(3) for m in (1, 2, 3, 4, 6)]
+POLYS = ZZ[symbols("t1 t2 s")]
+
+
+def zh_element(rnd, r, m):
+    """0 to 2 terms with free exponents -2..2."""
+    out = {}
+    for _ in range(rnd.randint(0, 2)):
+        g = (*(rnd.randint(-2, 2) for _ in range(r)), rnd.randrange(m))
+        out[g] = out.get(g, 0) + rnd.choice((-2, -1, 1, 3))
+    return {g: c for g, c in out.items() if c}
+
+
+def sympy_det(square, r, m):
+    """det of a square matrix of Z[H] elements by DomainMatrix over
+    ZZ[t1, t2, s], as a Z[H] element."""
+    n = len(square)
+    shifts = [[min((g[i] for e in row for g in e), default=0)
+               for i in range(r)] for row in square]
+
+    def poly(e, shift):
+        pad = (0,) * (2 - r)
+        return POLYS.ring({(*(g[i] - shift[i] for i in range(r)), *pad,
+                            g[-1]): c for g, c in e.items()})
+
+    det = DomainMatrix([[poly(e, shift) for e in row]
+                        for row, shift in zip(square, shifts)],
+                       (n, n), POLYS).det()
+    total = [sum(shift[i] for shift in shifts) for i in range(r)]
+    out: dict = {}
+    for mono, c in det.to_dict().items():
+        g = (*(mono[i] + total[i] for i in range(r)), mono[2] % m)
+        out[g] = out.get(g, 0) + int(c)
+    return {g: c for g, c in out.items() if c}
+
+
+@pytest.mark.parametrize("r,m", LAURENT_GROUPS)
+def test_det_exact_over_zh_against_domain_matrix(r, m):
+    ring = R.group_ring(r, m)
+    rnd = random.Random(100 * r + m)
+    for _ in range(4):
+        n = rnd.randint(1, 5)
+        square = [[zh_element(rnd, r, m) for _ in range(n)]
+                  for _ in range(n)]
+        want = sympy_det(square, r, m)
+        assert ring.eq(R.det_exact(ring, square), want), square
+
+
+@pytest.mark.parametrize("r,m", LAURENT_GROUPS)
+def test_state_sums_over_zh_against_minors(r, m):
+    """state_sums on k rows and n >= k columns gives, for each k-set of
+    columns holding the required ones, the minor on those columns;
+    entries that are zero elements are at times kept as present."""
+    ring = R.group_ring(r, m)
+    rnd = random.Random(1000 + 100 * r + m)
+    for _ in range(3):
+        n = rnd.randint(1, 5)
+        k = rnd.randint(1, n)
+        dense = [[zh_element(rnd, r, m) for _ in range(n)] for _ in range(k)]
+        rows = [{q: e for q, e in enumerate(row) if e or rnd.random() < 0.3}
+                for row in dense]
+        required = sum(1 << q for q in range(n) if rnd.random() < 0.3)
+        got = R.state_sums(ring, rows, required)
+        masks = [sum(1 << q for q in cols)
+                 for cols in combinations(range(n), k)]
+        masks = [mask for mask in masks if mask & required == required]
+        assert set(got) <= set(masks)
+        for mask in masks:
+            cols = [q for q in range(n) if mask >> q & 1]
+            want = sympy_det([[row[q] for q in cols] for row in dense], r, m)
+            assert ring.eq(got.get(mask, {}), want), (dense, rows, mask)
