@@ -15,12 +15,14 @@ enumerate_generators and gr_da list and grade them one by one, for the
 generators verb and as the reference the engine is tested against.
 
 A closed diagram (no arcs) over Z has one entry, ((), ()): the determinant
-of its beta x alpha-circle incidence when that is square, since a
-generator is then a permutation with its sign, and no generator (the zero
-map) otherwise.  _matrix takes that determinant by integer elimination
-(rings.integer_det), which is polynomial where the state sum is
-exponential in the number of circles.  Weighted and bordered diagrams,
-generator counts and any other coefficient ring keep the state sum.
+of its beta x alpha-circle matrix when that is square, since a generator
+is then a permutation with its sign, and no generator (the zero map)
+otherwise.  closed_det sums the point signs straight into a dense square
+and takes its determinant by integer elimination (rings.integer_det),
+which is polynomial where the state sum is exponential in the number of
+circles; bsda_z, bsdd_element and homology.generator_sum over Z all reach
+it.  Weighted and bordered diagrams, generator counts and any other
+coefficient ring keep the state sum (_matrix).
 """
 
 from __future__ import annotations
@@ -209,14 +211,22 @@ def _state_sums(inc: Incidence, signed: bool = True) -> dict:
     return state_sums(inc.ring, inc.rows, circles, signed)
 
 
+def closed_det(h: HeegaardDiagram) -> int:
+    """The signed generator sum of a closed diagram: the determinant of its
+    beta x alpha-circle matrix when a == b, built dense in one pass over
+    the points, and 0 otherwise."""
+    a = h.a
+    if a != h.b:
+        return 0
+    col = dict(zip(h.alpha_circles, range(a)))
+    rows = {bid: [0] * a for bid, _ in h.beta_circles}
+    for p in h.points:
+        rows[p.beta][col[p.alpha]] += p.sign
+    return integer_det(list(rows.values()))
+
+
 def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
-    """Only the nonzero sums are decoded: the map would drop the rest.  A
-    closed diagram whose incidence is over ZZ itself takes no state sum:
-    its one entry is integer_det of the rows when a == b, and there is no
-    generator otherwise."""
-    if inc.ring is ZZ and not h.n0 and not h.n1:
-        d = integer_det(inc.rows) if h.a == h.b else 0
-        return X.GradedMap(ZZ, 0, 0, h.degree, {((), ()): d} if d else {})
+    """Only the nonzero sums are decoded: the map would drop the rest."""
     ring, decode, is_zero = inc.ring, _readout(h), inc.ring.is_zero
     entries = {}
     for mask, v in _state_sums(inc).items():
@@ -231,7 +241,12 @@ def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
 
 def bsda_z(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Integer matrix: entry (I, J) sums (-1)^grading over the generators
-    with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h))."""
+    with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h)).
+    A closed diagram over ZZ itself has the one entry closed_det(h) and
+    reads its points, not inc."""
+    if not h.n0 and not h.n1 and (inc is None or inc.ring is ZZ):
+        d = closed_det(h)
+        return X.GradedMap(ZZ, 0, 0, h.degree, {((), ()): d} if d else {})
     return _matrix(h, incidence(h) if inc is None else inc)
 
 
@@ -267,8 +282,7 @@ def bsdd_element(h: HeegaardDiagram) -> X.ExtElement:
     grading plus the basis correction |unoccupied in-arcs|.  In the
     one-sided diagram those arcs are exactly its unoccupied out-arcs.
     """
-    hdd = reinterpret_one_sided(h)
-    f = _matrix(hdd, incidence(hdd))
+    f = bsda_z(reinterpret_one_sided(h))
     return X.ExtElement(ZZ, h.n0 + h.n1, {
         J: -v if sum(1 for j in J if j <= h.n0) & 1 else v
         for (_, J), v in f.entries.items()})

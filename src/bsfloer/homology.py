@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import exterior as X
-from .bsda import _state_sums, incidence, weight_ring
+from .bsda import _state_sums, closed_det, incidence, weight_ring
 from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (
     ZZ,
@@ -128,9 +128,12 @@ def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:
 
 def generator_sum(h: HeegaardDiagram, ring: str = "z"):
     """Sum over generators of (-1)^(intersection + permutation) parity,
-    optionally weighted."""
+    optionally weighted.  A closed diagram over Z takes bsda.closed_det,
+    every other the state sum."""
     if ring not in ("z", "zh"):
         raise ValueError("ring must be z or zh")
+    if ring == "z" and not h.n0 and not h.n1:
+        return closed_det(h)
     inc = incidence(h, weighted=ring == "zh")
     return inc.ring.sum(_state_sums(inc).values())
 

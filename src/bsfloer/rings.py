@@ -14,8 +14,8 @@ of group-ring text (_monomial), the invariant factors and the column
 transform V of a Smith normal form over Z under MAX_SNF_BITS (the row
 transform is not built), exact determinants (det_exact: one state sum over
 occupied column sets for every ring, under MAX_STATES, split into the
-blocks of row_blocks; integer_det: one fraction-free elimination over Z),
-and the one "equal up to a unit" comparison.
+blocks of row_blocks; integer_det: one fraction-free elimination of a
+dense square over Z), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -959,18 +959,25 @@ def det_exact(ring: Ring, entries):
     return state_sums(ring, rows, full).get(full, ring.zero())
 
 
-def _bareiss(A: list) -> int:
-    """Determinant of a dense square int matrix (a list of row lists,
-    overwritten), by fraction-free elimination (Bareiss, Math. Comp. 22
-    (1968)): step k makes every entry below row k a (k+1) x (k+1) minor by
-    (pivot * x - c * y) // previous pivot, which divides exactly, and swaps
-    in a row with a nonzero pivot when needed.  A row with zero in the
-    pivot column is only rescaled by pivot / previous pivot, so that
-    scaling is deferred until the row is next used: level[i] names the
-    step its values belong to, and the pivot product telescopes to
-    scale[k] / scale[level[i]].  A banded row then costs nothing until its
-    band is reached.  The last pivot is the determinant."""
+def integer_det(A: list) -> int:
+    """Exact determinant of a dense square int matrix (a list of n row
+    lists of length n, overwritten), by fraction-free elimination
+    (Bareiss, Math. Comp. 22 (1968)): the fast path for Z, where det_exact
+    gives the same value by a state sum over any ring.  Step k makes every
+    entry below row k a (k+1) x (k+1) minor by (pivot * x - c * y) //
+    previous pivot, which divides exactly, and swaps in a row with a
+    nonzero pivot when needed.  A row with zero in the pivot column is
+    only rescaled by pivot / previous pivot, so that scaling is deferred
+    until the row is next used: level[i] names the step its values belong
+    to, and the pivot product telescopes to scale[k] / scale[level[i]].  A
+    banded row then costs nothing until its band is reached.  The last
+    pivot is the determinant.  The elimination is cubic whatever the
+    blocks of the matrix, so the dense 256 x 256 square of a closed
+    diagram at diagram.MAX_CURVES bounds its cost."""
     n = len(A)
+    for row in A:
+        if len(row) != n:
+            raise ValueError("determinant of a non-square matrix")
     sign, scale, level = 1, [1], [0] * n
     for k in range(n):
         if not A[k][k]:
@@ -998,17 +1005,6 @@ def _bareiss(A: list) -> int:
             level[i] = k + 1
         scale.append(pivot)
     return sign * scale[-1]
-
-
-def integer_det(rows) -> int:
-    """Exact determinant of a square integer matrix held as n sparse rows
-    {column: int} with columns in range(n), by one fraction-free
-    elimination of the rows made dense: the fast path for Z (det_exact
-    gives the same value by a state sum over any ring).  The elimination
-    is cubic whatever the blocks of the matrix, so the dense 256 x 256
-    square of a closed diagram at diagram.MAX_CURVES bounds its cost."""
-    n = len(rows)
-    return _bareiss([[row.get(q, 0) for q in range(n)] for row in rows])
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:

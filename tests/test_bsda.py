@@ -48,7 +48,7 @@ from bsfloer.fixtures import (
     mixed_2x2,
     ordinary_from_matrix,
 )
-from bsfloer.homology import generator_sum
+from bsfloer.homology import chi_sfh_surrogate, generator_sum
 from bsfloer.selftest import _random_piece, random_diagram, random_gluable_pair
 from bsfloer.rings import (
     SPLIT_MIN_ROWS,
@@ -816,3 +816,82 @@ class TestClosedRouting:
         for call in still:
             with pytest.raises(AssertionError, match="state_sums called"):
                 call()
+
+    def test_closed_generator_sum_skips_the_state_sum(self, monkeypatch):
+        h = ordinary_from_matrix([[2, -1, 0], [1, 1, -1], [0, 3, 1]])
+        not_square = closed_diagram(random.Random(3), 3, 2, (1, 2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("state_sums called")
+
+        monkeypatch.setattr(B, "state_sums", refuse)
+        assert generator_sum(h) == 9
+        assert generator_sum(not_square) == 0
+        assert chi_sfh_surrogate(h) == 9
+        with pytest.raises(AssertionError, match="state_sums called"):
+            generator_sum(h, "zh")
+
+
+def points_matrix(h):
+    """h's beta x alpha-circle matrix, each entry summed over the points
+    by a scan of its own."""
+    return [[sum(p.sign for p in h.points if (p.beta, p.alpha) == (bid, aid))
+             for aid in h.alpha_circles] for bid in h.beta_ids()]
+
+
+def closed_corpus(seed, sizes, count):
+    """count random closed diagrams per (b, a) in sizes: drawn crossings
+    (cancelling pairs and gaps included), at times a beta circle with no
+    point, circles and points in drawn orders."""
+    rng = random.Random(seed)
+    out = []
+    for b, a in sizes:
+        for _ in range(count):
+            h = closed_diagram(rng, b, a, rng.choice(((0, 1, 1, 2), (1, 2))))
+            if b and rng.random() < 0.3:
+                empty = rng.choice(h.beta_ids())
+                h = replace(h, points=tuple(p for p in h.points
+                                            if p.beta != empty))
+            h = shuffled(rng, h)
+            out.append(replace(h, points=tuple(rng.sample(h.points,
+                                                          len(h.points)))))
+    return out
+
+
+class TestClosedDensePath:
+    """bsda_z, bsdd_element and generator_sum of closed diagrams, which
+    take bsda.closed_det, against det_exact, generator enumeration and the
+    state sum (_matrix)."""
+
+    SMALL = (1, [(n, n) for n in range(6)]
+             + [(2, 1), (1, 2), (3, 4), (5, 4), (0, 2), (2, 0)], 12)
+    LARGE = (2, [(n, n) for n in range(1, 10)] + [(7, 6), (6, 8)], 6)
+
+    @pytest.mark.parametrize("corpus", [SMALL, LARGE], ids=["small", "large"])
+    def test_corpus_covers_the_shapes(self, corpus):
+        corpus = closed_corpus(*corpus)
+        rows = [r for h in corpus for r in incidence(h).rows]
+        assert any(h.a != h.b for h in corpus)
+        assert any(not r for r in rows)                 # a beta with no point
+        assert any(0 in r.values() for r in rows)       # a cancelled pair
+
+    def test_small_against_enumeration(self):
+        for h in closed_corpus(*self.SMALL):
+            z, _, dd, sum_z, _, _ = enumeration_oracle(h)
+            assert X.map_eq(bsda_z(h), z)
+            assert bsdd_element(h) == dd
+            assert generator_sum(h) == sum_z
+
+    def test_against_det_exact_and_the_state_sum(self):
+        for h in closed_corpus(*self.LARGE):
+            want = det_exact(ZZ, points_matrix(h)) if h.a == h.b else 0
+            f = bsda_z(h)
+            assert f.entries == ({((), ()): want} if want else {})
+            assert f.degree == h.degree
+            state = B._matrix(h, incidence(h))
+            assert X.map_eq(f, state)
+            assert bsda_z(h, incidence(h)) == f
+            assert bsdd_element(h) == X.ExtElement(
+                ZZ, 0, {J: v for (_, J), v in state.entries.items()})
+            total = ZZ.sum(_state_sums(incidence(h)).values())
+            assert generator_sum(h) == total

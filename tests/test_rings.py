@@ -31,9 +31,9 @@ def brute_det(ring, entries):
     return acc
 
 
-def sparse_rows(entries):
-    """An integer matrix as integer_det takes it: {column: entry} rows."""
-    return [{j: e for j, e in enumerate(r) if e} for r in entries]
+def dense_copy(entries):
+    """A copy of an integer matrix for integer_det, which overwrites it."""
+    return [list(r) for r in entries]
 
 
 def normalize_every_pair(ring, pairs):
@@ -719,7 +719,7 @@ class TestDeterminants:
     def test_det_exact_vs_brute_int(self, entries):
         want = brute_det(R.ZZ, entries)
         assert R.det_exact(R.ZZ, entries) == want
-        assert R.integer_det(sparse_rows(entries)) == want
+        assert R.integer_det(dense_copy(entries)) == want
 
     @given(st.lists(st.lists(gr_elements(1, 1, max_exp=1, max_terms=2,
                                          max_coeff=3),
@@ -756,7 +756,7 @@ class TestDeterminants:
                     for j in range(n)] for i in range(n)]
         want = brute_det(R.ZZ, entries)
         assert R.det_exact(R.ZZ, entries) == want
-        assert R.integer_det(sparse_rows(entries)) == want
+        assert R.integer_det(dense_copy(entries)) == want
 
     @pytest.mark.parametrize("seed", range(8))
     def test_integer_det_blocks_vs_state_sum(self, seed):
@@ -784,9 +784,8 @@ class TestDeterminants:
             for row in entries:
                 row[q] = 0
         want = R.det_exact(R.ZZ, entries)
-        rows = sparse_rows(entries)
-        assert not any(len(r) == n for r in rows)
-        assert R.integer_det(rows) == want
+        assert not any(all(r) for r in entries)
+        assert R.integer_det(dense_copy(entries)) == want
 
     @pytest.mark.parametrize("n", [2, 17, 40])
     def test_integer_det_banded(self, n):
@@ -797,21 +796,32 @@ class TestDeterminants:
                     for j in range(n)] for i in range(n)]
         entries[0][0] = 0  # the first step swaps rows
         want = R.det_exact(R.ZZ, entries)
-        assert R.integer_det(sparse_rows(entries)) == want
+        assert R.integer_det(dense_copy(entries)) == want
 
     def test_integer_det_swap_with_a_deferred_row(self):
         # step 0 updates rows 1 and 2 but not row 3 (0 in column 0); step 1
         # swaps row 3 in (column 1 is 0 in row 1), and each swapped row
         # must keep the step its values belong to
         entries = [[2, 0, -1, 0], [2, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 1, 0]]
-        assert R.integer_det(sparse_rows(entries)) == 2
+        assert R.integer_det(dense_copy(entries)) == 2
         assert brute_det(R.ZZ, entries) == 2
 
     def test_integer_det_keeps_zero_entries(self):
         # a cancelled crossing pair leaves an explicit 0 in the incidence
-        assert R.integer_det([{0: 0}]) == 0
-        assert R.integer_det([{0: 0, 1: 1}, {0: 1, 1: 0}]) == -1
+        assert R.integer_det([[0]]) == 0
+        assert R.integer_det([[0, 1], [1, 0]]) == -1
         assert R.integer_det([]) == 1
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 5]],
+        [[1, 0, 1], [0, 1, 1]],
+        [[1, 2], [3, 4], [5, 6]],
+        [[1, 0], [0]],              # ragged
+        [[1], [0, 1]],              # ragged
+    ])
+    def test_integer_det_refuses_a_non_square(self, rows):
+        with pytest.raises(ValueError, match="non-square"):
+            R.integer_det(rows)
 
     def test_large_laurent_clearing_path(self):
         Zt = R.GroupRing(1)

@@ -62,8 +62,24 @@ def test_integer_det_against_domain_matrix():
         entries = [[rnd.randint(-4, 4) if rnd.random() < density else 0
                     for _ in range(n)] for _ in range(n)]
         want = DomainMatrix.from_list(entries, ZZ).det()
-        rows = [{j: e for j, e in enumerate(row) if e} for row in entries]
-        assert R.integer_det(rows) == want, entries
+        assert R.integer_det([list(row) for row in entries]) == want, entries
+
+
+def test_integer_det_dense_to_24_against_domain_matrix():
+    # full squares; the first pivot is at times zero (a swap) and at times
+    # the last row repeats the first (a singular square)
+    rnd = random.Random(24)
+    for n in range(1, 25):
+        for _ in range(3):
+            entries = [[rnd.randint(-9, 9) for _ in range(n)]
+                       for _ in range(n)]
+            if rnd.random() < 0.3:
+                entries[0][0] = 0
+            if n > 1 and rnd.random() < 0.2:
+                entries[-1] = list(entries[0])
+            want = DomainMatrix.from_list(entries, ZZ).det()
+            got = R.integer_det([list(row) for row in entries])
+            assert got == want, entries
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 12])
