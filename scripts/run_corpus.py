@@ -68,7 +68,7 @@ from bsfloer.fixtures import (
     ordinary_from_matrix,
 )
 from bsfloer.homology import (
-    _core_analysis,
+    k_element,
     presentation_matrix,
     torsion_order,
 )
@@ -389,10 +389,11 @@ def sweep_functor(cfg: SweepConfig) -> str:
 
 
 def sweep_core(cfg: SweepConfig) -> str:
-    """The prefactor against the SNF of the core rows, and injectivity
-    (read only when star3 holds) against the SNF of the whole presentation,
-    on normalized random diagrams, glued random pairs and identity and
-    braid chains."""
+    """k_element's prefactor against the SNF of the core rows, and its
+    injectivity (a basis of full rank, read only when star3 holds, that is
+    when the core cokernel is finite) against the SNF of the whole
+    presentation, on normalized random diagrams, glued random pairs and
+    identity and braid chains."""
     rng = random.Random(cfg.seed * 7919 + 9)
     diagrams = [random_diagram(rng, group=GROUPS[k % len(GROUPS)])
                 for k in range(cfg.diagrams_per_ring)]
@@ -403,14 +404,15 @@ def sweep_core(cfg: SweepConfig) -> str:
     star3 = 0
     for k, h in enumerate(diagrams):
         hn = normalize(h)
-        data = _core_analysis(hn)
-        if data["prefactor"] != torsion_order(data["core"]):
+        ke = k_element(hn)
+        M = presentation_matrix(hn, "z").entries
+        order = torsion_order([M[r] for r in normalized_roles(hn)[1]])
+        if ke.prefactor != order:
             raise SystemExit(f"core prefactor/SNF mismatch at diagram {k}")
-        if data["star3_ok"]:
+        if order:
             star3 += 1
-            M = presentation_matrix(hn, "z").entries
-            if data["injective"] != (integer_kernel_is_zero(M) if M
-                                     else not hn.alpha_circles):
+            if (ke.rank == len(ke.basis)) != (integer_kernel_is_zero(M) if M
+                                              else not hn.alpha_circles):
                 raise SystemExit(f"core injectivity/SNF mismatch at diagram {k}")
     return (f"core: {len(diagrams)} normalized diagrams match the Smith "
             f"normal forms, {star3} with star3")

@@ -38,9 +38,9 @@ class ArcDiagram:
     type_tag: str = "alpha"
 
     def __post_init__(self) -> None:
-        comps = tuple((str(kind), int(count)) for kind, count in self.components)
+        comps = tuple((kind, count) for kind, count in self.components)
         object.__setattr__(self, "components", comps)
-        pairs = tuple(tuple(sorted((int(p), int(q)))) for p, q in self.matching)
+        pairs = tuple(tuple(sorted((p, q))) for p, q in self.matching)
         object.__setattr__(self, "matching", pairs)
 
     @property
@@ -57,7 +57,8 @@ class ArcDiagram:
     def check(self, where: str = "") -> None:
         """Raise ValueError at the first fault, its message prefixed by
         where: the type tag, each component, each matched point, and last
-        the points left unmatched."""
+        the points left unmatched.  A count or a point is an int, not a
+        bool or a float."""
         if self.type_tag not in ("alpha", "beta"):
             raise ValueError(f"{where}arc diagram type "
                              f"{reprlib.repr(self.type_tag)} not alpha/beta")
@@ -65,10 +66,16 @@ class ArcDiagram:
             if kind not in ("interval", "circle"):
                 raise ValueError(f"{where}component kind {reprlib.repr(kind)} "
                                  "not interval/circle")
+            if type(count) is not int:
+                raise ValueError(f"{where}point count {reprlib.repr(count)} "
+                                 "on a component is not an integer")
             if count < 0:
                 raise ValueError(f"{where}negative point count on a component")
         total, seen = self.point_count, set()
         for x in (x for pair in self.matching for x in pair):
+            if type(x) is not int:
+                raise ValueError(f"{where}matched point {reprlib.repr(x)} "
+                                 "is not an integer")
             if not 0 <= x < total:
                 raise ValueError(f"{where}matched point {reprlib.repr(x)} "
                                  "out of range")
@@ -207,8 +214,10 @@ def make_diagram(group, boundary_left, boundary_right, alpha_out,
 
 def validate(h: HeegaardDiagram) -> None:
     """Raise ValueError at the first structural fault: the boundaries, the
-    arc counts, duplicate ids, orientation flags, each point, then the
-    role tags (role_rows).  Every quoted value goes through reprlib.repr."""
+    arc counts, duplicate ids, orientation flags, the weight exponents,
+    each point, then the role tags (role_rows).  A sign or a weight
+    exponent is an int, not a bool or a float.  Every quoted value goes
+    through reprlib.repr."""
     for side, z in (("left", h.boundary_left), ("right", h.boundary_right)):
         z.check(f"boundary {side}: ")
         if not z.is_empty() and z.type_tag != "alpha":
@@ -229,6 +238,13 @@ def validate(h: HeegaardDiagram) -> None:
         if orient not in ("same", "opposite"):
             raise ValueError(f"orientation flag {reprlib.repr(orient)} not "
                              "same/opposite")
+    # one pass over every exponent: a generator per point would double
+    # validate's time on a bordered chain
+    bad = next((p.weight for p in h.points for e in p.weight
+                if type(e) is not int), None)
+    if bad is not None:
+        raise ValueError(f"point weight {reprlib.repr(bad)} has a "
+                         "non-integer exponent")
     for p in h.points:
         if p.alpha not in aset:
             raise ValueError("point references missing alpha "
@@ -236,7 +252,7 @@ def validate(h: HeegaardDiagram) -> None:
         if p.beta not in bset:
             raise ValueError("point references missing beta "
                              f"{reprlib.repr(p.beta)}")
-        if p.sign not in (1, -1):
+        if type(p.sign) is not int or p.sign not in (1, -1):
             raise ValueError(f"point sign {reprlib.repr(p.sign)} not +1/-1")
         if len(p.weight) != h.group.free_rank + 1:
             raise ValueError("point weight has wrong free rank")

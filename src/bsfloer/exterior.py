@@ -164,13 +164,11 @@ def wedge_list(ring: Ring, rank: int, elements) -> ExtElement:
     return acc
 
 
-def epsilon(x: ExtElement, y: ExtElement, n0=None):
-    """Coefficient of the top monomial g_{1..n0} in x wedge y."""
-    n0 = x.rank if n0 is None else n0
-    if x.rank != n0 or y.rank != n0:
-        raise ValueError("epsilon needs both factors in rank n0")
+def epsilon(x: ExtElement, y: ExtElement):
+    """Coefficient of the top monomial g_{1..n} in x wedge y, both of rank
+    n (wedge refuses two ranks)."""
     w = wedge(x, y)
-    return w.terms.get(tuple(range(1, n0 + 1)), x.ring.zero())
+    return w.terms.get(tuple(range(1, x.rank + 1)), x.ring.zero())
 
 
 def ext_str(x: ExtElement) -> str:

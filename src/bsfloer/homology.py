@@ -49,72 +49,52 @@ def torsion_order(entries) -> int:
 
 @dataclass(frozen=True)
 class KElement:
-    prefactor: int
+    prefactor: int      # the order of coker C; 0 unless star3 holds
     kernel_wedge: X.ExtElement
-    degree: int
-    rank: int   # the achieved rank of the kernel lattice
+    degree: int         # the expected rank K = n0 + degree
+    rank: int           # the achieved rank of the kernel lattice
+    basis: tuple = ()   # its in/out basis vectors; () unless star3 holds
 
 
-def _core_analysis(h_norm: HeegaardDiagram):
-    """Everything about the presentation M of a normalized diagram, from
-    one Smith normal form U*C*V = D of its core rows C, read as D's
+def k_element(h_norm: HeegaardDiagram) -> KElement:
+    """The kernel element of a normalized diagram, from its presentation M
+    and one Smith normal form U*C*V = D of the core rows C, read as D's
     diagonal and V (U is never built), with r nonzero diagonal entries.
-    star3_ok means r equals the number of core rows; then the prefactor
-    (the order of coker C) is the product of those entries, else 0.  The
-    readings are the in/out rows of -M*V on the columns r.. .  With the
-    core rows first, M*V is [[U^-1 D_r, 0], [X, -readings^T]] and V is
-    unimodular, so under star3 rank M is r + rank(readings), and M is
-    injective when that is the column count.
-    Without star3 injective reads False; no caller reads it then.
+    star3 holds when r is the number of core rows; then the prefactor is
+    the product of those entries, and the basis is the in/out rows of -M*V
+    on the columns r.. .  With the core rows first, M*V is
+    [[U^-1 D_r, 0], [X, -basis^T]] and V is unimodular, so under star3
+    rank M is r + rank (the rank of the basis), and M is injective when
+    that is the column count.
+    The element is the wedge of the basis times the prefactor when star3
+    holds, M is injective and rank is K; else it is zero.
     """
     outs, cores, ins = normalized_roles(h_norm)
     M = presentation_matrix(h_norm, "z").entries
-    cols = h_norm.a
-    C = [M[r] for r in cores]
-
+    cols, n = h_norm.a, h_norm.n0 + h_norm.n1
+    big_k = h_norm.n0 + h_norm.degree
     if cores:
-        diagonal, V = smith_normal_form(C)
+        diagonal, V = smith_normal_form([M[r] for r in cores])
         diagonal = [d for d in diagonal if d != 0]
     else:
         V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
         diagonal = []
     r = len(diagonal)
-    star3_ok = r == len(cores)
-
-    readings: list = []
-    if star3_ok:
-        for j in range(r, cols):
-            readings.append(tuple(
-                -sum(M[row][t] * V[t][j] for t in range(cols))
-                for row in (*ins, *outs)))
-    rank_ker = integer_rank([list(v) for v in readings]) if star3_ok else 0
-    return {
-        "core": C,
-        "K": h_norm.n0 + h_norm.degree,
-        "star3_ok": star3_ok,
-        "prefactor": prod(diagonal) if star3_ok else 0,
-        "readings": readings,
-        "rank_ker": rank_ker,
-        "injective": star3_ok and r + rank_ker == cols,
-    }
-
-
-def k_element(h_norm: HeegaardDiagram) -> KElement:
-    data = _core_analysis(h_norm)
-    prefactor = data["prefactor"]
-    n = h_norm.n0 + h_norm.n1
-    big_k = data["K"]
-    ok = (prefactor > 0 and data["star3_ok"] and data["injective"]
-          and data["rank_ker"] == big_k)
-    if not ok:
-        return KElement(prefactor, X.ext_zero(ZZ, n), big_k, data["rank_ker"])
-    factors = [
+    if r < len(cores):
+        return KElement(0, X.ext_zero(ZZ, n), big_k, 0)
+    basis = tuple(
+        tuple(-sum(M[row][t] * V[t][j] for t in range(cols))
+              for row in (*ins, *outs))
+        for j in range(r, cols))
+    rank = integer_rank(basis)
+    prefactor = prod(diagonal)
+    if r + rank != cols or rank != big_k:
+        return KElement(prefactor, X.ext_zero(ZZ, n), big_k, rank, basis)
+    wedge = X.wedge_list(ZZ, n, [
         X.ExtElement(ZZ, n, {(i + 1,): v[i] for i in range(n) if v[i]})
-        for v in data["readings"]
-    ]
-    wedge = X.wedge_list(ZZ, n, factors)
-    wedge = X.ext_scale(ZZ.from_int(prefactor), wedge)
-    return KElement(prefactor, wedge, big_k, data["rank_ker"])
+        for v in basis])
+    return KElement(prefactor, X.ext_scale(ZZ.from_int(prefactor), wedge),
+                    big_k, rank, basis)
 
 
 def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:

@@ -822,3 +822,46 @@ class TestRandomCorpus:
                 if not rep.bsda.is_zero():
                     nonzero += 1
             assert nonzero >= 20, tag
+
+
+def torus_knot_fox(n):
+    """The Fox Jacobian of the Wirtinger presentation of the torus knot
+    T(2, n), n odd, over Z[t^+-1], with its last row and column deleted:
+    row i has 1 - t in column i + 1, t in column i and -1 in column i + 2,
+    indices mod n."""
+    one_minus_t = LAUR.sub(LAUR.one(), T1)
+    full = [[LAUR.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        full[i][(i + 1) % n] = one_minus_t
+        full[i][i] = T1
+        full[i][(i + 2) % n] = LAUR.from_int(-1)
+    return [row[:-1] for row in full[:-1]]
+
+
+def closed_weighted(square):
+    """A closed diagram over Z with one beta circle per row and one alpha
+    circle per column, whose points (|c| per term c*w, of c's sign and
+    weight w) sum to each entry of square."""
+    points = [Point(f"A{j}", f"B{i}", 1 if c > 0 else -1, w)
+              for i, row in enumerate(square) for j, e in enumerate(row)
+              for w, c in e.items() for _ in range(abs(c))]
+    n = len(square)
+    return make_diagram(GroupDescriptor(1), None, None, [],
+                        [f"A{j}" for j in range(n)], [],
+                        [(f"B{i}", None) for i in range(n)], points)
+
+
+class TestTorusKnots:
+    """A known answer from outside the code (Rolfsen, Knots and Links,
+    ch. 7): the Alexander polynomial of T(2, n), n = 2k + 1, is
+    (t^n + 1)/(t + 1) = 1 - t + t^2 - ... + t^(n-1), up to +-t^j."""
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_fox_minor_gives_delta(self, k):
+        n = 2 * k + 1
+        delta = {(i, 0): (-1) ** i for i in range(n)}
+        square = torus_knot_fox(n)
+        for value in (det_exact(LAUR, square),
+                      alexander_function(Matrix(LAUR, square), []),
+                      bsda_zh(closed_weighted(square)).entries[((), ())]):
+            assert values_eq_up_to_unit(LAUR, [(value, delta)])[0]

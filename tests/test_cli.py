@@ -64,6 +64,36 @@ def permanent(rows):
     return total
 
 
+# selftest --seed 0 stdout, byte for byte (md5 3bbada3550cc929e8a41233f02647990)
+SELFTEST_SEED0 = "\n".join([
+    " 1 PASS  identity interfaces give a signed identity matrix",
+    "        5 interfaces up to 4 arcs each give a signed identity matrix",
+    " 2 PASS  gluing matches composition up to sign",
+    "        100 random gluable pairs match; 13 composites nonzero",
+    " 3 PASS  normalization leaves the matrix unchanged up to sign",
+    "        300 diagrams from the gluing corpus, matrix unchanged by normalization",
+    " 4 PASS  ordinary diagrams compute the exact determinant",
+    "        100 random square presentations, entry equals the exact determinant",
+    " 5 PASS  sutured TQFT map agrees up to sign, zeros included",
+    "        51 diagrams agree up to sign; 3 engineered fixtures vanish on both sides",
+    " 6 PASS  pairing the one-sided element recovers the matrix",
+    "        51 diagrams: pairing the one-sided element recovers the matrix up to sign",
+    " 7 PASS  determinant functor matches; stabilization invariant",
+    "        all 26 fixtures match with unit +/-1; 100 stabilized presentations each off by one common sign",
+    " 8 PASS  augmentation, weighted circles, torsion counts",
+    "        augmentation exact on all 26 fixtures; circle entries 1+t+...+t^(n-1) and torsion count n for n=1..5",
+    " 9 PASS  weighted rings compare; components vanish as predicted",
+    "        9 weighted fixtures compare over both weighted rings; component vanishing lands exactly as predicted",
+    "10 PASS  monoidal structure map and braiding",
+    "        exhaustive braid check on interfaces up to 2 arcs with the (-1)^(kk') pattern; 5 disjoint pairs commute with the structure map up to sign",
+    "11 PASS  capped generator counts and weak balance",
+    "        22 capped entries equal signed generator counts; weak balance matches equal circle counts throughout",
+    "12 PASS  lift changes scale the matrix by the expected unit",
+    "        every single-circle reweight is one exact unit (h on alpha, 1/h on beta); the four boundary cases give (h, 1/h, 1, 1/h)",
+    "selftest: 12/12 passed (seed 0)",
+]) + "\n"
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -679,6 +709,11 @@ class TestOutput:
         assert "selftest: 12/12 passed (seed 3)" in out
         assert [line.split(":")[0] for line in err.splitlines()] == [
             f"criterion {n:>2}" for n in range(1, 13)]
+
+    def test_selftest_seed0_table_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["selftest", "--seed", "0"])
+        assert code == 0
+        assert out == SELFTEST_SEED0
 
     def test_selftest_seconds_go_to_stderr(self, capsys, monkeypatch):
         import bsfloer.cli as cli

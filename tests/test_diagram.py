@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bsfloer import diagram as D
-from bsfloer.fixtures import fixture_library
+from bsfloer.fixtures import fixture_library, ordinary_from_matrix
 from bsfloer.rings import GroupDescriptor
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
@@ -118,6 +119,48 @@ class TestValidation:
         with pytest.raises(ValueError) as e:
             D.validate(bad)
         assert str(e.value) == "point weight torsion exponent out of range"
+
+
+    # the exact engines read signs, exponents, counts and points as ints:
+    # a float or a bool is refused, not summed or truncated
+    def test_float_sign_refused(self):
+        h = ordinary_from_matrix([[1, 1], [1, 1]])
+        p = h.points[0]
+        with pytest.raises(ValueError, match=r"point sign 1\.0 not"):
+            D.validate(replace(h, points=(
+                D.Point(p.alpha, p.beta, 1.0, p.weight), *h.points[1:])))
+
+    def test_bool_sign_refused(self):
+        h = ordinary_from_matrix([[1, 1], [1, 1]])
+        p = h.points[0]
+        with pytest.raises(ValueError, match="point sign True not"):
+            D.validate(replace(h, points=(
+                D.Point(p.alpha, p.beta, True, p.weight), *h.points[1:])))
+
+    def test_float_weight_refused(self):
+        g = GroupDescriptor(1)
+        h = D.identity_diagram(Z1, g)
+        bad = replace(h, points=(D.Point("aOut1", "b1", -1, (0.5, 0)),
+                                   h.points[1]))
+        with pytest.raises(ValueError, match="point weight .* non-integer"):
+            D.validate(bad)
+
+    def test_float_component_count_refused(self):
+        z = D.ArcDiagram((("interval", 2.9),), ((0, 1),))
+        assert z.components == (("interval", 2.9),)
+        with pytest.raises(ValueError, match="point count 2.9 .* not an int"):
+            z.check()
+        with pytest.raises(ValueError, match="boundary left: point count"):
+            D.make_diagram(GroupDescriptor(0), z, None, [("a1", "same")],
+                           [], [], [], [])
+
+    def test_float_matched_point_refused(self):
+        z = D.ArcDiagram((("interval", 2),), ((1.2, 0),))
+        assert z.matching == ((0, 1.2),)
+        with pytest.raises(ValueError, match="matched point 1.2 is not an int"):
+            z.check()
+        with pytest.raises(ValueError, match="matched point True"):
+            D.build_arc_diagram([("interval", 2)], [(0, True)])
 
 
 class TestBuilders:

@@ -160,6 +160,8 @@ class TestEpsilon:
         assert X.epsilon(basis(R.ZZ, 2, (1,)), basis(R.ZZ, 2, (2,))) == 1
         assert X.epsilon(basis(R.ZZ, 2, (2,)), basis(R.ZZ, 2, (1,))) == -1
         assert X.epsilon(basis(R.ZZ, 2, (1,)), basis(R.ZZ, 2, (1,))) == 0
+        with pytest.raises(ValueError, match="different ambient rank"):
+            X.epsilon(basis(R.ZZ, 2, (1,)), basis(R.ZZ, 3, (2,)))
 
     @pytest.mark.parametrize("n0", range(5))
     def test_top_coefficient_exhaustive(self, n0):

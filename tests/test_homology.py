@@ -18,6 +18,7 @@ from bsfloer.diagram import (
     interval_arcs,
     make_diagram,
     normalize,
+    normalized_roles,
 )
 from bsfloer.fixtures import (
     annulus,
@@ -35,7 +36,6 @@ from bsfloer.fixtures import (
     zero_matrix,
 )
 from bsfloer.homology import (
-    _core_analysis,
     chi_sfh_surrogate,
     generator_sum,
     k_element,
@@ -138,12 +138,12 @@ class TestTorsionOrder:
 
 
 def kernel_basis(hn):
-    """The kernel lattice basis from one core analysis (empty unless star3
-    holds and the presentation is injective), the expected degree K, and
-    the achieved rank that k_element reports."""
-    data = _core_analysis(hn)
-    vecs = data["readings"] if data["star3_ok"] and data["injective"] else []
-    return list(vecs), data["K"], k_element(hn).rank
+    """The kernel lattice basis of k_element (empty unless star3 holds, that
+    is a positive prefactor, and the presentation is injective, that is the
+    basis has full rank), the expected degree K, and the achieved rank."""
+    ke = k_element(hn)
+    injective = ke.prefactor > 0 and ke.rank == len(ke.basis)
+    return list(ke.basis) if injective else [], ke.degree, ke.rank
 
 
 class TestKernel:
@@ -243,26 +243,31 @@ class TestKElement:
 
     def test_rank_and_map_from_one_analysis(self):
         # the kernel rank and the pairing map come with the element, as
-        # _core_analysis and vfn_sut compute them on their own
+        # integer_rank of its basis and vfn_sut compute them on their own
         for h in [identity_diagram(Z2), bordered_mixed(), surplus_circle(),
                   infinite_h1(), zero_matrix(), mixed_2x2(), halfproj_pair()]:
             hn = normalize(h)
             ke = k_element(hn)
-            data = _core_analysis(hn)
-            assert (ke.degree, ke.rank) == (data["K"], data["rank_ker"])
+            assert (ke.degree, ke.rank) == (hn.n0 + hn.degree,
+                                            integer_rank(ke.basis))
             assert X.map_eq(vfn_sut(hn, ke), vfn_sut(hn))
 
 
 def check_core_analysis(hn) -> bool:
-    """prefactor and injective, read from the core SNF alone, against the
-    SNF of the core and of the whole presentation; returns star3_ok."""
-    data = _core_analysis(hn)
-    assert data["prefactor"] == torsion_order(data["core"])
-    if data["star3_ok"]:
-        M = presentation_matrix(hn, "z").entries
+    """The prefactor and injectivity (a basis of full rank) that k_element
+    reads from the core SNF alone, against the SNF of the core rows and of
+    the whole presentation; returns whether star3 holds, that is whether
+    the core cokernel is finite."""
+    ke = k_element(hn)
+    M = presentation_matrix(hn, "z").entries
+    order = torsion_order([M[r] for r in normalized_roles(hn)[1]])
+    assert ke.prefactor == order
+    if order:
         want = integer_kernel_is_zero(M) if M else not hn.alpha_circles
-        assert data["injective"] == want
-    return data["star3_ok"]
+        assert (ke.rank == len(ke.basis)) == want
+    else:
+        assert (ke.basis, ke.rank) == ((), 0)
+    return order > 0
 
 
 class TestCoreAnalysis:
@@ -292,7 +297,8 @@ class TestCoreAnalysis:
                                  ("torsion", torsion_vanishing()),
                                  ("bordered", bordered_mixed())]}
         assert star3["surplus"] and not star3["infinite"]
-        assert not _core_analysis(normalize(surplus_circle()))["injective"]
+        ke = k_element(normalize(surplus_circle()))
+        assert ke.rank != len(ke.basis)
 
 
 class TestMainComparison:
