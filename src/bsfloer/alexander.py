@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from . import exterior as X
 from .bsda import Incidence, _arcs, bsda_z, bsda_zh, incidence, map_transform
 from .diagram import HeegaardDiagram, normalized, normalized_roles
-from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det_exact,
-                    group_ring, integer_det, qh_ring, state_sums)
+from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det,
+                    group_ring, qh_ring, state_sums)
 
 RING_TAGS = ("z", "zh", "zg", "qh")
 
@@ -66,9 +66,8 @@ def _coerce(ring, x):
 def alexander_function(m: Matrix, u):
     """det of the presentation matrix m with the deficiency-many vectors
     appended as columns on the right.  Over a domain, or per component of
-    Q[H], it is zero whenever the presentation is not injective.  Over Z
-    the determinant is one fraction-free elimination (rings.integer_det);
-    other rings take det_exact's state sum."""
+    Q[H], it is zero whenever the presentation is not injective.  The
+    determinant is rings.det's, as for a closed diagram (bsda docstring)."""
     ring = m.ring
     rows, cols = m.rows, m.cols
     d = rows - cols
@@ -84,7 +83,7 @@ def alexander_function(m: Matrix, u):
         list(m.entries[i]) + [_coerce(ring, v[i]) for v in u]
         for i in range(rows)
     ]
-    return integer_det(square) if ring is ZZ else det_exact(ring, square)
+    return det(ring, square)
 
 
 def _ring_change(group, ring_tag: str) -> tuple:

@@ -14,15 +14,16 @@ engine on the diagram's incidence, without listing generators;
 enumerate_generators and gr_da list and grade them one by one, for the
 generators verb and as the reference the engine is tested against.
 
-A closed diagram (no arcs) over Z has one entry, ((), ()): the determinant
-of its beta x alpha-circle matrix when that is square, since a generator
-is then a permutation with its sign, and no generator (the zero map)
-otherwise.  closed_det sums the point signs straight into a dense square
-and takes its determinant by integer elimination (rings.integer_det),
-which is polynomial where the state sum is exponential in the number of
-circles; bsda_z, bsdd_element and homology.generator_sum over Z all reach
-it.  Weighted and bordered diagrams, generator counts and any other
-coefficient ring keep the state sum (_matrix).
+The closed rule: a closed diagram (no arcs) has one entry, ((), ()), its
+signed generator count.  Over Z that is the determinant of its beta x
+alpha-circle matrix when that is square, since a generator is then a
+permutation with its sign, and 0 (the zero map) otherwise.  bsda_z sends
+every closed diagram, by its shape alone, to closed_det, which sums the
+point signs straight into a dense square and takes rings.det of it (an
+integer elimination, polynomial where the state sum is exponential in the
+number of circles); bsdd_element and homology.chi_sfh_surrogate over Z
+read that entry.  Weighted and bordered diagrams and generator counts keep
+the state sum (_matrix).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from functools import lru_cache
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, reinterpret_one_sided
-from .rings import (ZZ, GroupRing, augmentation, group_ring, integer_det,
-                    state_sums)
+from .rings import ZZ, GroupRing, augmentation, det, group_ring, state_sums
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def closed_det(h: HeegaardDiagram) -> int:
     rows = {bid: [0] * a for bid, _ in h.beta_circles}
     for p in h.points:
         rows[p.beta][col[p.alpha]] += p.sign
-    return integer_det(list(rows.values()))
+    return det(ZZ, list(rows.values()))
 
 
 def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
@@ -242,9 +242,9 @@ def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
 def bsda_z(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Integer matrix: entry (I, J) sums (-1)^grading over the generators
     with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h)).
-    A closed diagram over ZZ itself has the one entry closed_det(h) and
-    reads its points, not inc."""
-    if not h.n0 and not h.n1 and (inc is None or inc.ring is ZZ):
+    A closed diagram takes the closed rule of the module docstring and
+    reads its points, never inc."""
+    if not h.n0 and not h.n1:
         d = closed_det(h)
         return X.GradedMap(ZZ, 0, 0, h.degree, {((), ()): d} if d else {})
     return _matrix(h, incidence(h) if inc is None else inc)

@@ -40,7 +40,10 @@ class ArcDiagram:
     def __post_init__(self) -> None:
         comps = tuple((kind, count) for kind, count in self.components)
         object.__setattr__(self, "components", comps)
-        pairs = tuple(tuple(sorted((p, q))) for p, q in self.matching)
+        try:
+            pairs = tuple(tuple(sorted((p, q))) for p, q in self.matching)
+        except TypeError:   # points that do not compare: check names them
+            pairs = tuple((p, q) for p, q in self.matching)
         object.__setattr__(self, "matching", pairs)
 
     @property
@@ -201,10 +204,10 @@ def make_diagram(group, boundary_left, boundary_right, alpha_out,
         group=group,
         boundary_left=boundary_left if boundary_left is not None else EMPTY_ARCS,
         boundary_right=boundary_right if boundary_right is not None else EMPTY_ARCS,
-        alpha_out=tuple((str(i), str(o)) for i, o in alpha_out),
-        alpha_circles=tuple(str(i) for i in alpha_circles),
-        alpha_in=tuple((str(i), str(o)) for i, o in alpha_in),
-        beta_circles=tuple((str(i), r) for i, r in beta_circles),
+        alpha_out=tuple(map(tuple, alpha_out)),
+        alpha_circles=tuple(alpha_circles),
+        alpha_in=tuple(map(tuple, alpha_in)),
+        beta_circles=tuple(map(tuple, beta_circles)),
         points=tuple(points),
     )
     if check:
@@ -214,10 +217,11 @@ def make_diagram(group, boundary_left, boundary_right, alpha_out,
 
 def validate(h: HeegaardDiagram) -> None:
     """Raise ValueError at the first structural fault: the boundaries, the
-    arc counts, duplicate ids, orientation flags, the weight exponents,
-    each point, then the role tags (role_rows).  A sign or a weight
-    exponent is an int, not a bool or a float.  Every quoted value goes
-    through reprlib.repr."""
+    arc counts, the curve ids (each a str) and their duplicates,
+    orientation flags, the weights (each a tuple), their exponents, each
+    point, then the role tags (role_rows).  A sign or a weight exponent is
+    an int, not a bool or a float.  Every quoted value goes through
+    reprlib.repr."""
     for side, z in (("left", h.boundary_left), ("right", h.boundary_right)):
         z.check(f"boundary {side}: ")
         if not z.is_empty() and z.type_tag != "alpha":
@@ -229,6 +233,8 @@ def validate(h: HeegaardDiagram) -> None:
         raise ValueError(f"{len(h.alpha_in)} incoming arcs for "
                          f"{h.boundary_right.arc_count} matching arcs")
     alpha_ids, beta_ids = h.alpha_order(), h.beta_ids()
+    if bad := [i for i in alpha_ids + beta_ids if type(i) is not str]:
+        raise ValueError(f"curve id {reprlib.repr(bad[0])} is not a string")
     aset, bset = set(alpha_ids), set(beta_ids)
     if len(aset) != len(alpha_ids):
         raise ValueError("duplicate alpha id")
@@ -238,13 +244,14 @@ def validate(h: HeegaardDiagram) -> None:
         if orient not in ("same", "opposite"):
             raise ValueError(f"orientation flag {reprlib.repr(orient)} not "
                              "same/opposite")
-    # one pass over every exponent: a generator per point would double
-    # validate's time on a bordered chain
-    bad = next((p.weight for p in h.points for e in p.weight
-                if type(e) is not int), None)
+    # one pass over every exponent (a generator per point would double
+    # validate's time); a weight that is not a tuple reads as (None,)
+    bad = next((p for p in h.points for e in (
+        p.weight if type(p.weight) is tuple else (None,))
+        if type(e) is not int), None)
     if bad is not None:
-        raise ValueError(f"point weight {reprlib.repr(bad)} has a "
-                         "non-integer exponent")
+        raise ValueError(f"point weight {reprlib.repr(bad.weight)} is not a "
+                         "tuple or has a non-integer exponent")
     for p in h.points:
         if p.alpha not in aset:
             raise ValueError("point references missing alpha "
@@ -512,13 +519,12 @@ def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
     out_rows, _, in_rows = normalized_roles(h_norm)
     ids = h_norm.beta_ids()
     n1, n0 = h_norm.n1, h_norm.n0
-    I = sorted({int(i) for i in I})
-    J = sorted({int(j) for j in J})
-    if I and not (1 <= I[0] and I[-1] <= n0):
+    if any(type(i) is not int or not 1 <= i <= n0 for i in I):
         raise ValueError("I must index incoming arcs")
-    if J and not (1 <= J[0] and J[-1] <= n1):
+    if any(type(j) is not int or not 1 <= j <= n1 for j in J):
         raise ValueError("J must index outgoing arcs")
-    jc = [j for j in range(1, n1 + 1) if j not in set(J)]
+    I, J = sorted(set(I)), set(J)
+    jc = [j for j in range(1, n1 + 1) if j not in J]
     one = h_norm.group.identity()
     used = set(h_norm.alpha_order()) | set(ids)
     cap_out = [(_fresh(f"capOut{j}", used), j) for j in jc]

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 from math import prod
 
 from . import exterior as X
-from .bsda import _state_sums, closed_det, incidence, weight_ring
+from .bsda import bsda_z, bsda_zh, incidence
 from .diagram import HeegaardDiagram, normalized_roles
-from .rings import (
-    ZZ,
-    Matrix,
-    integer_rank,
-    smith_normal_form,
-    snf_diagonal,
-)
+from .rings import ZZ, Matrix, integer_rank, smith_normal_form, snf_diagonal
 
 
 def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Matrix:
@@ -106,28 +100,19 @@ def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:
                                 degree=h_norm.degree)
 
 
-def generator_sum(h: HeegaardDiagram, ring: str = "z"):
-    """Sum over generators of (-1)^(intersection + permutation) parity,
-    optionally weighted.  A closed diagram over Z takes bsda.closed_det,
-    every other the state sum."""
-    if ring not in ("z", "zh"):
-        raise ValueError("ring must be z or zh")
-    if ring == "z" and not h.n0 and not h.n1:
-        return closed_det(h)
-    inc = incidence(h, weighted=ring == "zh")
-    return inc.ring.sum(_state_sums(inc).values())
-
-
 def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
-    """Euler characteristic surrogate for a diagram without boundary:
-    the generator sum times (-1)^(free rank of the presentation cokernel)."""
+    """Euler characteristic surrogate for a diagram without boundary: the
+    invariant's one entry (the closed rule of the bsda docstring) times
+    (-1)^(free rank of the presentation cokernel)."""
     if h.n0 or h.n1:
         raise ValueError("surrogate needs empty boundaries")
-    s = generator_sum(h, ring)      # refuses a bad ring before the rank
+    if ring not in ("z", "zh"):
+        raise ValueError("ring must be z or zh")
+    f = bsda_z(h) if ring == "z" else bsda_zh(h)
+    s = f.entries.get(((), ()), f.ring.zero())
     m = presentation_matrix(h, "z")
     b1 = m.rows - integer_rank(m.entries)
-    R = weight_ring(h) if ring == "zh" else ZZ
-    return s if b1 % 2 == 0 else R.neg(s)
+    return s if b1 % 2 == 0 else f.ring.neg(s)
 
 
 def weakly_balanced(h_norm: HeegaardDiagram, I, J) -> bool:

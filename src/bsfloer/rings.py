@@ -12,10 +12,11 @@ the one sparse accumulate step (add a term to a dict, drop the key when the
 sum is zero), one polynomial kernel over Z and Q, limits on H, one reader
 of group-ring text (_monomial), the invariant factors and the column
 transform V of a Smith normal form over Z under MAX_SNF_BITS (the row
-transform is not built), exact determinants (det_exact: one state sum over
-occupied column sets for every ring, under MAX_STATES, split into the
-blocks of row_blocks; integer_det: one fraction-free elimination of a
-dense square over Z), and the one "equal up to a unit" comparison.
+transform is not built), exact determinants through det (over Z
+integer_det, one fraction-free elimination of a dense square; over any
+other ring det_exact, one state sum over occupied column sets under
+MAX_STATES, split into the blocks of row_blocks), and the one "equal up to
+a unit" comparison.
 
 No floating point anywhere.
 """
@@ -69,10 +70,13 @@ class GroupDescriptor:
         return (0,) * (self.free_rank + 1)
 
     def make_weight(self, free=(), tors: int = 0) -> tuple:
-        free = tuple(int(e) for e in free)
+        free = tuple(free)
+        if any(type(e) is not int for e in (*free, tors)):
+            raise ValueError(f"weight exponents {reprlib.repr((*free, tors))} "
+                             "are not all integers")
         if len(free) != self.free_rank:
             raise ValueError("free exponent vector has wrong length")
-        return (*free, int(tors) % self.torsion_order)
+        return (*free, tors % self.torsion_order)
 
     def mul_weight(self, g: tuple, h: tuple) -> tuple:
         """Product of two canonical weights, without make_weight's checks."""
@@ -1005,6 +1009,12 @@ def integer_det(A: list) -> int:
             level[i] = k + 1
         scale.append(pivot)
     return sign * scale[-1]
+
+
+def det(ring: Ring, square):
+    """The one determinant call of the library: integer_det over ZZ, which
+    overwrites square, and det_exact over any other ring."""
+    return integer_det(square) if ring is ZZ else det_exact(ring, square)
 
 
 def rank_over_fractions(ring: Ring, entries) -> int:

@@ -205,7 +205,7 @@ class TestFunction:
         assert checked >= 100
 
     def test_other_rings_keep_det_exact(self, monkeypatch):
-        import bsfloer.alexander as A
+        import bsfloer.rings as R
 
         seen = []
 
@@ -213,7 +213,7 @@ class TestFunction:
             seen.append(ring)
             return det_exact(ring, entries)
 
-        monkeypatch.setattr(A, "det_exact", recording)
+        monkeypatch.setattr(R, "det_exact", recording)
         assert alexander_function(zpres([[1, 1], [-1, 1]]), []) == 2
         assert seen == []
         m = Matrix(LAUR, [[T1, LAUR.one()], [LAUR.one(), LAUR.one()]])

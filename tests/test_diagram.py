@@ -162,6 +162,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="matched point True"):
             D.build_arc_diagram([("interval", 2)], [(0, True)])
 
+    def test_incomparable_matched_point_refused(self):
+        # a pair that does not sort is kept as given, for check to name
+        z = D.ArcDiagram((("interval", 2),), (("0", 1),))
+        assert z.matching == (("0", 1),)
+        with pytest.raises(ValueError, match="matched point '0' is not"):
+            z.check()
+
+    @pytest.mark.parametrize("weight", [None, 0, [0, 0]],
+                             ids=["None", "int", "list"])
+    def test_non_tuple_weight_refused(self, weight):
+        h = D.identity_diagram(Z1, GroupDescriptor(1))
+        bad = replace(h, points=(D.Point("aOut1", "b1", -1, weight),
+                                   h.points[1]))
+        with pytest.raises(ValueError, match=r"point weight .* not a tuple"):
+            D.validate(bad)
+
+    def test_non_string_curve_id_refused(self):
+        # ids are stored as given: an int id is refused, not made '1'
+        g = GroupDescriptor(0)
+        one = g.identity()
+        for circles, betas, point in (
+                ([1], [("B1", None)], D.Point(1, "B1", 1, one)),
+                (["A1"], [(2, None)], D.Point("A1", 2, 1, one))):
+            with pytest.raises(ValueError, match="curve id [12] is not a str"):
+                D.make_diagram(g, None, None, [], circles, [], betas, [point])
+        with pytest.raises(ValueError, match="curve id None is not a str"):
+            D.make_diagram(g, Z1, None, [(None, "same")], [], [], [], [])
+
 
 class TestBuilders:
     def test_identity_n1(self):
@@ -431,6 +459,17 @@ class TestCap:
             D.cap(hn, [2], [])
         with pytest.raises(ValueError):
             D.cap(hn, [], [0])
+
+    def test_subsets_hold_ints(self):
+        # 1.9 is not truncated to in-arc 1, nor True read as out-arc 1
+        hn = D.normalize(D.identity_diagram(Z2))
+        with pytest.raises(ValueError, match="I must index incoming arcs"):
+            D.cap(hn, (1.9,), (1,))
+        with pytest.raises(ValueError, match="J must index outgoing arcs"):
+            D.cap(hn, (1,), (True,))
+        with pytest.raises(ValueError, match="I must index incoming arcs"):
+            D.cap(hn, (1, True), (1,))
+        assert D.cap(hn, (1,), (1,)).a == 6
 
 
 class TestReweight:

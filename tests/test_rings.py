@@ -93,6 +93,13 @@ class TestGroupDescriptor:
         assert G.make_weight((2,), 7) == (2, 1)
         assert G.make_weight((0,), -1) == (0, 2)
 
+    @pytest.mark.parametrize("free, tors", [((0.5,), 2), ((0,), 2.9),
+                                            ((True,), 0), ((1,), False)])
+    def test_make_weight_refuses_non_integers(self, free, tors):
+        # neither truncated (0.5 -> 0, 2.9 -> 2) nor read as 1 and 0
+        with pytest.raises(ValueError, match="are not all integers"):
+            R.GroupDescriptor(1, 3).make_weight(free, tors)
+
     def test_mul_inv(self):
         G = R.GroupDescriptor(1, 4)
         a = G.make_weight((2,), 3)

@@ -8,13 +8,15 @@ collect instead of being skipped.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from sympy import Matrix, Poly, Rational, ZZ, cyclotomic_poly, invert, symbols
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
 from bsfloer import rings as R
+from bsfloer.homology import torsion_order
 
 x = symbols("x")
 
@@ -52,6 +54,26 @@ def test_smith_diagonal_against_invariant_factors():
         answered += 1
         assert got == want, entries
     assert answered >= 290
+
+
+def test_rank_and_torsion_order_against_hermite_form():
+    # sympy's column Hermite form W spans the column lattice and drops zero
+    # columns: its column count is the rank, and when that is the row count
+    # W is a square triangle whose diagonal gives the cokernel order; every
+    # draw finishes under MAX_SNF_BITS
+    rnd = random.Random(2)
+    kinds = set()
+    for _ in range(400):
+        rows, cols = rnd.randint(1, 5), rnd.randint(1, 6)
+        entries = [[rnd.randint(-4, 4) for _ in range(cols)]
+                   for _ in range(rows)]
+        W = hermite_normal_form(Matrix(entries))
+        order = (prod(abs(int(W[i, i])) for i in range(rows))
+                 if W.cols == rows else 0)
+        assert R.integer_rank(entries) == W.cols, entries
+        assert torsion_order(entries) == order, entries
+        kinds.add(min(order, 2))
+    assert kinds == {0, 1, 2}   # infinite, trivial and finite nontrivial
 
 
 def test_integer_det_against_domain_matrix():
