@@ -12,7 +12,7 @@ entry (I, J) appends -e(new-in row) for each element of I ascending, then
 -e(new-out row) for each element of J^c ascending, with the sign
 (-1)^(inv(J, J^c) + c*(n1 - |J|)); the identity fixture then reproduces its
 invariant matrix on the nose.  All entries come from one state sum over the
-diagram's incidence (zero coefficients kept) transposed on the circles, core
+normalized incidence (zero coefficients kept) transposed on the circles, core
 rows required: the new-in and new-out rows a final mask leaves free give I
 and J^c, read by the mask decoder of the invariant (bsda._arcs), which also
 gives p, the parity of #{(held in-row, free in-row) : free above held}.
@@ -24,16 +24,18 @@ which cancels the rule's own inv(J, J^c), and c + k + n0 = a.
 Over Z[G] and Q[H] the functor is evaluated over Z[H] and mapped entrywise
 by the ring change the invariant uses; ring maps commute with determinants.
 
-The comparison with the invariant over Z[G] or Q[H] is made over Z[H]
-first, where the units are the trivial ones +-t^f*s^k.  A ring map sends
-units to units, so a match there is a match of the images, and the unit is
-the image of the Z[H] unit, except where the mapped functor vanishes: there
-it is one, on the whole map over Z[G] and per component over Q[H], as the
-search over the image ring gives it.  Only when the Z[H] compare fails are
-the images searched: for m outside {1, 2, 3, 4, 6} Z[H] has more units
-than the trivial ones (Higman), and a unit of the image need not lift.
-One slot keeps the Z[H] stage of the last diagram compared over zg or qh,
-keyed by its identity, so that diagram's other image reuses the stage.
+The functor and the comparison read the normalized incidence compiled from
+h (bsda.normalized_incidence).  The comparison over Z[G] or Q[H] is made
+over Z[H] first, where the units are the trivial ones +-t^f*s^k.  A ring
+map sends units to units, so a match there is a match of the images, and
+the unit is the image of the Z[H] unit, except where the mapped functor
+vanishes: there it is one, on the whole map over Z[G] and per component
+over Q[H], as the search over the image ring gives it.  Only when the Z[H]
+compare fails are the images searched: for m outside {1, 2, 3, 4, 6} Z[H]
+has more units than the trivial ones (Higman), and a unit of the image
+need not lift.  One slot keeps the Z[H] stage of the last diagram compared
+over zg or qh, keyed by its identity, so that diagram's other image reuses
+the stage.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import random
 from dataclasses import dataclass
 
 from . import exterior as X
-from .bsda import Incidence, _arcs, bsda_z, bsda_zh, incidence, map_transform
-from .diagram import HeegaardDiagram, normalized, normalized_roles
+from .bsda import (Incidence, _arcs, bsda_z, bsda_zh, map_transform,
+                   normalized_incidence)
+from .diagram import HeegaardDiagram, normalized_roles
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det,
                     group_ring, qh_ring, state_sums)
 
@@ -120,44 +123,44 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
     return out
 
 
-def functor_sums(h_norm: HeegaardDiagram, inc: Incidence) -> dict:
-    """The functor's state sum: rings.state_sums over the transpose of
-    h_norm's incidence on the circle positions (one row per alpha circle,
-    beta rows ascending), every core row required."""
+def functor_sums(inc: Incidence) -> dict:
+    """The functor's state sum: rings.state_sums over the transpose of a
+    normalized incidence on the circle positions (one row per alpha circle,
+    beta rows ascending), every core row (n1 up to b - n0) required."""
     cols: list = [{} for _ in inc.circles]
     for r, row in enumerate(inc.rows):
         for q, c in row.items():
             if q in inc.circles:
                 cols[q - inc.circles.start][r] = c
-    cores = normalized_roles(h_norm)[1]
-    return state_sums(inc.ring, cols, (1 << cores.stop) - (1 << cores.start))
+    core = (1 << (len(inc.rows) - inc.n0)) - (1 << inc.n1)
+    return state_sums(inc.ring, cols, core)
 
 
-def alexander_functor(h_norm: HeegaardDiagram, ring_tag: str = "z",
+def alexander_functor(h: HeegaardDiagram, ring_tag: str = "z",
                       inc: Incidence | None = None) -> X.GradedMap:
-    """Every entry from one state sum; the rule is in the module docstring.
-    inc: incidence(h_norm, ring_tag != "z")."""
+    """The functor of normalized(h) from one state sum (module docstring);
+    inc: normalized_incidence(h, ring_tag != "z")."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     if inc is None:
-        inc = incidence(h_norm, ring_tag != "z")
-    ring, n0, n1, a = inc.ring, h_norm.n0, h_norm.n1, h_norm.a
-    d, shift, all_out = h_norm.b - a, h_norm.b - n0, (1 << n1) - 1
+        inc = normalized_incidence(h, ring_tag != "z")
+    ring, n0, n1, a = inc.ring, inc.n0, inc.n1, len(inc.circles)
+    d, shift, all_out = len(inc.rows) - a, len(inc.rows) - n0, (1 << n1) - 1
     entries: dict = {}
-    for mask, val in functor_sums(h_norm, inc).items():
+    for mask, val in functor_sums(inc).items():
         J, jc, _ = _arcs(n1, mask & all_out)
         held, I, p = _arcs(n0, mask >> shift)
         parity = d + a * len(jc) + len(I) * len(held) + p
         entries[(I, J)] = ring.neg(val) if parity & 1 else val
-    f = X.GradedMap(ring, n0, n1, h_norm.degree, entries)
+    f = X.GradedMap(ring, n0, n1, inc.degree, entries)
     if ring_tag in ("z", "zh"):
         return f
-    return map_transform(f, *_ring_change(h_norm.group, ring_tag))
+    return map_transform(f, *_ring_change(h.group, ring_tag))
 
 
 def bsda_map(h: HeegaardDiagram, ring_tag: str, inc=None) -> X.GradedMap:
     """The invariant matrix in the requested coefficients (inc: incidence(h,
-    ring_tag != "z"))."""
+    ring_tag != "z"), or normalized_incidence for normalized(h))."""
     if ring_tag == "z":
         return bsda_z(h, inc)
     if ring_tag == "zh":
@@ -263,11 +266,10 @@ def _unit_image(ring, u, g: X.GradedMap):
 
 
 def _stage(h: HeegaardDiagram, base: str) -> tuple:
-    """(normalized(h), invariant, functor, *their compare) over base."""
-    hn = normalized(h)
-    inc = incidence(hn, base == "zh")
-    f, g = bsda_map(hn, base, inc), alexander_functor(hn, base, inc)
-    return (hn, f, g, *X.eq_up_to_global_unit(g, f))
+    """(invariant, functor, *their compare) of normalized(h) over base."""
+    inc = normalized_incidence(h, base == "zh")
+    f, g = bsda_map(h, base, inc), alexander_functor(h, base, inc)
+    return (f, g, *X.eq_up_to_global_unit(g, f))
 
 
 _LAST_ZH: tuple = (None, None)  # (h, _stage(h, "zh")), read and set whole
@@ -285,14 +287,14 @@ def compare_bsda_alexander(h: HeegaardDiagram,
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
     if ring_tag in ("z", "zh"):
-        _, f, g, ok, unit = _stage(h, ring_tag)
+        f, g, ok, unit = _stage(h, ring_tag)
         return CompareReport(ring_tag, ok, unit, f, g)
     held, stage = _LAST_ZH
     if held is not h:
         stage = _stage(h, "zh")
         _LAST_ZH = (h, stage)
-    hn, f, g, ok, unit = stage
-    ring, fn = _ring_change(hn.group, ring_tag)
+    f, g, ok, unit = stage
+    ring, fn = _ring_change(h.group, ring_tag)
     f, g = map_transform(f, ring, fn), map_transform(g, ring, fn)
     if ok:
         unit = _unit_image(ring, fn(unit), g)

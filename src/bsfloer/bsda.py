@@ -23,7 +23,7 @@ point signs straight into a dense square and takes rings.det of it (an
 integer elimination, polynomial where the state sum is exponential in the
 number of circles); bsdd_element and homology.chi_sfh_surrogate over Z
 read that entry.  Weighted and bordered diagrams and generator counts keep
-the state sum (_matrix).
+the state sum (_matrix).  Incidence states the shape and normalization rule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exterior as X
-from .diagram import HeegaardDiagram, reinterpret_one_sided
+from .diagram import HeegaardDiagram, normalized_roles, reinterpret_one_sided
 from .rings import ZZ, GroupRing, augmentation, det, group_ring, state_sums
 
 
@@ -119,16 +119,16 @@ def _arcs(n: int, bits: int) -> tuple:
     return on, off, sum([(free >> j).bit_count() for j in on]) & 1
 
 
-def _readout(h: HeegaardDiagram):
-    """The decoder of h's final masks (bit q for position q of the total
-    alpha order: out-arcs, then circles, then in-arcs).  decode(mask) gives
-    the 1-based occupied in-arcs o_r and unoccupied out-arcs obar_l, then
-    the parity of the two grading terms a generator's occupied set alone
-    decides, inv(obar_l, o_l) and the correction (a + n1) * k.  Each half
-    is read by _arcs."""
-    n0, n1 = h.n0, h.n1
+def _readout(inc: Incidence):
+    """The decoder of the final masks of inc (bit q for position q of the
+    total alpha order: out-arcs, then circles, then in-arcs).  decode(mask)
+    gives the 1-based occupied in-arcs o_r and unoccupied out-arcs obar_l,
+    then the parity of the two grading terms a generator's occupied set
+    alone decides, inv(obar_l, o_l) and the correction (a + n1) * k.  Each
+    half is read by _arcs."""
+    n0, n1 = inc.n0, inc.n1
     all_out = (1 << n1) - 1
-    shift = n1 + h.a
+    shift = inc.circles.stop        # n1 + a
     flip = shift & 1
 
     def decode(mask: int) -> tuple:
@@ -173,13 +173,21 @@ def weight_ring(h: HeegaardDiagram) -> GroupRing:
 
 @dataclass(frozen=True)
 class Incidence:
-    """A diagram compiled for the engines of one call.  rows: per beta
-    circle in stored order, {position in the total alpha order:
-    coefficient}, zero sums kept; circles: the alpha circles' positions."""
+    """A diagram compiled for the engines of one call, with its shape.
+    rows: per beta circle (b of them) in stored order, {position in the
+    total alpha order: coefficient}, zero sums kept; circles: the positions
+    n1..n1+a-1 of the alpha circles; n0: the in-arcs; degree n1 + a - b.
+    The normalization rule, normalize(h) compiled from h: h's columns shift
+    by n1; n1 newOut rows {n1 + j: +1, j: -1} come first, h's rows follow
+    as the core, and n0 newIn rows {2*n1 + a + i: -1, 2*n1 + a + n0 + i: +1}
+    last (the units at the identity weight over Z[H])."""
 
     ring: object
     rows: tuple
     circles: range
+    n0: int
+    n1 = property(lambda self: self.circles.start)
+    degree = property(lambda self: self.circles.stop - len(self.rows))
 
 
 def incidence(h: HeegaardDiagram, weighted: bool = False,
@@ -195,7 +203,23 @@ def incidence(h: HeegaardDiagram, weighted: bool = False,
     for p in h.points:
         row, q, c = rows[p.beta], pos[p.alpha], coeff(p)
         row[q] = ring.add(row[q], c) if q in row else c
-    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a))
+    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a), h.n0)
+
+
+def normalized_incidence(h: HeegaardDiagram, weighted: bool = False):
+    """incidence(diagram.normalized(h)), keys in order, without building
+    normalize(h): by the normalization rule of the Incidence docstring."""
+    inc, n1, n0 = incidence(h, weighted), h.n1, h.n0
+    try:
+        normalized_roles(h)
+        return inc
+    except ValueError:      # not a normalize output
+        pass
+    unit, ins = inc.ring.from_int, inc.circles.stop + n1    # ins: 2*n1 + a
+    rows = ([{n1 + j: unit(1), j: unit(-1)} for j in range(n1)]
+            + [{q + n1: c for q, c in row.items()} for row in inc.rows]
+            + [{ins + i: unit(-1), ins + n0 + i: unit(1)} for i in range(n0)])
+    return Incidence(inc.ring, tuple(rows), range(n1, ins + n0), n0)
 
 
 def _state_sums(inc: Incidence, signed: bool = True) -> dict:
@@ -225,9 +249,9 @@ def closed_det(h: HeegaardDiagram) -> int:
     return det(ZZ, list(rows.values()))
 
 
-def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
+def _matrix(inc: Incidence) -> X.GradedMap:
     """Only the nonzero sums are decoded: the map would drop the rest."""
-    ring, decode, is_zero = inc.ring, _readout(h), inc.ring.is_zero
+    ring, decode, is_zero = inc.ring, _readout(inc), inc.ring.is_zero
     entries = {}
     for mask, v in _state_sums(inc).items():
         if is_zero(v):
@@ -236,24 +260,24 @@ def _matrix(h: HeegaardDiagram, inc: Incidence) -> X.GradedMap:
         if parity:
             v = ring.neg(v)
         entries[(o_r, obar_l)] = v
-    return X.GradedMap(ring, h.n0, h.n1, h.degree, entries)
+    return X.GradedMap(ring, inc.n0, inc.n1, inc.degree, entries)
 
 
 def bsda_z(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Integer matrix: entry (I, J) sums (-1)^grading over the generators
-    with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h)).
-    A closed diagram takes the closed rule of the module docstring and
-    reads its points, never inc."""
+    with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h),
+    or normalized_incidence(h) for normalized(h)).  A closed diagram takes
+    the closed rule of the module docstring and reads its points, never inc."""
     if not h.n0 and not h.n1:
         d = closed_det(h)
         return X.GradedMap(ZZ, 0, 0, h.degree, {((), ()): d} if d else {})
-    return _matrix(h, incidence(h) if inc is None else inc)
+    return _matrix(incidence(h) if inc is None else inc)
 
 
 def bsda_zh(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Weighted matrix over Z[H]: each generator contributes its sign times
-    the product of its point weights (inc: incidence(h, weighted=True))."""
-    return _matrix(h, incidence(h, weighted=True) if inc is None else inc)
+    the product of its point weights (inc: weighted, as in bsda_z)."""
+    return _matrix(incidence(h, weighted=True) if inc is None else inc)
 
 
 def generator_count(h: HeegaardDiagram) -> int:

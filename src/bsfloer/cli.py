@@ -155,7 +155,7 @@ def _cmd_bsda(args):
 def _cmd_alexander(args):
     h = _load(args.file)
     if not args.compare:
-        f = alexander_functor(normalized(h), args.ring)
+        f = alexander_functor(h, args.ring)
         if args.json:
             return json.dumps(_map_json(f), indent=2, sort_keys=True), 0
         return "\n".join(_map_text(f)), 0

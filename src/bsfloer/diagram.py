@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 from .rings import GroupDescriptor, parse_weight
@@ -38,12 +39,11 @@ class ArcDiagram:
     type_tag: str = "alpha"
 
     def __post_init__(self) -> None:
-        comps = tuple((kind, count) for kind, count in self.components)
+        comps = _pairs(self.components, "components")
         object.__setattr__(self, "components", comps)
-        try:
-            pairs = tuple(tuple(sorted((p, q))) for p, q in self.matching)
-        except TypeError:   # points that do not compare: check names them
-            pairs = tuple((p, q) for p, q in self.matching)
+        pairs = _pairs(self.matching, "matching")
+        with suppress(TypeError):   # incomparable points: check names them
+            pairs = tuple(tuple(sorted(pair)) for pair in pairs)
         object.__setattr__(self, "matching", pairs)
 
     @property
@@ -88,6 +88,14 @@ class ArcDiagram:
         if missing := total - len(seen):
             raise ValueError(f"{where}{reprlib.repr(missing)} points left "
                              "unmatched")
+
+
+def _pairs(records, field: str) -> tuple:
+    """records as a tuple of pairs, refusing the first that is no pair."""
+    for r in records:
+        if not isinstance(r, (tuple, list)) or len(r) != 2:
+            raise ValueError(f"{field} entry {reprlib.repr(r)} is not a pair")
+    return tuple(map(tuple, records))
 
 
 EMPTY_ARCS = ArcDiagram()
@@ -217,11 +225,11 @@ def make_diagram(group, boundary_left, boundary_right, alpha_out,
 
 def validate(h: HeegaardDiagram) -> None:
     """Raise ValueError at the first structural fault: the boundaries, the
-    arc counts, the curve ids (each a str) and their duplicates,
-    orientation flags, the weights (each a tuple), their exponents, each
-    point, then the role tags (role_rows).  A sign or a weight exponent is
-    an int, not a bool or a float.  Every quoted value goes through
-    reprlib.repr."""
+    arc counts, the curve records (each a pair), the curve ids (each a str;
+    a point's references too) and their duplicates, orientation flags, the
+    weights (each a tuple), their exponents, each point, then the role tags
+    (role_rows).  A sign or a weight exponent is an int, not a bool or a
+    float.  Every quoted value goes through reprlib.repr."""
     for side, z in (("left", h.boundary_left), ("right", h.boundary_right)):
         z.check(f"boundary {side}: ")
         if not z.is_empty() and z.type_tag != "alpha":
@@ -232,6 +240,8 @@ def validate(h: HeegaardDiagram) -> None:
     if len(h.alpha_in) != h.boundary_right.arc_count:
         raise ValueError(f"{len(h.alpha_in)} incoming arcs for "
                          f"{h.boundary_right.arc_count} matching arcs")
+    for field in ("alpha_out", "alpha_in", "beta_circles"):
+        _pairs(getattr(h, field), field)
     alpha_ids, beta_ids = h.alpha_order(), h.beta_ids()
     if bad := [i for i in alpha_ids + beta_ids if type(i) is not str]:
         raise ValueError(f"curve id {reprlib.repr(bad[0])} is not a string")
@@ -252,11 +262,11 @@ def validate(h: HeegaardDiagram) -> None:
     if bad is not None:
         raise ValueError(f"point weight {reprlib.repr(bad.weight)} is not a "
                          "tuple or has a non-integer exponent")
-    for p in h.points:
-        if p.alpha not in aset:
+    for p in h.points:     # an id is a str, so no other reference is hashed
+        if type(p.alpha) is not str or p.alpha not in aset:
             raise ValueError("point references missing alpha "
                              f"{reprlib.repr(p.alpha)}")
-        if p.beta not in bset:
+        if type(p.beta) is not str or p.beta not in bset:
             raise ValueError("point references missing beta "
                              f"{reprlib.repr(p.beta)}")
         if type(p.sign) is not int or p.sign not in (1, -1):
@@ -436,8 +446,8 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
     that picks up one +1 point on a new beta circle B^out_j, while a fresh
     outgoing arc meets that beta circle once with sign -1; incoming arcs are
     treated the same way with the two signs swapped.  Role tags record which
-    beta circle came from which side.
-    """
+    beta circle came from which side; bsda.normalized_incidence is its
+    incidence-level twin."""
     group = h.group
     one = group.identity()
     used = set(h.alpha_order()) | set(h.beta_ids())

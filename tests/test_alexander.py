@@ -539,13 +539,17 @@ class TestZHFirstCompare:
         assert rep.match and rep.unit == rep.alexander.ring.one()
 
     def test_one_ring_change_and_one_zh_compare_per_call(self, monkeypatch):
-        """One Z[H] stage per diagram: zg then qh on one object normalize
-        once, run two state sums and one Z[H] compare; an equal copy that
-        is not the same object computes the stage again."""
+        """One Z[H] stage per diagram: zg then qh on one object compile one
+        normalized incidence, run two state sums and one Z[H] compare,
+        never call diagram.normalize and build no HeegaardDiagram; an equal
+        copy that is not the same object computes the stage again."""
+        import sys
+
         import bsfloer.alexander as A
         import bsfloer.bsda as B
+        import bsfloer.diagram as D
 
-        changes, compares, calls = [], [], []
+        changes, compares, calls, built = [], [], [], []
         ring_change, eq = A._ring_change, X.eq_up_to_global_unit
 
         def counting_change(group, tag):
@@ -564,22 +568,41 @@ class TestZHFirstCompare:
 
         monkeypatch.setattr(A, "_ring_change", counting_change)
         monkeypatch.setattr(X, "eq_up_to_global_unit", counting_eq)
-        monkeypatch.setattr(A, "normalized", counted("normalized",
-                                                     A.normalized))
+        monkeypatch.setattr(A, "normalized_incidence", counted(
+            "normalized_incidence", A.normalized_incidence))
         for mod in (A, B):
             monkeypatch.setattr(mod, "state_sums", counted("state_sums",
                                                            mod.state_sums))
+        normalize = D.normalize
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("bsfloer") and vars(mod).get(
+                    "normalize") is normalize:
+                monkeypatch.setattr(mod, "normalize",
+                                    counted("normalize", normalize))
+        init = D.HeegaardDiagram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(D.HeegaardDiagram, "__init__", counting_init)
         for h in (bordered_mixed(), weighted_torsion3()):
+            assert D.role_rows(h) is None       # not a normalize output
             zh = GroupRing(h.group.free_rank, h.group.torsion_order).name
             for obj in (h, replace(h)):
                 changes.clear()
                 compares.clear()
                 calls.clear()
+                built.clear()
                 for tag in ("zg", "qh"):
                     assert compare_bsda_alexander(obj, tag).match
                 assert changes == ["zg", "qh"]
                 assert compares == [zh]
-                assert sorted(calls) == ["normalized"] + ["state_sums"] * 2
+                assert sorted(calls) == (["normalized_incidence"]
+                                         + ["state_sums"] * 2)
+                assert built == []
+        replace(h)
+        assert len(built) == 1          # the counter sees a built diagram
 
     def test_a_failed_stage_leaves_the_slot(self, monkeypatch):
         import bsfloer.alexander as A
@@ -654,6 +677,34 @@ class TestZHFirstCompare:
         assert [(id(h), b) for h, b in stages] == [(id(h), "zh")
                                                    for h in (h1, h2, h1, h2)]
         assert A._LAST_ZH[0] is h2
+
+
+class TestNormalizedIncidenceRoute:
+    """compare_bsda_alexander and alexander_functor read the normalized
+    incidence compiled from h; the old route built normalized(h) and its
+    incidence.  Every tag prints the same bytes both ways."""
+
+    def test_every_tag_matches_the_old_route(self):
+        import random
+
+        from bsfloer.selftest import random_diagram
+
+        rng = random.Random(31)
+        groups = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 7)]
+        hs = [h for h, _ in fixture_library().values()]
+        hs += [random_diagram(rng, group=groups[k % len(groups)])
+               for k in range(1500)]
+        nonzero = 0
+        for k, h in enumerate(hs):
+            hn = normalized(h)
+            for tag in RING_TAGS:
+                rep, want = compare_bsda_alexander(h, tag), searched_compare(
+                    h, tag)
+                assert same_report(rep, want), (k, tag)
+                assert (X.map_lines(alexander_functor(h, tag))
+                        == X.map_lines(alexander_functor(hn, tag))), (k, tag)
+                nonzero += not rep.alexander.is_zero()
+        assert nonzero > 2000
 
 
 class TestSharedRings:

@@ -25,6 +25,7 @@ from bsfloer.bsda import (
     gr_da,
     incidence,
     map_transform,
+    normalized_incidence,
     weight_ring,
 )
 from bsfloer.diagram import (
@@ -38,6 +39,7 @@ from bsfloer.diagram import (
     interval_arcs,
     make_diagram,
     normalize,
+    normalized,
     reinterpret_one_sided,
     reweight,
 )
@@ -215,7 +217,7 @@ class TestReadout:
         checked = 0
         for h in corpus:
             pos = {aid: q for q, aid in enumerate(h.alpha_order())}
-            decode = _readout(h)
+            decode = _readout(incidence(h))
             for x in enumerate_generators(h):
                 occupied = set(x.alpha_ids())
                 o_r = tuple(i + 1 for i, (aid, _) in enumerate(h.alpha_in)
@@ -253,8 +255,8 @@ def counting_readout(monkeypatch):
     seen = []
     real = B._readout
 
-    def readout(h):
-        decode = real(h)
+    def readout(inc):
+        decode = real(inc)
 
         def counted(mask):
             seen.append(mask)
@@ -278,7 +280,7 @@ class TestZeroFreeReadout:
         sums = _state_sums(incidence(h))
         nonzero = [m for m, v in sums.items() if v]
         assert len(nonzero) < len(sums)          # zero final states exist
-        decode = _readout(h)
+        decode = _readout(incidence(h))
         entries = {}
         for mask, v in sums.items():
             o_r, obar_l, parity = decode(mask)
@@ -297,7 +299,7 @@ class TestZeroFreeReadout:
         sums = _state_sums(incidence(hdd))
         nonzero = [m for m, v in sums.items() if v]
         assert len(nonzero) < len(sums)
-        decode = _readout(hdd)
+        decode = _readout(incidence(hdd))
         terms = {}
         for mask, v in sums.items():
             _, obar, parity = decode(mask)
@@ -657,8 +659,8 @@ class TestStateSumEngine:
                     == _state_sums(incidence(flip(h))).keys())
             # and the functor's state sum on the normalized diagram
             hn = normalize(h)
-            assert (functor_sums(hn, incidence(hn)).keys()
-                    == functor_sums(hn, incidence(flip(hn))).keys())
+            assert (functor_sums(incidence(hn)).keys()
+                    == functor_sums(incidence(flip(hn))).keys())
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_normalized_identity_work_is_output_sized(self, k):
@@ -881,8 +883,85 @@ class TestClosedDensePath:
             f = bsda_z(h)
             assert f.entries == ({((), ()): want} if want else {})
             assert f.degree == h.degree
-            state = B._matrix(h, incidence(h))
+            state = B._matrix(incidence(h))
             assert X.map_eq(f, state)
             assert bsda_z(h, incidence(h)) == f
             assert bsdd_element(h) == X.ExtElement(
                 ZZ, 0, {J: v for (_, J), v in state.entries.items()})
+
+
+def same_incidence(got, want):
+    """Equal rings, circles, n0 and rows, each row's keys in one order."""
+    return (got.ring is want.ring and got.circles == want.circles
+            and got.n0 == want.n0 and got.rows == want.rows
+            and [list(r) for r in got.rows] == [list(r) for r in want.rows])
+
+
+class TestNormalizedIncidence:
+    """normalized_incidence(h) against incidence(normalized(h)), weighted
+    and not: the normalization rule of the bsda module docstring."""
+
+    GROUPS = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 7)]
+
+    def check(self, h):
+        for weighted in (False, True):
+            got = normalized_incidence(h, weighted)
+            assert same_incidence(got, incidence(normalized(h), weighted))
+            assert got.degree == h.degree
+            assert got.n1 == h.n1
+
+    def test_fixtures(self):
+        lib = fixture_library()
+        assert len(lib) == 26
+        for h, _ in lib.values():
+            self.check(h)
+
+    def test_random_diagrams(self):
+        rng = random.Random(31)
+        torsion = 0
+        for k in range(1000):
+            h = random_diagram(rng, group=self.GROUPS[k % len(self.GROUPS)])
+            assert same_incidence(normalized_incidence(h, True),
+                                  incidence(normalize(h), True))
+            assert same_incidence(normalized_incidence(h),
+                                  incidence(normalize(h)))
+            torsion += any(p.weight[-1] for p in h.points)
+        assert torsion > 100
+
+    def test_closed_diagrams(self):
+        for h in closed_corpus(*TestClosedDensePath.SMALL):
+            self.check(h)
+            assert normalized_incidence(h).circles == range(h.a)
+
+    def test_normalized_inputs_are_their_own(self):
+        rng = random.Random(32)
+        for k in range(200):
+            hn = normalize(random_diagram(rng, group=self.GROUPS[k % 18]))
+            for weighted in (False, True):
+                assert same_incidence(normalized_incidence(hn, weighted),
+                                      incidence(hn, weighted))
+
+    def test_refused_role_tags_take_the_shift(self):
+        # tags role_rows reads but normalized_roles refuses (all core on a
+        # bordered diagram, or a normalize output with one side's rows
+        # retagged core), and a normalize output with its tags dropped
+        rng = random.Random(33)
+        shifted = 0
+        for k in range(200):
+            h = random_diagram(rng, group=self.GROUPS[k % 18])
+            hn = normalize(h)
+            roles = [r for _, r in hn.beta_circles]
+            cases = [replace(hn, beta_circles=tuple(
+                (bid, None) for bid, _ in hn.beta_circles))]
+            if h.n0 or h.n1:
+                cases.append(replace(h, beta_circles=tuple(
+                    (bid, "core") for bid, _ in h.beta_circles)))
+            if h.n0:
+                cases.append(replace(hn, beta_circles=tuple(
+                    (bid, "core" if r.startswith("newIn") else r)
+                    for (bid, _), r in zip(hn.beta_circles, roles))))
+            for x in cases:
+                assert normalized(x) is not x
+                self.check(x)
+                shifted += 1
+        assert shifted > 400

@@ -120,6 +120,33 @@ class TestValidation:
             D.validate(bad)
         assert str(e.value) == "point weight torsion exponent out of range"
 
+    def test_unhashable_point_reference_refused(self):
+        h = D.identity_diagram(Z1)
+        bad = replace(h, points=h.points + (
+            D.Point(["aOut1"], "b1", -1, (0,)),))
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == "point references missing alpha ['aOut1']"
+
+    def test_matching_entry_of_three_refused(self):
+        with pytest.raises(ValueError) as e:
+            D.ArcDiagram((("interval", 2),), ((0, 1, 2),))
+        assert str(e.value) == "matching entry (0, 1, 2) is not a pair"
+
+    def test_alpha_out_entry_of_one_refused(self):
+        bad = replace(D.identity_diagram(Z1), alpha_out=(("aOut1",),))
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == "alpha_out entry ('aOut1',) is not a pair"
+
+    def test_beta_circles_entry_of_three_refused(self):
+        bad = replace(D.identity_diagram(Z1),
+                      beta_circles=(("B", None, 3),))
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == ("beta_circles entry ('B', None, 3) is not "
+                                "a pair")
+
 
     # the exact engines read signs, exponents, counts and points as ints:
     # a float or a bool is refused, not summed or truncated
