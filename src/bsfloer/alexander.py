@@ -14,7 +14,7 @@ entry (I, J) appends -e(new-in row) for each element of I ascending, then
 invariant matrix on the nose.  All entries come from one state sum over the
 normalized incidence (zero coefficients kept) transposed on the circles, core
 rows required: the new-in and new-out rows a final mask leaves free give I
-and J^c, read by the mask decoder of the invariant (bsda._arcs), which also
+and J^c, read by the one mask decoder (exterior._arcs), which also
 gives p, the parity of #{(held in-row, free in-row) : free above held}.
 The entry is the mask's value times (-1)^(d + a*|J^c| + |I|*|held| + p).
 Carrying the signed sum on through the -e(r) rows, I first, adds the
@@ -44,9 +44,10 @@ import random
 from dataclasses import dataclass
 
 from . import exterior as X
-from .bsda import (Incidence, _arcs, bsda_z, bsda_zh, map_transform,
+from .bsda import (Incidence, bsda_z, bsda_zh, map_transform,
                    normalized_incidence)
 from .diagram import HeegaardDiagram, normalized_roles
+from .exterior import _arcs
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det,
                     group_ring, qh_ring, state_sums)
 

@@ -29,10 +29,10 @@ the state sum (_matrix).  Incidence states the shape and normalization rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import exterior as X
 from .diagram import HeegaardDiagram, normalized_roles, reinterpret_one_sided
+from .exterior import _arcs
 from .rings import ZZ, GroupRing, augmentation, det, group_ring, state_sums
 
 
@@ -104,28 +104,13 @@ def _check_generator(h: HeegaardDiagram, x: Generator) -> None:
         raise ValueError("generator leaves an alpha circle unoccupied")
 
 
-@lru_cache(maxsize=1 << 12)
-def _arcs(n: int, bits: int) -> tuple:
-    """One half of a final mask, n arcs at bits 0..n-1: the 1-based arcs
-    on and off, and the parity of #{(j on, i off) : i > j}, the shuffle
-    that moves the off arcs in front of the on ones.  The one decoder of
-    both state sums, the invariant's and the Alexander functor's.  Bounded
-    and shared by every diagram, since the halves repeat across diagrams
-    while whole masks rarely repeat within one (an identity-like map has a
-    different out-half for every mask)."""
-    on = tuple([j for j in range(1, n + 1) if bits >> (j - 1) & 1])
-    off = tuple([j for j in range(1, n + 1) if not bits >> (j - 1) & 1])
-    free = ~bits & ((1 << n) - 1)
-    return on, off, sum([(free >> j).bit_count() for j in on]) & 1
-
-
 def _readout(inc: Incidence):
     """The decoder of the final masks of inc (bit q for position q of the
     total alpha order: out-arcs, then circles, then in-arcs).  decode(mask)
     gives the 1-based occupied in-arcs o_r and unoccupied out-arcs obar_l,
     then the parity of the two grading terms a generator's occupied set
     alone decides, inv(obar_l, o_l) and the correction (a + n1) * k.  Each
-    half is read by _arcs."""
+    half is read by exterior._arcs."""
     n0, n1 = inc.n0, inc.n1
     all_out = (1 << n1) - 1
     shift = inc.circles.stop        # n1 + a

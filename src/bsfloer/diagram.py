@@ -227,9 +227,10 @@ def validate(h: HeegaardDiagram) -> None:
     """Raise ValueError at the first structural fault: the boundaries, the
     arc counts, the curve records (each a pair), the curve ids (each a str;
     a point's references too) and their duplicates, orientation flags, the
-    weights (each a tuple), their exponents, each point, then the role tags
-    (role_rows).  A sign or a weight exponent is an int, not a bool or a
-    float.  Every quoted value goes through reprlib.repr."""
+    group's and points' types, the weights (each a tuple), their exponents,
+    each point, then the role tags (role_rows).  A sign or a weight
+    exponent is an int, not a bool or a float.  Every quoted value goes
+    through reprlib.repr."""
     for side, z in (("left", h.boundary_left), ("right", h.boundary_right)):
         z.check(f"boundary {side}: ")
         if not z.is_empty() and z.type_tag != "alpha":
@@ -254,6 +255,11 @@ def validate(h: HeegaardDiagram) -> None:
         if orient not in ("same", "opposite"):
             raise ValueError(f"orientation flag {reprlib.repr(orient)} not "
                              "same/opposite")
+    if not isinstance(h.group, GroupDescriptor):
+        raise ValueError(f"group {reprlib.repr(h.group)} is not a "
+                         "GroupDescriptor")
+    if bad := [p for p in h.points if not isinstance(p, Point)]:
+        raise ValueError(f"points entry {reprlib.repr(bad[0])} is not a Point")
     # one pass over every exponent (a generator per point would double
     # validate's time); a weight that is not a tuple reads as (None,)
     bad = next((p for p in h.points for e in (

@@ -20,6 +20,7 @@ here sorts, deduplicates or converts a key for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .rings import (Ring, accumulate, join_terms, signed_term,
@@ -73,6 +74,19 @@ def perm_inversions(seq) -> int:
     """#{i < j : seq[i] > seq[j]}."""
     n = len(seq)
     return sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
+
+
+@lru_cache(maxsize=1 << 12)
+def _arcs(n: int, bits: int) -> tuple:
+    """One half of a mask, n positions at bits 0..n-1: the 1-based positions
+    on and off, and the parity of #{(j on, i off) : i > j}, the shuffle
+    putting the off ones first.  The decoder of all three maps (invariant,
+    Alexander functor, kernel wedge) and of the pairing.  Bounded and
+    shared: halves repeat across diagrams, whole masks rarely in one."""
+    on = tuple([j for j in range(1, n + 1) if bits >> (j - 1) & 1])
+    off = tuple([j for j in range(1, n + 1) if not bits >> (j - 1) & 1])
+    free = ~bits & ((1 << n) - 1)
+    return on, off, sum([(free >> j).bit_count() for j in on]) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +169,6 @@ def wedge(x: ExtElement, y: ExtElement) -> ExtElement:
                 c = ring.neg(c)
             accumulate(ring, out, tuple(sorted(I + J)), c)
     return ExtElement(ring, x.rank, out)
-
-
-def wedge_list(ring: Ring, rank: int, elements) -> ExtElement:
-    acc = ext_basis(ring, rank, ())
-    for e in elements:
-        acc = wedge(acc, e)
-    return acc
 
 
 def epsilon(x: ExtElement, y: ExtElement):
@@ -377,22 +384,19 @@ def compose_eps_tensor(element: ExtElement, n0: int, n1: int,
     the graded map sending g_I to the top-pairing of g_I against the incoming
     part, tensored with the outgoing part.
 
-    For a term c*g_S with S = A union (n0 + B):
-        entry (I = complement of A, J = B) gains
-        c * (-1)^{n0*|B|} * (-1)^{#{(u,v) in I x A : u > v}}.
-
-    The first sign moves the whole incoming pairing past the outgoing block;
-    the second is the shuffle sign sorting (complement(A), A) into {1..n0}.
+    A term c*g_S (the mask with bit i - 1 for i in S) is entry (I, B),
+    c * (-1)^{n0*|B| + p}, by _arcs: the in-half gives I (the in-arcs off)
+    and p, the shuffle sign sorting (I, in-arcs on) into {1..n0}; the
+    out-half gives B (the out-arcs on).  n0*|B| moves the incoming pairing
+    past the outgoing block.  S <-> (I, B) is a bijection: no entry sums.
     """
     if element.rank != n0 + n1:
         raise ValueError("element rank must be n0 + n1")
-    ring = element.ring
+    ring, low = element.ring, (1 << n0) - 1
     out: dict = {}
     for S, c in element.terms.items():
-        A = tuple(i for i in S if i <= n0)
-        B = tuple(i - n0 for i in S if i > n0)
-        aset = set(A)
-        I = tuple(i for i in range(1, n0 + 1) if i not in aset)
-        sign = n0 * len(B) + cross_inversions(I, A)
-        accumulate(ring, out, (I, B), c if sign % 2 == 0 else ring.neg(c))
+        mask = sum([1 << (i - 1) for i in S])
+        _, I, p = _arcs(n0, mask & low)
+        B = _arcs(n1, mask >> n0)[0]
+        out[I, B] = ring.neg(c) if (n0 * len(B) + p) & 1 else c
     return GradedMap(ring, n0, n1, degree, out)

@@ -7,9 +7,10 @@ cokernel exactly when the relevant first homology is finite, and the
 column-reduced zero-core columns, read off on the new-beta rows, give a
 basis of the kernel lattice inside the in/out coordinate space.
 
-The kernel element is that basis wedged together and scaled by the order
-of the cokernel; composing it with the duality pairing gives the TQFT map
-that the acceptance suite compares against the invariant matrix.
+The kernel element is that basis wedged together (its Plucker coordinates,
+the k x k minors, from one state sum over the basis rows decoded by
+exterior._arcs) and scaled by the order of the cokernel; composing it with
+the duality pairing gives the TQFT map compared against the invariant.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from math import prod
 from . import exterior as X
 from .bsda import bsda_z, bsda_zh, incidence
 from .diagram import HeegaardDiagram, normalized_roles
-from .rings import ZZ, Matrix, integer_rank, smith_normal_form, snf_diagonal
+from .rings import (ZZ, Matrix, integer_rank, smith_normal_form, snf_diagonal,
+                    state_sums)
 
 
 def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Matrix:
@@ -84,11 +86,10 @@ def k_element(h_norm: HeegaardDiagram) -> KElement:
     prefactor = prod(diagonal)
     if r + rank != cols or rank != big_k:
         return KElement(prefactor, X.ext_zero(ZZ, n), big_k, rank, basis)
-    wedge = X.wedge_list(ZZ, n, [
-        X.ExtElement(ZZ, n, {(i + 1,): v[i] for i in range(n) if v[i]})
-        for v in basis])
-    return KElement(prefactor, X.ext_scale(ZZ.from_int(prefactor), wedge),
-                    big_k, rank, basis)
+    minors = state_sums(ZZ, [{i: x for i, x in enumerate(v) if x}
+                             for v in basis], 0)
+    wedge = {X._arcs(n, mask)[0]: prefactor * v for mask, v in minors.items()}
+    return KElement(prefactor, X.ExtElement(ZZ, n, wedge), big_k, rank, basis)
 
 
 def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:

@@ -8,12 +8,12 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from bsfloer import alexander as A
 from bsfloer import bsda as B
 from bsfloer import exterior as X
 from bsfloer.alexander import alexander_functor, bsda_map, functor_sums
 from bsfloer.bsda import (
     Generator,
-    _arcs,
     _readout,
     _state_sums,
     augment_map,
@@ -43,6 +43,7 @@ from bsfloer.diagram import (
     reinterpret_one_sided,
     reweight,
 )
+from bsfloer.exterior import _arcs
 from bsfloer.fixtures import (
     annulus,
     braid_diagram,
@@ -207,6 +208,8 @@ class TestReadout:
             assert _arcs(n, bits) == (
                 on, off, X.cross_inversions(off, on) % 2)
         assert _arcs.cache_info().maxsize == 1 << 12
+        # one decoder: the engines read exterior's, not a copy of their own
+        assert B._arcs is A._arcs is X._arcs
 
     def test_decode_matches_gr_da(self):
         rng = random.Random(11)

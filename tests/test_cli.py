@@ -802,6 +802,28 @@ class TestBudgets:
                               f"MAX_STATES = {R.MAX_STATES}: ")
         assert "live states at row" in err
 
+    def test_kernel_wedge_stops_at_the_budget(self, capsys, tmp_path):
+        # 20 out-arcs and 10 beta circles that meet each of them: the kernel
+        # basis is K = 10 dense vectors in Z^20, whose wedge passes through
+        # C(20, 10) = 184,756 partial minors, so fn stops at the wedge's
+        # 10-row state sum, before the 30-row one of the invariant
+        rng = random.Random(1)
+        g = R.GroupDescriptor(0)
+        outs = [f"o{j}" for j in range(20)]
+        pts = [D.Point(o, f"B{i}", rng.choice((1, -1)), g.identity())
+               for i in range(10) for o in outs]
+        h = D.make_diagram(g, D.interval_arcs(20), None,
+                           [(o, "same") for o in outs], [], [],
+                           [(f"B{i}", None) for i in range(10)], pts)
+        path = tmp_path / "dense_out20.json"
+        path.write_text(dumps(h))
+        code, out, err = run(capsys, ["fn", str(path)])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: state sum over the budget "
+                              f"MAX_STATES = {R.MAX_STATES}: ")
+        assert err.endswith(" of 10\n")
+
     def test_smith_normal_form_stops_at_the_budget(self, capsys, tmp_path):
         # the core Smith normal form of this closed 7 x 7 diagram grows its
         # entries without end: fn stops at MAX_SNF_BITS in one error line,

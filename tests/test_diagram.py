@@ -128,6 +128,20 @@ class TestValidation:
             D.validate(bad)
         assert str(e.value) == "point references missing alpha ['aOut1']"
 
+    def test_point_that_is_not_a_point_refused(self):
+        h = D.identity_diagram(Z1)
+        bad = replace(h, points=h.points + (("aOut1", "b1", -1, (0,)),))
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == ("points entry ('aOut1', 'b1', -1, (0,)) is "
+                                "not a Point")
+
+    def test_group_that_is_not_a_group_descriptor_refused(self):
+        bad = replace(D.identity_diagram(Z1), group=None)
+        with pytest.raises(ValueError) as e:
+            D.validate(bad)
+        assert str(e.value) == "group None is not a GroupDescriptor"
+
     def test_matching_entry_of_three_refused(self):
         with pytest.raises(ValueError) as e:
             D.ArcDiagram((("interval", 2),), ((0, 1, 2),))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,10 +142,48 @@ class TestWedge:
                     rhs = X.ext_neg(rhs)
                 assert X.ext_eq(lhs, rhs)
 
-    def test_wedge_list(self):
-        vs = [basis(R.ZZ, 3, (2,)), basis(R.ZZ, 3, (1,)), basis(R.ZZ, 3, (3,))]
-        assert X.wedge_list(R.ZZ, 3, vs).terms == {(1, 2, 3): -1}
-        assert X.wedge_list(R.ZZ, 3, []).terms == {(): 1}
+    @staticmethod
+    def plucker(n, rows):
+        """r1 ^ ... ^ rk as homology.k_element builds it: one state sum over
+        the sparse rows {coordinate - 1: value}, each final mask keyed by
+        _arcs."""
+        return X.ExtElement(R.ZZ, n, {
+            X._arcs(n, m)[0]: c
+            for m, c in R.state_sums(R.ZZ, rows, 0).items()})
+
+    def test_plucker_state_sum_is_the_wedge(self):
+        assert self.plucker(3, [{1: 1}, {0: 1}, {2: 1}]).terms == {
+            (1, 2, 3): -1}
+        assert self.plucker(3, []).terms == {(): 1}
+        rng = random.Random(32)
+        seen = {"k = 0": 0, "zero vector": 0, "equal vectors": 0,
+                "blocks": 0}
+        for draw in range(1200):
+            n = rng.randint(0, 8)
+            k = min(n, rng.randint(0, 8))
+            vectors = [[rng.choice((0, 0, 0, -2, -1, 1, 2, 3))
+                        for _ in range(n)] for _ in range(k)]
+            if draw % 4 == 3:   # one or two entries a row: the engine's blocks
+                for v in vectors:
+                    v[:] = [0] * n
+                    for i in rng.sample(range(n), min(n, rng.randint(1, 2))):
+                        v[i] = rng.choice((-2, -1, 1, 2, 3))
+            if k and draw % 4 == 1:
+                vectors[rng.randrange(k)] = [0] * n
+            if k >= 2 and draw % 4 == 2:
+                i, j = rng.sample(range(k), 2)
+                vectors[j] = list(vectors[i])
+            rows = [{i: x for i, x in enumerate(v) if x} for v in vectors]
+            seen["k = 0"] += k == 0
+            seen["zero vector"] += {} in rows
+            seen["equal vectors"] += len(set(map(tuple, vectors))) < k
+            seen["blocks"] += (k >= R.SPLIT_MIN_ROWS
+                               and len(R.row_blocks(rows) or ()) > 1)
+            fold = reduce(X.wedge, (
+                X.ExtElement(R.ZZ, n, {(i + 1,): x for i, x in row.items()})
+                for row in rows), X.ext_basis(R.ZZ, n, ()))
+            assert self.plucker(n, rows).terms == fold.terms, (n, vectors)
+        assert min(seen.values()) >= 20, seen
 
     def test_element_cleanup(self):
         e = X.ExtElement(R.ZZ, 3, {(1, 2): 2, (3,): 0})
