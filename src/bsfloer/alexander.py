@@ -44,9 +44,9 @@ import random
 from dataclasses import dataclass
 
 from . import exterior as X
-from .bsda import (Incidence, bsda_z, bsda_zh, map_transform,
-                   normalized_incidence)
-from .diagram import HeegaardDiagram, normalized_roles
+from .bsda import (Incidence, NormalizedIncidence, bsda_z, bsda_zh,
+                   map_transform, normalized_incidence)
+from .diagram import HeegaardDiagram, normalize
 from .exterior import _arcs
 from .rings import (ZZ, GroupRing, Matrix, QHRing, accumulate, det,
                     group_ring, qh_ring, state_sums)
@@ -102,12 +102,11 @@ def _ring_change(group, ring_tag: str) -> tuple:
     raise ValueError(f"ring must be one of {RING_TAGS}")
 
 
-def entry_vectors(h_norm: HeegaardDiagram) -> dict:
-    """Appended vectors for every degree-compatible idempotent pair, as
+def entry_vectors(h: HeegaardDiagram) -> dict:
+    """Appended vectors of normalize(h) for every degree-compatible pair, as
     integer row vectors: -e(new-in row) for each element of I ascending,
     then -e(new-out row) for each element of the complement of J."""
-    outs, _, ins = normalized_roles(h_norm)
-    n0, n1, c, rows = h_norm.n0, h_norm.n1, h_norm.degree, h_norm.b
+    n0, n1, c, rows = h.n0, h.n1, h.degree, normalize(h).b
 
     def neg_unit(row: int):
         return tuple(-1 if t == row else 0 for t in range(rows))
@@ -119,8 +118,8 @@ def entry_vectors(h_norm: HeegaardDiagram) -> dict:
             continue
         for J in X.subsets(n1, size_j):
             jc = tuple(j for j in range(1, n1 + 1) if j not in J)
-            out[(I, J)] = ([neg_unit(ins[i - 1]) for i in I]
-                           + [neg_unit(outs[j - 1]) for j in jc])
+            out[(I, J)] = ([neg_unit(rows - n0 + i - 1) for i in I]
+                           + [neg_unit(j - 1) for j in jc])
     return out
 
 
@@ -138,13 +137,14 @@ def functor_sums(inc: Incidence) -> dict:
 
 
 def alexander_functor(h: HeegaardDiagram, ring_tag: str = "z",
-                      inc: Incidence | None = None) -> X.GradedMap:
-    """The functor of normalized(h) from one state sum (module docstring);
-    inc: normalized_incidence(h, ring_tag != "z")."""
+                      inc: NormalizedIncidence | None = None) -> X.GradedMap:
+    """The functor of normalize(h) from one state sum (module docstring);
+    inc: normalized_incidence(h, ring_tag != "z"), and no other Incidence."""
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
-    if inc is None:
-        inc = normalized_incidence(h, ring_tag != "z")
+    inc = normalized_incidence(h, ring_tag != "z") if inc is None else inc
+    if not isinstance(inc, NormalizedIncidence):
+        raise ValueError("the functor reads only normalized_incidence")
     ring, n0, n1, a = inc.ring, inc.n0, inc.n1, len(inc.circles)
     d, shift, all_out = len(inc.rows) - a, len(inc.rows) - n0, (1 << n1) - 1
     entries: dict = {}
@@ -161,7 +161,7 @@ def alexander_functor(h: HeegaardDiagram, ring_tag: str = "z",
 
 def bsda_map(h: HeegaardDiagram, ring_tag: str, inc=None) -> X.GradedMap:
     """The invariant matrix in the requested coefficients (inc: incidence(h,
-    ring_tag != "z"), or normalized_incidence for normalized(h))."""
+    ring_tag != "z"), or normalized_incidence for normalize(h))."""
     if ring_tag == "z":
         return bsda_z(h, inc)
     if ring_tag == "zh":
@@ -267,7 +267,7 @@ def _unit_image(ring, u, g: X.GradedMap):
 
 
 def _stage(h: HeegaardDiagram, base: str) -> tuple:
-    """(invariant, functor, *their compare) of normalized(h) over base."""
+    """(invariant, functor, *their compare) of normalize(h) over base."""
     inc = normalized_incidence(h, base == "zh")
     f, g = bsda_map(h, base, inc), alexander_functor(h, base, inc)
     return (f, g, *X.eq_up_to_global_unit(g, f))
@@ -278,8 +278,8 @@ _LAST_ZH: tuple = (None, None)  # (h, _stage(h, "zh")), read and set whole
 
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
-    """Compute both maps of normalized(h) from one incidence, compare up to
-    a unit; a normalize output is compared as it is.  Over Z[G] and Q[H]
+    """Compute both maps of normalize(h) from one incidence, compare up to
+    a unit; a normalize output is its own normalization.  Over Z[G] and Q[H]
     both maps are built and compared over Z[H], then mapped by one ring
     change; the unit is the image of the Z[H] unit, and only a failed Z[H]
     compare searches the images (module docstring).  zg and qh reuse the

@@ -191,20 +191,24 @@ def incidence(h: HeegaardDiagram, weighted: bool = False,
     return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a), h.n0)
 
 
+class NormalizedIncidence(Incidence):
+    """incidence(normalize(h)); only normalized_incidence builds one."""
+
+
 def normalized_incidence(h: HeegaardDiagram, weighted: bool = False):
-    """incidence(diagram.normalized(h)), keys in order, without building
-    normalize(h): by the normalization rule of the Incidence docstring."""
+    """The incidence of diagram.normalize(h) in key order, not building it:
+    incidence(h) on a normalize output, else the Incidence docstring's rule."""
     inc, n1, n0 = incidence(h, weighted), h.n1, h.n0
     try:
         normalized_roles(h)
-        return inc
+        return NormalizedIncidence(inc.ring, inc.rows, inc.circles, n0)
     except ValueError:      # not a normalize output
         pass
     unit, ins = inc.ring.from_int, inc.circles.stop + n1    # ins: 2*n1 + a
     rows = ([{n1 + j: unit(1), j: unit(-1)} for j in range(n1)]
             + [{q + n1: c for q, c in row.items()} for row in inc.rows]
             + [{ins + i: unit(-1), ins + n0 + i: unit(1)} for i in range(n0)])
-    return Incidence(inc.ring, tuple(rows), range(n1, ins + n0), n0)
+    return NormalizedIncidence(inc.ring, tuple(rows), range(n1, ins + n0), n0)
 
 
 def _state_sums(inc: Incidence, signed: bool = True) -> dict:
@@ -251,7 +255,7 @@ def _matrix(inc: Incidence) -> X.GradedMap:
 def bsda_z(h: HeegaardDiagram, inc: Incidence | None = None) -> X.GradedMap:
     """Integer matrix: entry (I, J) sums (-1)^grading over the generators
     with occupied in-arcs I and unoccupied out-arcs J (inc: incidence(h),
-    or normalized_incidence(h) for normalized(h)).  A closed diagram takes
+    or normalized_incidence(h) for normalize(h)).  A closed diagram takes
     the closed rule of the module docstring and reads its points, never inc."""
     if not h.n0 and not h.n1:
         d = closed_det(h)

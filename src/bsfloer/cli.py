@@ -17,8 +17,9 @@ from contextlib import contextmanager
 
 from . import exterior as X
 from .alexander import alexander_functor, bsda_map, compare_bsda_alexander
-from .bsda import bsda_z, enumerate_generators, generator_count, gr_da
-from .diagram import cap, disjoint, dumps, glue, loads, normalize, normalized
+from .bsda import (bsda_z, enumerate_generators, generator_count, gr_da,
+                   normalized_incidence)
+from .diagram import cap, disjoint, dumps, glue, loads, normalize
 from .fixtures import fixture_library
 from .homology import k_element, vfn_sut
 from .rings import ZZ
@@ -120,9 +121,12 @@ def _cmd_validate(args):
         (f"group: free rank {h.group.free_rank}, "
          f"torsion order {h.group.torsion_order}"),
         f"degree: {h.degree}",
-        f"generators: {generator_count(h)}",
-        "ok",
     ]
+    try:
+        out.append(f"generators: {generator_count(h)}")
+    except ValueError as e:     # the state sum's budget, on a valid file
+        out.append(f"generators: not counted ({e})")
+    out.append("ok")
     return "\n".join(out), 0
 
 
@@ -169,10 +173,10 @@ def _cmd_alexander(args):
 
 def _cmd_fn(args):
     h = _load(args.file)
-    hn = normalized(h)
-    rows, cols = hn.b, hn.a  # the shape of the presentation
-    ke = k_element(hn)
-    f = vfn_sut(hn, ke)
+    inc = normalized_incidence(h)
+    rows, cols = len(inc.rows), len(inc.circles)  # the presentation's shape
+    ke = k_element(h)
+    f = vfn_sut(h, ke)
     out = [
         f"presentation: {rows} rows x {cols} cols (deficiency {rows - cols})",
         f"torsion prefactor: {ke.prefactor}",
@@ -180,7 +184,7 @@ def _cmd_fn(args):
         f"kernel element: {X.ext_str(ke.kernel_wedge)}",
     ]
     out.extend(_map_text(f))
-    ok, unit = X.eq_up_to_global_unit(f, bsda_z(hn))
+    ok, unit = X.eq_up_to_global_unit(f, bsda_z(h, inc))
     if ok:
         out.append(f"against the matrix: PASS (unit {_unit_str(ZZ, unit)})")
         return "\n".join(out), 0
@@ -204,7 +208,7 @@ def _cmd_normalize(args):
 
 
 def _cmd_cap(args):
-    h = normalized(_load(args.file))
+    h = _load(args.file)
     I = _parse_subset(args.subset_in)
     J = _parse_subset(args.subset_out)
     return _emit_diagram(cap(h, I, J), args.output)

@@ -446,7 +446,8 @@ def _fresh(base: str, used: set) -> str:
 
 
 def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
-    """Glue identity diagrams onto both boundaries, built directly.
+    """Glue identity diagrams onto both boundaries, built directly; on a
+    normalize output (normalized_roles accepts it) it returns h: idempotent.
 
     Each outgoing arc j is promoted to a circle (keeping its id and points)
     that picks up one +1 point on a new beta circle B^out_j, while a fresh
@@ -454,6 +455,11 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
     treated the same way with the two signs swapped.  Role tags record which
     beta circle came from which side; bsda.normalized_incidence is its
     incidence-level twin."""
+    try:
+        normalized_roles(h)
+        return h
+    except ValueError:      # not a normalize output
+        pass
     group = h.group
     one = group.identity()
     used = set(h.alpha_order()) | set(h.beta_ids())
@@ -485,28 +491,14 @@ def normalize(h: HeegaardDiagram) -> HeegaardDiagram:
 
 
 def normalized_roles(h: HeegaardDiagram):
-    """The beta rows of a normalized diagram by role, as role_rows reads
+    """The beta rows of a normalize output by role, as role_rows reads
     them: newOut (out-arc j at row j - 1), core, newIn (in-arc i at row
-    b - n0 + i - 1).  Raises when the tags are absent or out of their run,
-    or their newOut and newIn counts are not n1 and n0."""
+    b - n0 + i - 1).  Raises unless the tags are present, in their run, and
+    name n1 newOut and n0 newIn rows."""
     rows = role_rows(h)
-    if rows is None:
-        raise ValueError("diagram lacks role tags: not a normalize output")
-    if len(rows[0]) != h.n1:
-        raise ValueError("newOut roles do not cover the outgoing arcs")
-    if len(rows[2]) != h.n0:
-        raise ValueError("newIn roles do not cover the incoming arcs")
+    if rows is None or (len(rows[0]), len(rows[2])) != (h.n1, h.n0):
+        raise ValueError("role tags do not name a normalize output")
     return rows
-
-
-def normalized(h: HeegaardDiagram) -> HeegaardDiagram:
-    """h itself when normalized_roles accepts it (a normalize output),
-    else normalize(h)."""
-    try:
-        normalized_roles(h)
-    except ValueError:
-        return normalize(h)
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +519,13 @@ def reinterpret_one_sided(h: HeegaardDiagram) -> HeegaardDiagram:
                         h.alpha_circles, [], h.beta_circles, h.points)
 
 
-def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
-    """Close a normalized diagram along the arcs: cap the outgoing side at
-    each j outside J (new circle hits B^out_j once, sign -1) and the
-    incoming side at each i in I (new circle hits B^in_i once, sign +1),
-    then delete all arcs and their points."""
-    out_rows, _, in_rows = normalized_roles(h_norm)
-    ids = h_norm.beta_ids()
+def cap(h: HeegaardDiagram, I, J) -> HeegaardDiagram:
+    """Close normalize(h) along the arcs: cap the outgoing side at each j
+    outside J (new circle hits B^out_j once, sign -1) and the incoming side
+    at each i in I (new circle hits B^in_i once, sign +1), then delete all
+    arcs and their points."""
+    h_norm = normalize(h)
+    ids = h_norm.beta_ids()     # B^out_j at j - 1, B^in_i at i - n0 - 1
     n1, n0 = h_norm.n1, h_norm.n0
     if any(type(i) is not int or not 1 <= i <= n0 for i in I):
         raise ValueError("I must index incoming arcs")
@@ -547,8 +539,8 @@ def cap(h_norm: HeegaardDiagram, I, J) -> HeegaardDiagram:
     cap_in = [(_fresh(f"capIn{i}", used), i) for i in I]
     arc_ids = {i for i, _ in h_norm.alpha_out} | {i for i, _ in h_norm.alpha_in}
     points = [p for p in h_norm.points if p.alpha not in arc_ids]
-    points += [Point(cid, ids[out_rows[j - 1]], -1, one) for cid, j in cap_out]
-    points += [Point(cid, ids[in_rows[i - 1]], 1, one) for cid, i in cap_in]
+    points += [Point(cid, ids[j - 1], -1, one) for cid, j in cap_out]
+    points += [Point(cid, ids[i - n0 - 1], 1, one) for cid, i in cap_in]
     circles = ([cid for cid, _ in cap_out] + list(h_norm.alpha_circles)
                + [cid for cid, _ in cap_in])
     return make_diagram(h_norm.group, None, None, [], circles, [],

@@ -2,8 +2,8 @@
 
 The presentation matrix of a diagram has one row per beta circle and one
 column per alpha circle; its entry sums the crossing signs (weighted, over
-the group ring).  For a normalized diagram the core rows cut out a finite
-cokernel exactly when the relevant first homology is finite, and the
+the group ring).  On bsda.normalized_incidence(h) the core rows cut out a
+finite cokernel exactly when the relevant first homology is finite, and the
 column-reduced zero-core columns, read off on the new-beta rows, give a
 basis of the kernel lattice inside the in/out coordinate space.
 
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import prod
 
 from . import exterior as X
-from .bsda import bsda_z, bsda_zh, incidence
-from .diagram import HeegaardDiagram, normalized_roles
+from .bsda import bsda_z, bsda_zh, incidence, normalized_incidence
+from .diagram import HeegaardDiagram
 from .rings import (ZZ, Matrix, integer_rank, smith_normal_form, snf_diagonal,
                     state_sums)
 
@@ -52,10 +52,11 @@ class KElement:
     basis: tuple = ()   # its in/out basis vectors; () unless star3 holds
 
 
-def k_element(h_norm: HeegaardDiagram) -> KElement:
-    """The kernel element of a normalized diagram, from its presentation M
-    and one Smith normal form U*C*V = D of the core rows C, read as D's
-    diagonal and V (U is never built), with r nonzero diagonal entries.
+def k_element(h: HeegaardDiagram) -> KElement:
+    """The kernel element of normalize(h), from its presentation M (the
+    normalized incidence on the circles; out, core, then in rows) and one
+    Smith normal form U*C*V = D of the core rows C, read as D's diagonal
+    and V (U is never built), with r nonzero diagonal entries.
     star3 holds when r is the number of core rows; then the prefactor is
     the product of those entries, and the basis is the in/out rows of -M*V
     on the columns r.. .  With the core rows first, M*V is
@@ -65,12 +66,12 @@ def k_element(h_norm: HeegaardDiagram) -> KElement:
     The element is the wedge of the basis times the prefactor when star3
     holds, M is injective and rank is K; else it is zero.
     """
-    outs, cores, ins = normalized_roles(h_norm)
-    M = presentation_matrix(h_norm, "z").entries
-    cols, n = h_norm.a, h_norm.n0 + h_norm.n1
-    big_k = h_norm.n0 + h_norm.degree
+    inc = normalized_incidence(h)
+    M = [[row.get(q, 0) for q in inc.circles] for row in inc.rows]
+    n0, n1, cols = inc.n0, inc.n1, len(inc.circles)
+    n, big_k, cores = n0 + n1, n0 + inc.degree, M[n1:len(M) - n0]
     if cores:
-        diagonal, V = smith_normal_form([M[r] for r in cores])
+        diagonal, V = smith_normal_form(cores)
         diagonal = [d for d in diagonal if d != 0]
     else:
         V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
@@ -79,8 +80,8 @@ def k_element(h_norm: HeegaardDiagram) -> KElement:
     if r < len(cores):
         return KElement(0, X.ext_zero(ZZ, n), big_k, 0)
     basis = tuple(
-        tuple(-sum(M[row][t] * V[t][j] for t in range(cols))
-              for row in (*ins, *outs))
+        tuple(-sum(row[t] * V[t][j] for t in range(cols))
+              for row in (*M[len(M) - n0:], *M[:n1]))
         for j in range(r, cols))
     rank = integer_rank(basis)
     prefactor = prod(diagonal)
@@ -92,13 +93,12 @@ def k_element(h_norm: HeegaardDiagram) -> KElement:
     return KElement(prefactor, X.ExtElement(ZZ, n, wedge), big_k, rank, basis)
 
 
-def vfn_sut(h_norm: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:
-    """Pair the kernel element (k_element(h_norm) unless given) against
-    incoming monomials: the composition of the duality pairing with
-    wedging by the kernel element."""
-    ke = k_element(h_norm) if ke is None else ke
-    return X.compose_eps_tensor(ke.kernel_wedge, h_norm.n0, h_norm.n1,
-                                degree=h_norm.degree)
+def vfn_sut(h: HeegaardDiagram, ke: KElement | None = None) -> X.GradedMap:
+    """Pair the kernel element (k_element(h) unless given) against incoming
+    monomials: the composition of the duality pairing with wedging by the
+    kernel element (normalize(h) has h's n0, n1 and degree)."""
+    ke = k_element(h) if ke is None else ke
+    return X.compose_eps_tensor(ke.kernel_wedge, h.n0, h.n1, degree=h.degree)
 
 
 def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
@@ -116,14 +116,13 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
     return s if b1 % 2 == 0 else f.ring.neg(s)
 
 
-def weakly_balanced(h_norm: HeegaardDiagram, I, J) -> bool:
-    """|J| = |I| + degree, the condition under which the capped diagram has
-    as many alpha as beta circles."""
-    normalized_roles(h_norm)
+def weakly_balanced(h: HeegaardDiagram, I, J) -> bool:
+    """|J| = |I| + degree, the condition under which cap(h, I, J) has as
+    many alpha as beta circles (n0, n1 and degree as in vfn_sut)."""
     I = tuple(sorted(I))
     J = tuple(sorted(J))
-    if any(not 1 <= i <= h_norm.n0 for i in I) or len(set(I)) != len(I):
+    if any(not 1 <= i <= h.n0 for i in I) or len(set(I)) != len(I):
         raise ValueError("incoming subset out of range")
-    if any(not 1 <= j <= h_norm.n1 for j in J) or len(set(J)) != len(J):
+    if any(not 1 <= j <= h.n1 for j in J) or len(set(J)) != len(J):
         raise ValueError("outgoing subset out of range")
-    return len(J) == len(I) + h_norm.degree
+    return len(J) == len(I) + h.degree

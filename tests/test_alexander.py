@@ -36,7 +36,6 @@ from bsfloer.diagram import (
     interval_arcs,
     make_diagram,
     normalize,
-    normalized,
 )
 from bsfloer.fixtures import (
     annulus,
@@ -445,7 +444,7 @@ def searched_compare(h, tag):
     """The compare by the unit search over the target ring: both maps built
     there, each through its own ring change, and eq_up_to_global_unit of
     the mapped maps.  The slow oracle of the Z[H]-first compare."""
-    hn = normalized(h)
+    hn = normalize(h)
     f, g = bsda_map(hn, tag), alexander_functor(hn, tag)
     ok, unit = X.eq_up_to_global_unit(g, f)
     return CompareReport(tag, ok, unit, f, g)
@@ -681,7 +680,7 @@ class TestZHFirstCompare:
 
 class TestNormalizedIncidenceRoute:
     """compare_bsda_alexander and alexander_functor read the normalized
-    incidence compiled from h; the old route built normalized(h) and its
+    incidence compiled from h; the old route built normalize(h) and its
     incidence.  Every tag prints the same bytes both ways."""
 
     def test_every_tag_matches_the_old_route(self):
@@ -696,7 +695,7 @@ class TestNormalizedIncidenceRoute:
                for k in range(1500)]
         nonzero = 0
         for k, h in enumerate(hs):
-            hn = normalized(h)
+            hn = normalize(h)
             for tag in RING_TAGS:
                 rep, want = compare_bsda_alexander(h, tag), searched_compare(
                     h, tag)

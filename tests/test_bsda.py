@@ -39,7 +39,6 @@ from bsfloer.diagram import (
     interval_arcs,
     make_diagram,
     normalize,
-    normalized,
     reinterpret_one_sided,
     reweight,
 )
@@ -901,7 +900,7 @@ def same_incidence(got, want):
 
 
 class TestNormalizedIncidence:
-    """normalized_incidence(h) against incidence(normalized(h)), weighted
+    """normalized_incidence(h) against incidence(normalize(h)), weighted
     and not: the normalization rule of the bsda module docstring."""
 
     GROUPS = [GroupDescriptor(r, m) for r in range(3) for m in range(1, 7)]
@@ -909,7 +908,7 @@ class TestNormalizedIncidence:
     def check(self, h):
         for weighted in (False, True):
             got = normalized_incidence(h, weighted)
-            assert same_incidence(got, incidence(normalized(h), weighted))
+            assert same_incidence(got, incidence(normalize(h), weighted))
             assert got.degree == h.degree
             assert got.n1 == h.n1
 
@@ -964,7 +963,7 @@ class TestNormalizedIncidence:
                     (bid, "core" if r.startswith("newIn") else r)
                     for (bid, _), r in zip(hn.beta_circles, roles))))
             for x in cases:
-                assert normalized(x) is not x
+                assert normalize(x) is not x
                 self.check(x)
                 shifted += 1
         assert shifted > 400

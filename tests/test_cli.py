@@ -618,13 +618,13 @@ class TestOutput:
         assert len(calls) == 2
         assert out == FN_BORDERED_MIXED
 
-    def test_fn_builds_one_presentation(self, capsys, monkeypatch):
-        # the header's shape is b x a of the normalized diagram, so only
-        # the core analysis builds the presentation
-        import bsfloer.homology as homology
+    def test_fn_never_normalizes(self, capsys, monkeypatch):
+        # the header's shape and both maps come from the normalized
+        # incidence of h, so no normalized diagram is built
+        import bsfloer.diagram as diagram
 
         calls = []
-        build = homology.presentation_matrix
+        build = diagram.normalize
 
         def counting(*args, **kwargs):
             calls.append(args[0])
@@ -633,11 +633,11 @@ class TestOutput:
         # every module that imported the function by name
         for name, mod in list(sys.modules.items()):
             if name.startswith("bsfloer") and vars(mod).get(
-                    "presentation_matrix") is build:
-                monkeypatch.setattr(mod, "presentation_matrix", counting)
+                    "normalize") is build:
+                monkeypatch.setattr(mod, "normalize", counting)
         code, out, _ = run(capsys, ["fn", str(SHIPPED / "bordered_mixed.json")])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == []
         assert out == FN_BORDERED_MIXED
 
     def test_alexander_compare_evaluates_once(self, capsys, monkeypatch):
@@ -673,7 +673,7 @@ class TestOutput:
     def test_alexander_compare_on_a_normalized_file(self, capsys, tmp_path):
         # the file is already normalized, so the printed map is its own
         # functor and the unit compares the file itself, in the library as
-        # in the CLI; here that unit differs from the one of normalize(h)
+        # in the CLI; normalize(h) is h itself, with that same unit
         h = D.normalize(random_diagram(random.Random(9), D.GroupDescriptor(0)))
         path = tmp_path / "normalized.json"
         path.write_text(dumps(h))
@@ -685,7 +685,8 @@ class TestOutput:
                                          bsda_map(h, "z"))
         assert code == 0 and ok and rep.match and rep.unit == own
         assert out.splitlines()[-1] == f"unit: {cli._unit_str(R.ZZ, own)}"
-        assert own == -compare_bsda_alexander(D.normalize(h), "z").unit
+        assert D.normalize(h) is h
+        assert own == compare_bsda_alexander(D.normalize(h), "z").unit
 
     def test_alexander_compare_fail_on_a_normalized_file(self, capsys,
                                                          tmp_path, monkeypatch):
@@ -790,10 +791,9 @@ class TestBudgets:
         assert (code, err) == (0, "")
         assert out == f"ring: Z\ndegree: 0\nout{{}} <- in{{}}: {det}\n"
 
-    @pytest.mark.parametrize("argv", [["validate"], ["generators"],
-                                      ["alexander"], ["bsda", "--ring", "zh"]],
-                             ids=["validate", "generators", "alexander",
-                                  "bsda-zh"])
+    @pytest.mark.parametrize("argv", [["generators"], ["alexander"],
+                                      ["bsda", "--ring", "zh"]],
+                             ids=["generators", "alexander", "bsda-zh"])
     def test_state_sums_stop_at_the_budget(self, capsys, dense24, argv):
         code, out, err = run(capsys, [argv[0], str(dense24[1]), *argv[1:]])
         assert (code, out) == (1, "")
@@ -801,6 +801,23 @@ class TestBudgets:
         assert err.startswith("error: state sum over the budget "
                               f"MAX_STATES = {R.MAX_STATES}: ")
         assert "live states at row" in err
+
+    def test_validate_reports_the_budget(self, capsys, dense24):
+        # a valid file whose generators cannot be counted is still ok
+        rows, path = dense24
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-1] == "ok"
+        assert lines[-2].startswith("generators: not counted (state sum over "
+                                    "the budget MAX_STATES = "
+                                    f"{R.MAX_STATES}: ")
+        assert lines[-2].endswith(")")
+        assert lines[:-2] == [
+            "boundaries: 0 outgoing arc(s), 0 incoming arc(s)",
+            "alpha circles: 24; beta circles: 24; points: "
+            f"{sum(abs(x) for row in rows for x in row)}",
+            "group: free rank 0, torsion order 1", "degree: 0"]
 
     def test_kernel_wedge_stops_at_the_budget(self, capsys, tmp_path):
         # 20 out-arcs and 10 beta circles that meet each of them: the kernel

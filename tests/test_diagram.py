@@ -436,9 +436,9 @@ class TestNormalizeIsValid:
             assert loaded == hn, name
             assert (tuple(map(list, D.normalized_roles(loaded)))
                     == tagged_rows(loaded)), name
-            # normalized(h) is h itself on a normalize output only
-            assert D.normalized(loaded) is loaded, name
-            assert D.normalized(h) == hn, name
+            # normalize(h) is h itself on a normalize output only
+            assert D.normalize(loaded) is loaded, name
+            assert D.normalize(h) == hn, name
 
 
 class TestReinterpret:
@@ -490,9 +490,11 @@ class TestCap:
         arc_ids = {i for i, _ in hn.alpha_out} | {i for i, _ in hn.alpha_in}
         assert all(p.alpha not in arc_ids for p in capped.points)
 
-    def test_requires_roles(self):
-        with pytest.raises(ValueError):
-            D.cap(D.identity_diagram(Z1), [], [])
+    def test_normalizes_first(self):
+        h = D.identity_diagram(Z1)
+        for I in ([], [1]):
+            for J in ([], [1]):
+                assert D.cap(h, I, J) == D.cap(D.normalize(h), I, J)
 
     def test_subset_ranges(self):
         hn = D.normalize(D.identity_diagram(Z1))

@@ -176,9 +176,11 @@ class TestKernel:
         vecs, K, rk = kernel_basis(normalize(infinite_h1()))
         assert (vecs, rk) == ([], 0)
 
-    def test_requires_roles(self):
-        with pytest.raises(ValueError):
-            kernel_basis(identity_diagram(Z1))
+    def test_reads_any_diagram(self):
+        # the kernel element of h is that of normalize(h)
+        h = identity_diagram(Z1)
+        assert k_element(h) == k_element(normalize(h))
+        assert kernel_basis(h) == ([(1, -1)], 1, 1)
 
     def test_k_is_structural(self):
         for h in [identity_diagram(Z2), bordered_mixed(),
@@ -451,5 +453,7 @@ class TestCapping:
         assert not weakly_balanced(hn, (1,), (1, 2))
         with pytest.raises(ValueError):
             weakly_balanced(hn, (3,), ())
-        with pytest.raises(ValueError):
-            weakly_balanced(identity_diagram(Z1), (), ())
+        h = identity_diagram(Z1)
+        for I, J in (((), ()), ((1,), ()), ((), (1,)), ((1,), (1,))):
+            assert weakly_balanced(h, I, J) == weakly_balanced(
+                normalize(h), I, J)
