@@ -14,12 +14,13 @@ which integer elimination computes, against the Leibniz sum and det_exact;
 the invariant of normalized identities and glued identity chains against
 the identity up to sign, at sizes where the engine's pruning decides the
 cost; the state-sum Alexander functor against one determinant per entry;
-the core analysis of normalized diagrams against the Smith normal forms of
-the core rows and of the whole presentation; the up-to-unit comparison of
-graded maps against the same comparison over every key in sorted order;
-and the output of normalize, which is built without validation, against
-validate, its role tags against normalized_roles, and a JSON round trip.
-Any mismatch aborts with a nonzero exit.  The engine sweep also counts
+the core analysis of normalized diagrams against the Smith normal form of
+the core rows and the integer rank of the whole presentation; the
+up-to-unit comparison of graded maps against the same comparison over
+every key in sorted order; and the output of normalize, which is built
+without validation, against validate, its role tags against
+normalized_roles, and a JSON round trip.  Any mismatch aborts with a
+nonzero exit.  The engine sweep also counts
 the diagrams that rings.state_sums splits into two or more blocks of
 rings.row_blocks, from SPLIT_MIN_ROWS rows on (a diagram with an empty row
 is not split: its value is 0 at once).
@@ -389,9 +390,10 @@ def sweep_functor(cfg: SweepConfig) -> str:
 
 
 def sweep_core(cfg: SweepConfig) -> str:
-    """k_element's prefactor against the SNF of the core rows, and its
-    injectivity (a basis of full rank, read only when star3 holds, that is
-    when the core cokernel is finite) against the SNF of the whole
+    """k_element's prefactor against torsion_order (the Smith normal form)
+    of the core rows, and its injectivity (a basis of full rank, read only
+    when star3 holds, that is when the core cokernel is finite) against
+    integer_kernel_is_zero (one integer elimination) of the whole
     presentation, on normalized random diagrams, glued random pairs and
     identity and braid chains."""
     rng = random.Random(cfg.seed * 7919 + 9)
@@ -413,7 +415,7 @@ def sweep_core(cfg: SweepConfig) -> str:
             star3 += 1
             if (ke.rank == len(ke.basis)) != (integer_kernel_is_zero(M) if M
                                               else not hn.alpha_circles):
-                raise SystemExit(f"core injectivity/SNF mismatch at diagram {k}")
+                raise SystemExit(f"core injectivity/rank mismatch at diagram {k}")
     return (f"core: {len(diagrams)} normalized diagrams match the Smith "
             f"normal forms, {star3} with star3")
 

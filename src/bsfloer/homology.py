@@ -5,7 +5,8 @@ column per alpha circle; its entry sums the crossing signs (weighted, over
 the group ring).  On bsda.normalized_incidence(h) the core rows cut out a
 finite cokernel exactly when the relevant first homology is finite, and the
 column-reduced zero-core columns, read off on the new-beta rows, give a
-basis of the kernel lattice inside the in/out coordinate space.
+basis of the kernel lattice inside the in/out coordinate space (both from
+one Smith normal form of the core rows; the basis's rank by elimination).
 
 The kernel element is that basis wedged together (its Plucker coordinates,
 the k x k minors, from one state sum over the basis rows decoded by
@@ -61,8 +62,8 @@ def k_element(h: HeegaardDiagram) -> KElement:
     the product of those entries, and the basis is the in/out rows of -M*V
     on the columns r.. .  With the core rows first, M*V is
     [[U^-1 D_r, 0], [X, -basis^T]] and V is unimodular, so under star3
-    rank M is r + rank (the rank of the basis), and M is injective when
-    that is the column count.
+    rank M is r + rank (the rank of the basis, by integer_rank's
+    elimination), and M is injective when that is the column count.
     The element is the wedge of the basis times the prefactor when star3
     holds, M is injective and rank is K; else it is zero.
     """

@@ -11,9 +11,9 @@ bounded memos.  The rings offer no division: units are only read off
 the one sparse accumulate step (add a term to a dict, drop the key when the
 sum is zero), one polynomial kernel over Z and Q, limits on H, one reader
 of group-ring text (_monomial), the invariant factors and the column
-transform V of a Smith normal form over Z under MAX_SNF_BITS (the row
-transform is not built), exact determinants through det (over Z
-integer_det, one fraction-free elimination of a dense square; over any
+transform V of a Smith normal form over Z under MAX_SNF_BITS (no row
+transform), integer_rank and integer_det, one fraction-free elimination
+(_bareiss), exact determinants through det (over Z integer_det; over any
 other ring det_exact, one state sum over occupied column sets under
 MAX_STATES, split into the blocks of row_blocks), and the one "equal up to
 a unit" comparison.
@@ -676,7 +676,8 @@ def _identity_entries(n: int):
 # The most bits an entry of A or V in smith_normal_form may hold when a
 # pivot that is not a unit (the one kind that repeats) starts a pass.  The
 # tests stay under a few hundred bits, selftest and the benchmark at 3; some
-# dense 7 x 7 matrices pass 10^5 bits within a second and grow on.
+# dense 7 x 7 matrices pass 10^5 bits within a second and grow on.  Only
+# homology.k_element's core rows and homology.torsion_order reach it.
 MAX_SNF_BITS = 1024
 
 
@@ -766,7 +767,8 @@ def snf_diagonal(entries):
 
 
 def integer_rank(entries) -> int:
-    return sum(1 for d in snf_diagonal(entries) if d != 0)
+    """Rank of an integer matrix: the pivot count of _bareiss on a copy."""
+    return _bareiss([list(row) for row in entries])[0]
 
 
 def integer_kernel_is_zero(entries) -> bool:
@@ -963,52 +965,48 @@ def det_exact(ring: Ring, entries):
     return state_sums(ring, rows, full).get(full, ring.zero())
 
 
+def _bareiss(A: list) -> tuple:
+    """(rank, signed last pivot) of the int rows A, overwritten, by one
+    fraction-free elimination (Bareiss, Math. Comp. 22 (1968)): pivot
+    columns left to right, a column with no pivot skipped, a row swap
+    flipping the sign, and each later entry made (pivot * x - c * y) //
+    previous pivot, an exact division to a minor of the pivot rows and
+    columns (Sylvester's identity).  No pivot gives (0, 1)."""
+    rows = len(A)
+    cols = len(A[0]) if A else 0
+    sign, prev, r = 1, 1, 0
+    for k in range(cols):
+        if r == rows:
+            break
+        if not A[r][k]:
+            p = next((i for i in range(r + 1, rows) if A[i][k]), None)
+            if p is None:
+                continue
+            A[r], A[p] = A[p], A[r]
+            sign = -sign
+        top = A[r]
+        pivot = top[k]
+        for i in range(r + 1, rows):
+            row = A[i]
+            c = row[k]
+            for j in range(k + 1, cols):
+                row[j] = (pivot * row[j] - c * top[j]) // prev
+        prev = pivot
+        r += 1
+    return r, sign * prev
+
+
 def integer_det(A: list) -> int:
-    """Exact determinant of a dense square int matrix (a list of n row
-    lists of length n, overwritten), by fraction-free elimination
-    (Bareiss, Math. Comp. 22 (1968)): the fast path for Z, where det_exact
-    gives the same value by a state sum over any ring.  Step k makes every
-    entry below row k a (k+1) x (k+1) minor by (pivot * x - c * y) //
-    previous pivot, which divides exactly, and swaps in a row with a
-    nonzero pivot when needed.  A row with zero in the pivot column is
-    only rescaled by pivot / previous pivot, so that scaling is deferred
-    until the row is next used: level[i] names the step its values belong
-    to, and the pivot product telescopes to scale[k] / scale[level[i]].  A
-    banded row then costs nothing until its band is reached.  The last
-    pivot is the determinant.  The elimination is cubic whatever the
-    blocks of the matrix, so the dense 256 x 256 square of a closed
-    diagram at diagram.MAX_CURVES bounds its cost."""
+    """Determinant of a square int matrix (n row lists, overwritten), the
+    last pivot of _bareiss or 0 below full rank: det_exact's value by a
+    fast path for Z.  The elimination is cubic whatever the zero pattern,
+    so the dense 256 x 256 square at diagram.MAX_CURVES bounds its cost."""
     n = len(A)
     for row in A:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-    sign, scale, level = 1, [1], [0] * n
-    for k in range(n):
-        if not A[k][k]:
-            p = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if p is None:
-                return 0
-            A[k], A[p] = A[p], A[k]
-            level[k], level[p] = level[p], level[k]
-            sign = -sign
-        prev, top = scale[k], A[k]
-        if level[k] != k:
-            t = scale[level[k]]
-            top[k:] = [x * prev // t for x in top[k:]]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = A[i]
-            if not row[k]:
-                continue
-            if level[i] != k:
-                t = scale[level[i]]
-                row[k:] = [x * prev // t for x in row[k:]]
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - c * top[j]) // prev
-            level[i] = k + 1
-        scale.append(pivot)
-    return sign * scale[-1]
+    rank, last = _bareiss(A)
+    return last if rank == n else 0
 
 
 def det(ring: Ring, square):

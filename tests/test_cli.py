@@ -599,23 +599,23 @@ class TestOutput:
         assert "torsion prefactor: 2" in out
 
     def test_fn_runs_the_core_analysis_once(self, capsys, fxdir, monkeypatch):
-        # one SNF of the core rows and one for the rank of the readings,
-        # shared by the kernel rank, the kernel element and the pairing map
+        # one SNF of the core rows and one elimination for the rank of the
+        # readings, shared by the kernel rank, the kernel element and the
+        # pairing map
         import bsfloer.homology as homology
         import bsfloer.rings as rings
 
         calls = []
-        snf = rings.smith_normal_form
+        for name in ("smith_normal_form", "integer_rank"):
+            def counting(entries, name=name, real=getattr(rings, name)):
+                calls.append(name)
+                return real(entries)
 
-        def counting(entries):
-            calls.append(entries)
-            return snf(entries)
-
-        monkeypatch.setattr(rings, "smith_normal_form", counting)
-        monkeypatch.setattr(homology, "smith_normal_form", counting)
+            monkeypatch.setattr(rings, name, counting)
+            monkeypatch.setattr(homology, name, counting)
         code, out, _ = run(capsys, ["fn", str(fxdir / "bordered_mixed.json")])
         assert code == 0
-        assert len(calls) == 2
+        assert sorted(calls) == ["integer_rank", "smith_normal_form"]
         assert out == FN_BORDERED_MIXED
 
     def test_fn_never_normalizes(self, capsys, monkeypatch):

@@ -80,6 +80,14 @@ def test_lattice_member_against_coordinates():
     assert not lattice_member([[4, 6]], [1])
 
 
+# a closed presentation whose core Smith normal form grows its entries
+# past MAX_SNF_BITS
+SNF_OVER_BUDGET = [[4, 3, 2, -3, -3, 2, 2], [4, -2, 4, 2, 0, -3, -2],
+                   [-3, -2, 3, 3, 0, -2, -2], [-3, 3, -4, -4, -4, -4, 2],
+                   [-4, 0, 0, -2, 4, 0, 2], [4, -3, -4, 4, -4, 0, 3],
+                   [0, -4, 3, -4, 2, 3, -4]]
+
+
 class TestPresentation:
     def test_annulus(self):
         for n in range(1, 5):
@@ -97,6 +105,12 @@ class TestPresentation:
         m = presentation_matrix(mixed_2x2())
         assert m.entries == [[1, 1], [-1, 1]]
         assert integer_rank(m.entries) == 2
+
+    def test_rank_past_the_smith_budget(self):
+        # the rank is one elimination, which has no budget on bits
+        assert presentation_matrix(ordinary_from_matrix(
+            SNF_OVER_BUDGET)).entries == SNF_OVER_BUDGET
+        assert integer_rank(SNF_OVER_BUDGET) == 7
 
     def test_normalized_identity_matrix(self):
         m = presentation_matrix(normalize(identity_diagram(Z1)))
@@ -367,6 +381,12 @@ class TestChiSurrogate:
 
     def test_zero_matrix(self):
         assert chi_sfh_surrogate(zero_matrix()) == 0
+
+    def test_past_the_smith_budget(self):
+        # no Smith normal form: the surrogate is the determinant that bsda
+        # prints for this diagram (TestBudgets in test_cli.py)
+        h = ordinary_from_matrix(SNF_OVER_BUDGET)
+        assert chi_sfh_surrogate(h) == -305468
 
     def test_weighted_variant(self):
         h = torsion_vanishing()

@@ -796,8 +796,9 @@ class TestDeterminants:
 
     @pytest.mark.parametrize("n", [2, 17, 40])
     def test_integer_det_banded(self, n):
-        # one block that only a few rows touch at each step: the deferred
-        # row scaling against the state sum, which follows the band
+        # one block that only a few rows touch at each step: the
+        # elimination, which updates every later row, against the state
+        # sum, which follows the band
         rng = random.Random(n)
         entries = [[rng.choice((-2, -1, 1, 2)) if abs(i - j) <= 1 else 0
                     for j in range(n)] for i in range(n)]
@@ -806,9 +807,8 @@ class TestDeterminants:
         assert R.integer_det(dense_copy(entries)) == want
 
     def test_integer_det_swap_with_a_deferred_row(self):
-        # step 0 updates rows 1 and 2 but not row 3 (0 in column 0); step 1
-        # swaps row 3 in (column 1 is 0 in row 1), and each swapped row
-        # must keep the step its values belong to
+        # row 3 has 0 in column 0, so step 0 only scales it; step 1 swaps
+        # it in (column 1 is 0 in row 1) as the next pivot row
         entries = [[2, 0, -1, 0], [2, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 1, 0]]
         assert R.integer_det(dense_copy(entries)) == 2
         assert brute_det(R.ZZ, entries) == 2
@@ -818,6 +818,33 @@ class TestDeterminants:
         assert R.integer_det([[0]]) == 0
         assert R.integer_det([[0, 1], [1, 0]]) == -1
         assert R.integer_det([]) == 1
+
+    @pytest.mark.parametrize("entries, rank", [
+        ([[1, 0, 2], [3, 0, 4], [5, 0, 7]], 2),        # a zero column
+        ([[2, 0, 1], [1, 0, 3]], 2),
+        ([[1, 2, 3], [2, 4, 7], [3, 6, 1]], 2),        # column 1 vanishes
+        # column 1 vanishes after step 0, whose pivot 2 then divides
+        ([[2, 4, 1, 3], [4, 8, 3, 1], [6, 12, 5, 8]], 3),
+        ([[2, 4, 1, 3], [4, 8, 3, 1], [6, 12, 5, 8], [2, 4, 3, 0]], 3),
+        ([[1, 2, 3, 4], [2, 4, 6, 8]], 1),             # wide
+        ([[0, 0, 1], [0, 1, 0]], 2),
+        ([[1, 2], [3, 4], [5, 6], [7, 8]], 2),          # tall
+        ([[0], [0], [2]], 1),
+        ([[0, 3, 1], [0, 6, 4], [0, 0, 0], [0, 9, 2]], 2),
+        ([[], []], 0),                                  # no columns
+        ([[0, 0], [0, 0]], 0),
+        ([], 0),                                        # 0 x 0
+    ])
+    def test_one_elimination_shapes(self, entries, rank):
+        # the rank counts the pivot columns, a column without a pivot is
+        # skipped, and the rank leaves its input as it was
+        kept = dense_copy(entries)
+        assert R.integer_rank(entries) == rank
+        assert entries == kept
+        if all(len(r) == len(entries) for r in entries):
+            want = R.det_exact(R.ZZ, entries)
+            assert (want != 0) == (rank == len(entries))
+            assert R.integer_det(dense_copy(entries)) == want
 
     @pytest.mark.parametrize("rows", [
         [[1, 5]],

@@ -60,7 +60,8 @@ def test_rank_and_torsion_order_against_hermite_form():
     # sympy's column Hermite form W spans the column lattice and drops zero
     # columns: its column count is the rank, and when that is the row count
     # W is a square triangle whose diagonal gives the cokernel order; every
-    # draw finishes under MAX_SNF_BITS
+    # draw's torsion_order finishes under MAX_SNF_BITS (integer_rank takes
+    # no Smith normal form and has no such budget)
     rnd = random.Random(2)
     kinds = set()
     for _ in range(400):
@@ -74,6 +75,28 @@ def test_rank_and_torsion_order_against_hermite_form():
         assert torsion_order(entries) == order, entries
         kinds.add(min(order, 2))
     assert kinds == {0, 1, 2}   # infinite, trivial and finite nontrivial
+
+
+def test_one_elimination_against_rank_and_det():
+    # integer_rank against sympy's rank and integer_det against det_exact
+    # on draws up to 8 x 10, empty shapes included, some of which the Smith
+    # normal form refuses at MAX_SNF_BITS
+    rnd = random.Random(3)
+    refused = 0
+    for _ in range(2000):
+        rows, cols = rnd.randint(0, 8), rnd.randint(0, 10)
+        entries = [[rnd.randint(-4, 4) for _ in range(cols)]
+                   for _ in range(rows)]
+        want = Matrix(rows, cols, sum(entries, [])).rank()
+        assert R.integer_rank(entries) == want, entries
+        if rows == cols:
+            want = R.det_exact(R.ZZ, entries)
+            assert R.integer_det([list(row) for row in entries]) == want, entries
+        try:
+            R.snf_diagonal(entries)
+        except ValueError:
+            refused += 1
+    assert refused > 0
 
 
 def test_integer_det_against_domain_matrix():
