@@ -6,11 +6,11 @@ the group ring).  On bsda.normalized_incidence(h) the core rows cut out a
 finite cokernel exactly when the relevant first homology is finite, and the
 column-reduced zero-core columns, read off on the new-beta rows, give a
 basis of the kernel lattice inside the in/out coordinate space (both from
-one Smith normal form of the core rows; the basis's rank by elimination).
+one Smith normal form of the core rows).
 
-The kernel element is that basis wedged together (its Plucker coordinates,
-the k x k minors, from one state sum over the basis rows decoded by
-exterior._arcs) and scaled by the order of the cokernel; composing it with
+The kernel element is that basis wedged together (its k x k minors, from
+one echelon of the basis whose state sum keeps at most C(n, k) states, the
+wedge's size) and scaled by the order of the cokernel; composing it with
 the duality pairing gives the TQFT map compared against the invariant.
 """
 
@@ -22,8 +22,8 @@ from math import prod
 from . import exterior as X
 from .bsda import bsda_z, bsda_zh, incidence, normalized_incidence
 from .diagram import HeegaardDiagram
-from .rings import (ZZ, Matrix, integer_rank, smith_normal_form, snf_diagonal,
-                    state_sums)
+from .rings import (ZZ, Matrix, _bareiss, integer_rank, smith_normal_form,
+                    snf_diagonal, state_sums)
 
 
 def presentation_matrix(h: HeegaardDiagram, ring: str = "z") -> Matrix:
@@ -56,27 +56,25 @@ class KElement:
 def k_element(h: HeegaardDiagram) -> KElement:
     """The kernel element of normalize(h), from its presentation M (the
     normalized incidence on the circles; out, core, then in rows) and one
-    Smith normal form U*C*V = D of the core rows C, read as D's diagonal
-    and V (U is never built), with r nonzero diagonal entries.
-    star3 holds when r is the number of core rows; then the prefactor is
-    the product of those entries, and the basis is the in/out rows of -M*V
-    on the columns r.. .  With the core rows first, M*V is
-    [[U^-1 D_r, 0], [X, -basis^T]] and V is unimodular, so under star3
-    rank M is r + rank (the rank of the basis, by integer_rank's
-    elimination), and M is injective when that is the column count.
-    The element is the wedge of the basis times the prefactor when star3
-    holds, M is injective and rank is K; else it is zero.
-    """
+    Smith normal form U*C*V = D of the core rows C (a zero row if none),
+    read as D's diagonal and V, with r nonzero diagonal entries.  star3
+    holds when r is the number of core rows; then the prefactor is their
+    product and the basis is the in/out rows of -M*V on the columns r.. .
+    As M*V = [[U^-1 D_r, 0], [X, -basis^T]] with V unimodular, M is
+    injective when r + rank (the basis's) is the column count.  The element
+    is the basis's wedge times the prefactor when star3 holds, M is
+    injective and rank is K; else zero.  One _bareiss pass on a copy of the
+    basis gives rank and wedge.  The state sum reads its echelon rows from
+    their pivot columns on, bottom row first; row i's is at least i, so
+    j rows hold at most C(n - K + j, j) <= C(n, K) masks.  Bareiss scaled
+    row i by pivot i - 1, and row swaps and the reversal sign the minors:
+    each is last * minor // ((-1)^(K // 2) * the pivots' product)."""
     inc = normalized_incidence(h)
     M = [[row.get(q, 0) for q in inc.circles] for row in inc.rows]
     n0, n1, cols = inc.n0, inc.n1, len(inc.circles)
     n, big_k, cores = n0 + n1, n0 + inc.degree, M[n1:len(M) - n0]
-    if cores:
-        diagonal, V = smith_normal_form(cores)
-        diagonal = [d for d in diagonal if d != 0]
-    else:
-        V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        diagonal = []
+    diagonal, V = smith_normal_form(cores or [[0] * cols])
+    diagonal = [d for d in diagonal if d != 0]
     r = len(diagonal)
     if r < len(cores):
         return KElement(0, X.ext_zero(ZZ, n), big_k, 0)
@@ -84,13 +82,16 @@ def k_element(h: HeegaardDiagram) -> KElement:
         tuple(-sum(row[t] * V[t][j] for t in range(cols))
               for row in (*M[len(M) - n0:], *M[:n1]))
         for j in range(r, cols))
-    rank = integer_rank(basis)
-    prefactor = prod(diagonal)
+    echelon = [list(v) for v in basis]
+    pivots, last = _bareiss(echelon)
+    rank, prefactor = len(pivots), prod(diagonal)
     if r + rank != cols or rank != big_k:
         return KElement(prefactor, X.ext_zero(ZZ, n), big_k, rank, basis)
-    minors = state_sums(ZZ, [{i: x for i, x in enumerate(v) if x}
-                             for v in basis], 0)
-    wedge = {X._arcs(n, mask)[0]: prefactor * v for mask, v in minors.items()}
+    minors = state_sums(ZZ, [{q: e[q] for q in range(p, n) if e[q]} for e, p
+                             in zip(echelon[::-1], pivots[::-1])], 0)
+    scale = (-1) ** (rank // 2) * prod(e[p] for e, p in zip(echelon, pivots))
+    wedge = {X._arcs(n, mask)[0]: prefactor * last * v // scale
+             for mask, v in minors.items()}
     return KElement(prefactor, X.ExtElement(ZZ, n, wedge), big_k, rank, basis)
 
 
@@ -119,11 +120,11 @@ def chi_sfh_surrogate(h: HeegaardDiagram, ring: str = "z"):
 
 def weakly_balanced(h: HeegaardDiagram, I, J) -> bool:
     """|J| = |I| + degree, the condition under which cap(h, I, J) has as
-    many alpha as beta circles (n0, n1 and degree as in vfn_sut)."""
-    I = tuple(sorted(I))
-    J = tuple(sorted(J))
-    if any(not 1 <= i <= h.n0 for i in I) or len(set(I)) != len(I):
-        raise ValueError("incoming subset out of range")
-    if any(not 1 <= j <= h.n1 for j in J) or len(set(J)) != len(J):
-        raise ValueError("outgoing subset out of range")
+    many alpha as beta circles (n0, n1 and degree as in vfn_sut).  An index
+    that is not an int is refused before any comparison, as cap refuses it."""
+    I, J = tuple(I), tuple(J)
+    for S, top, side in ((I, h.n0, "incoming"), (J, h.n1, "outgoing")):
+        if (any(type(i) is not int or not 1 <= i <= top for i in S)
+                or len(set(S)) != len(S)):
+            raise ValueError(f"{side} subset out of range")
     return len(J) == len(I) + h.degree

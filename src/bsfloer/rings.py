@@ -5,18 +5,19 @@ group rings of finitely generated abelian groups H = Z^r x Z/m (Laurent
 polynomials in t1..tr with an order-m generator s), cyclotomic fields
 Q(zeta_d), Laurent rings over those fields, and the full rational group
 algebra of H presented componentwise by characters of the torsion part.
-group_ring and qh_ring hand out one shared ring object per group, from
-bounded memos.  The rings offer no division: units are only read off
-(unit_part) and inverted (unit_inv) for the up-to-unit comparison.  Also:
-the one sparse accumulate step (add a term to a dict, drop the key when the
-sum is zero), one polynomial kernel over Z and Q, limits on H, one reader
-of group-ring text (_monomial), the invariant factors and the column
-transform V of a Smith normal form over Z under MAX_SNF_BITS (no row
-transform), integer_rank and integer_det, one fraction-free elimination
-(_bareiss), exact determinants through det (over Z integer_det; over any
-other ring det_exact, one state sum over occupied column sets under
-MAX_STATES, split into the blocks of row_blocks), and the one "equal up to
-a unit" comparison.
+group_ring and qh_ring hand out one shared ring object per group, and
+cyclo_field one field per d, from lru_cache memos.  The rings offer no
+division: units are only read off (unit_part) and inverted (unit_inv) for
+the up-to-unit comparison.  Also: the one sparse accumulate step (add a
+term to a dict, drop the key when the sum is zero), one polynomial kernel
+over Z and Q, limits on H, one reader of group-ring text (_monomial), the
+invariant factors and the column transform V of a Smith normal form over Z
+under MAX_SNF_BITS (no row transform), one fraction-free elimination
+(_bareiss: its pivot columns, signed last pivot and echelon, which
+integer_rank, integer_det and homology.k_element read), exact determinants
+through det (over Z integer_det; over any other ring det_exact, one state
+sum over occupied column sets under MAX_STATES, split into the blocks of
+row_blocks), and the one "equal up to a unit" comparison.
 
 No floating point anywhere.
 """
@@ -385,13 +386,9 @@ def _qpoly_sub(a, b):
     return _poly_trim(a)
 
 
-_CYCLO_FIELDS: dict = {}
-
-
+@lru_cache(maxsize=None)   # d <= MAX_TORSION_ORDER
 def cyclo_field(d: int) -> CycloField:
-    if d not in _CYCLO_FIELDS:
-        _CYCLO_FIELDS[d] = CycloField(d)
-    return _CYCLO_FIELDS[d]
+    return CycloField(d)
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +764,8 @@ def snf_diagonal(entries):
 
 
 def integer_rank(entries) -> int:
-    """Rank of an integer matrix: the pivot count of _bareiss on a copy."""
-    return _bareiss([list(row) for row in entries])[0]
+    """Rank of an integer matrix: the pivot columns of _bareiss on a copy."""
+    return len(_bareiss([list(row) for row in entries])[0])
 
 
 def integer_kernel_is_zero(entries) -> bool:
@@ -966,16 +963,18 @@ def det_exact(ring: Ring, entries):
 
 
 def _bareiss(A: list) -> tuple:
-    """(rank, signed last pivot) of the int rows A, overwritten, by one
-    fraction-free elimination (Bareiss, Math. Comp. 22 (1968)): pivot
-    columns left to right, a column with no pivot skipped, a row swap
-    flipping the sign, and each later entry made (pivot * x - c * y) //
-    previous pivot, an exact division to a minor of the pivot rows and
-    columns (Sylvester's identity).  No pivot gives (0, 1)."""
+    """(pivot columns, signed last pivot) of the int rows A by one
+    fraction-free elimination (Bareiss, Math. Comp. 22 (1968)) leaving its
+    echelon in A: pivot columns left to right, a column with no pivot
+    skipped, a swap of row lists flipping the sign, each later entry made
+    (pivot * x - c * y) // previous pivot, an exact division to a minor
+    (Sylvester's identity).  From its pivot column on, row i is pivot i - 1
+    times the row Gaussian elimination leaves.  No pivot gives ([], 1)."""
     rows = len(A)
     cols = len(A[0]) if A else 0
-    sign, prev, r = 1, 1, 0
+    sign, prev, pivots = 1, 1, []
     for k in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         if not A[r][k]:
@@ -992,21 +991,21 @@ def _bareiss(A: list) -> tuple:
             for j in range(k + 1, cols):
                 row[j] = (pivot * row[j] - c * top[j]) // prev
         prev = pivot
-        r += 1
-    return r, sign * prev
+        pivots.append(k)
+    return pivots, sign * prev
 
 
 def integer_det(A: list) -> int:
     """Determinant of a square int matrix (n row lists, overwritten), the
-    last pivot of _bareiss or 0 below full rank: det_exact's value by a
+    last pivot of _bareiss or 0 below n pivots: det_exact's value by a
     fast path for Z.  The elimination is cubic whatever the zero pattern,
     so the dense 256 x 256 square at diagram.MAX_CURVES bounds its cost."""
     n = len(A)
     for row in A:
         if len(row) != n:
             raise ValueError("determinant of a non-square matrix")
-    rank, last = _bareiss(A)
-    return last if rank == n else 0
+    pivots, last = _bareiss(A)
+    return last if len(pivots) == n else 0
 
 
 def det(ring: Ring, square):

@@ -599,24 +599,38 @@ class TestOutput:
         assert "torsion prefactor: 2" in out
 
     def test_fn_runs_the_core_analysis_once(self, capsys, fxdir, monkeypatch):
-        # one SNF of the core rows and one elimination for the rank of the
-        # readings, shared by the kernel rank, the kernel element and the
-        # pairing map
+        # one SNF of the core rows and one elimination of the readings,
+        # whose pivots give the kernel rank and whose echelon gives the
+        # kernel element and the pairing map; no integer_rank besides
         import bsfloer.homology as homology
         import bsfloer.rings as rings
 
         calls = []
-        for name in ("smith_normal_form", "integer_rank"):
+        for name in ("smith_normal_form", "integer_rank", "_bareiss"):
             def counting(entries, name=name, real=getattr(rings, name)):
                 calls.append(name)
                 return real(entries)
 
-            monkeypatch.setattr(rings, name, counting)
+            if name != "_bareiss":
+                monkeypatch.setattr(rings, name, counting)
             monkeypatch.setattr(homology, name, counting)
         code, out, _ = run(capsys, ["fn", str(fxdir / "bordered_mixed.json")])
         assert code == 0
-        assert sorted(calls) == ["integer_rank", "smith_normal_form"]
+        assert sorted(calls) == ["_bareiss", "smith_normal_form"]
         assert out == FN_BORDERED_MIXED
+
+    def test_fn_answers_a_wide_kernel(self, capsys, tmp_path, wide_diagrams):
+        # draw 8 of the wide family: 22 out-arcs and 6 betas, a kernel basis
+        # of 19 dense vectors in Z^22 whose raw wedge state sum would pass
+        # MAX_STATES at its middle rows; its echelon form reaches at most
+        # C(22, 19) = 1,540 masks
+        h = wide_diagrams[8]
+        assert (len(h.alpha_out), len(h.beta_circles)) == (22, 6)
+        path = tmp_path / "wide8.json"
+        path.write_text(dumps(h))
+        code, out, err = run(capsys, ["fn", str(path)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("against the matrix: PASS")
 
     def test_fn_never_normalizes(self, capsys, monkeypatch):
         # the header's shape and both maps come from the normalized

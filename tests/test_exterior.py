@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +184,45 @@ class TestWedge:
                 X.ExtElement(R.ZZ, n, {(i + 1,): x for i, x in row.items()})
                 for row in rows), X.ext_basis(R.ZZ, n, ()))
             assert self.plucker(n, rows).terms == fold.terms, (n, vectors)
+        assert min(seen.values()) >= 20, seen
+        # a full-rank basis as k_element wedges it: the rows of one Bareiss
+        # echelon, each from its pivot column on, bottom row first, so
+        # row j of the state sum reaches at most C(n - k + j, j) masks; row
+        # i was scaled by pivot i - 1, and the reversed row order signs the
+        # minors by (-1)^(k // 2), so last / ((-1)^(k // 2) * the product of
+        # the pivots) rescales them to the basis's own
+        seen = {"swap": 0, "skip": 0, "k = 0": 0}
+        bases = 0
+        while bases < 3000:
+            n = rng.randint(1, 8)
+            k = min(n, rng.randint(0, 5))
+            vectors = [[rng.choice((0, 0, -2, -1, 1, 2, 3)) for _ in range(n)]
+                       for _ in range(k)]
+            if k and rng.random() < 0.3:   # a zero column to skip
+                q = rng.randrange(n)
+                for v in vectors:
+                    v[q] = 0
+            echelon = [list(v) for v in vectors]
+            order = list(echelon)
+            pivots, last = R._bareiss(echelon)
+            if len(pivots) < k:
+                continue
+            bases += 1
+            rows = [{q: e[q] for q in range(p, n) if e[q]}
+                    for e, p in zip(echelon[::-1], pivots[::-1])]
+            scale = (-1) ** (k // 2) * prod(
+                e[p] for e, p in zip(echelon, pivots))
+            wedge = {m: last * v // scale
+                     for m, v in R.state_sums(R.ZZ, rows, 0).items()}
+            seen["swap"] += order != echelon
+            seen["skip"] += pivots != list(range(k))
+            seen["k = 0"] += k == 0
+            fold = reduce(X.wedge, (
+                X.ExtElement(R.ZZ, n, {(i + 1,): x for i, x in enumerate(v)})
+                for v in vectors), X.ext_basis(R.ZZ, n, ()))
+            got = X.ExtElement(R.ZZ, n, {X._arcs(n, m)[0]: c
+                                         for m, c in wedge.items()})
+            assert got.terms == fold.terms, (n, vectors)
         assert min(seen.values()) >= 20, seen
 
     def test_element_cleanup(self):

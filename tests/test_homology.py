@@ -3,12 +3,13 @@
 import itertools
 import random
 from functools import reduce
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bsfloer import exterior as X
+from bsfloer import rings as R
 from bsfloer.bsda import bsda_z
 from bsfloer.diagram import (
     cap,
@@ -50,6 +51,7 @@ from bsfloer.rings import (
     integer_rank,
     parse_element,
     snf_diagonal,
+    state_sums,
 )
 from bsfloer.selftest import random_diagram, random_gluable_pair
 
@@ -268,6 +270,47 @@ class TestKElement:
             assert X.map_eq(vfn_sut(hn, ke), vfn_sut(hn))
 
 
+class TestWideKernel:
+    """The wide family of conftest.py: dense kernel bases of K vectors in n
+    coordinates, whose wedge k_element takes from their echelon form."""
+
+    def test_every_draw_against_the_raw_state_sum(self, wide_diagrams):
+        # the oracle is the wedge as one state sum over the raw basis rows,
+        # which keeps every partial minor, C(n, j) of them at row j, and so
+        # stops at MAX_STATES on some draws that k_element answers
+        checked, stopped = 0, 0
+        for h in wide_diagrams:
+            ke = k_element(h)
+            n = ke.kernel_wedge.rank
+            if not ke.rank == len(ke.basis) == ke.degree:
+                assert ke.kernel_wedge.is_zero()
+                checked += 1
+                continue
+            try:
+                minors = state_sums(ZZ, [{i: x for i, x in enumerate(v) if x}
+                                         for v in ke.basis], 0)
+            except ValueError as e:
+                assert str(e).startswith("state sum over the budget")
+                stopped += 1
+                continue
+            want = X.ExtElement(ZZ, n, {X._arcs(n, m)[0]: ke.prefactor * v
+                                        for m, v in minors.items()})
+            assert ke.kernel_wedge.terms == want.terms
+            checked += 1
+        assert (checked, stopped) == (132, 18)
+
+    def test_live_states_within_the_output(self, wide_diagrams, monkeypatch):
+        # bottom row first, the echelon rows reach at most C(n - k + j, j)
+        # masks at row j, so a budget of C(n, k), the most terms the wedge
+        # can have, never stops k_element
+        for h in wide_diagrams[:60]:
+            ke = k_element(h)
+            with monkeypatch.context() as m:
+                m.setattr(R, "MAX_STATES", comb(ke.kernel_wedge.rank,
+                                                ke.degree))
+                assert k_element(h) == ke
+
+
 def check_core_analysis(hn) -> bool:
     """The prefactor and injectivity (a basis of full rank) that k_element
     reads from the core SNF alone, against the SNF of the core rows and of
@@ -466,6 +509,21 @@ class TestCapping:
     def test_unbalanced_cap_sum_vanishes(self):
         hn = normalize(identity_diagram(Z1))
         assert capped_entry(hn, (1,), ()) == 0
+
+    def test_weakly_balanced_refuses_what_cap_refuses(self):
+        # an index that is not an int (a bool, a float, a str) is refused
+        # on the same side by both, before any comparison
+        hn = normalize(identity_diagram(Z2))
+        for I, J, side in [((True,), (), "incoming"),
+                           ((1.0,), (1,), "incoming"),
+                           ((1,), ("1",), "outgoing"),
+                           ((), (True,), "outgoing"),
+                           ((1,), (2.0,), "outgoing")]:
+            with pytest.raises(ValueError, match=f"must index {side} arcs"):
+                cap(hn, I, J)
+            with pytest.raises(ValueError,
+                               match=f"^{side} subset out of range$"):
+                weakly_balanced(hn, I, J)
 
     def test_weakly_balanced_basics(self):
         hn = normalize(identity_diagram(Z2))

@@ -97,6 +97,18 @@ def test_one_elimination_against_rank_and_det():
         except ValueError:
             refused += 1
     assert refused > 0
+    # the pivot columns of _bareiss against those of sympy's reduced row
+    # echelon form, on draws up to 6 x 8 with some zero columns to skip
+    skipped = 0
+    for _ in range(1000):
+        rows, cols = rnd.randint(1, 6), rnd.randint(1, 8)
+        entries = [[rnd.choice((0, 0, -2, -1, 1, 2)) for _ in range(cols)]
+                   for _ in range(rows)]
+        want = list(Matrix(entries).rref()[1])
+        pivots, _ = R._bareiss([list(row) for row in entries])
+        assert pivots == want, entries
+        skipped += pivots != list(range(len(pivots)))
+    assert skipped >= 100
 
 
 def test_integer_det_against_domain_matrix():
