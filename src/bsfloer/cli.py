@@ -157,6 +157,8 @@ def _cmd_bsda(args):
 
 
 def _cmd_alexander(args):
+    if args.json and args.compare:
+        raise UsageError("--json and --compare cannot be combined")
     h = _load(args.file)
     if not args.compare:
         f = alexander_functor(h, args.ring)

@@ -142,10 +142,7 @@ def ext_scale(c, x: ExtElement) -> ExtElement:
 
 def ext_eq(x: ExtElement, y: ExtElement) -> bool:
     _same_algebra(x, y)
-    if len(x.terms) != len(y.terms):
-        return False
-    return all(S in y.terms and x.ring.eq(c, y.terms[S])
-               for S, c in x.terms.items())
+    return x.terms == y.terms
 
 
 def _same_algebra(x: ExtElement, y: ExtElement) -> None:
@@ -246,10 +243,7 @@ def map_eq(f: GradedMap, g: GradedMap) -> bool:
     _same_shape(f, g)
     if f.degree != g.degree and f.entries and g.entries:
         raise ValueError("maps of different degrees")
-    if len(f.entries) != len(g.entries):
-        return False
-    return all(k in g.entries and f.ring.eq(c, g.entries[k])
-               for k, c in f.entries.items())
+    return f.entries == g.entries
 
 
 def _same_shape(f: GradedMap, g: GradedMap) -> None:

@@ -87,8 +87,12 @@ def k_element(h: HeegaardDiagram) -> KElement:
     rank, prefactor = len(pivots), prod(diagonal)
     if r + rank != cols or rank != big_k:
         return KElement(prefactor, X.ext_zero(ZZ, n), big_k, rank, basis)
-    minors = state_sums(ZZ, [{q: e[q] for q in range(p, n) if e[q]} for e, p
-                             in zip(echelon[::-1], pivots[::-1])], 0)
+    tails = [{q: e[q] for q in range(p, n) if e[q]}
+             for e, p in zip(echelon[::-1], pivots[::-1])]
+    try:
+        minors = state_sums(ZZ, tails, 0)
+    except ValueError as e:     # a budget error names the sum that stopped
+        raise ValueError(f"kernel wedge: {e}") from None
     scale = (-1) ** (rank // 2) * prod(e[p] for e, p in zip(echelon, pivots))
     wedge = {X._arcs(n, mask)[0]: prefactor * last * v // scale
              for mask, v in minors.items()}

@@ -19,6 +19,11 @@ through det (over Z integer_det; over any other ring det_exact, one state
 sum over occupied column sets under MAX_STATES, split into the blocks of
 row_blocks), and the one "equal up to a unit" comparison.
 
+Every element is stored as one canonical value, so == is ring equality
+and no ring defines its own: an int over Z; over a GroupRing a dict keyed
+by canonical weights with no zero coefficient; over a CycloField a tuple of
+length phi(d) reduced mod Phi_d; over a QHRing a tuple of component dicts.
+
 No floating point anywhere.
 """
 
@@ -112,10 +117,10 @@ def divisors(m: int) -> list:
 # ---------------------------------------------------------------------------
 # ring interface
 
-# Elements are plain data (ints, dicts, tuples); the ring object owns the
-# operations.  Mixed-ring use is rejected by shape checks where cheap.  The
-# interface is what state_sums, accumulate, det_exact and
-# values_eq_up_to_unit call: ring arithmetic, is_zero, eq, to_str, and
+# Elements are plain canonical data (module docstring); the ring object
+# owns the operations.  Mixed-ring use is rejected by shape checks where
+# cheap.  The interface is what state_sums, accumulate, det_exact and
+# values_eq_up_to_unit call: ring arithmetic, is_zero, to_str, and
 # unit_part / unit_inv on nonzero elements.
 
 
@@ -144,9 +149,6 @@ class Ring:
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
         raise NotImplementedError
 
     def to_str(self, a) -> str:
@@ -218,7 +220,6 @@ class IntegerRing(Ring):
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     is_zero = staticmethod(operator.not_)
-    eq = staticmethod(operator.eq)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -258,16 +259,12 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-_CYCLO_CACHE: dict = {}
-
-
-def cyclotomic_polynomial(d: int) -> list:
+@lru_cache(maxsize=None)   # d <= MAX_TORSION_ORDER
+def cyclotomic_polynomial(d: int) -> tuple:
     """Coefficients of Phi_d, ascending degree, computed by exact division
     of x^d - 1 by the Phi_e for proper divisors e of d."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d in _CYCLO_CACHE:
-        return list(_CYCLO_CACHE[d])
     num = [0] * (d + 1)
     num[0], num[d] = -1, 1
     den = [1]
@@ -276,9 +273,7 @@ def cyclotomic_polynomial(d: int) -> list:
     q, r = _qpoly_divmod(num, den)
     if r:
         raise ArithmeticError("inexact polynomial division")
-    out = [int(c) for c in q]
-    _CYCLO_CACHE[d] = list(out)
-    return out
+    return tuple(int(c) for c in q)
 
 
 class CycloField(Ring):
@@ -332,9 +327,6 @@ class CycloField(Ring):
 
     def is_zero(self, a) -> bool:
         return not any(a)
-
-    def eq(self, a, b) -> bool:
-        return tuple(a) == tuple(b)
 
     def inv(self, a):
         """Inverse via extended Euclid over Q[x] against Phi_d."""
@@ -462,11 +454,6 @@ class GroupRing(Ring):
     def is_zero(self, a) -> bool:
         return not a
 
-    def eq(self, a, b) -> bool:
-        if len(a) != len(b):
-            return False
-        return all(g in b and self.coeff.eq(c, b[g]) for g, c in a.items())
-
     # -- printing and parsing
 
     def to_str(self, a) -> str:
@@ -591,10 +578,7 @@ class QHRing(Ring):
         return tuple(c.mul(x, y) for c, x, y in zip(self.components, a, b))
 
     def is_zero(self, a) -> bool:
-        return all(c.is_zero(x) for c, x in zip(self.components, a))
-
-    def eq(self, a, b) -> bool:
-        return all(c.eq(x, y) for c, x, y in zip(self.components, a, b))
+        return not any(a)
 
     def to_str(self, a) -> str:
         parts = []
@@ -1094,6 +1078,6 @@ def values_eq_up_to_unit(ring: Ring, pairs):
         candidates = [{(*g[:-1], (g[-1] + k) % m): e}
                       for k in range(m) for e in (c, ring.coeff.neg(c))]
     for u in candidates:
-        if all(ring.eq(a, ring.mul(u, b)) for a, b in pairs):
+        if all(a == ring.mul(u, b) for a, b in pairs):
             return True, u
     return False, None

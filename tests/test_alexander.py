@@ -216,8 +216,7 @@ class TestFunction:
         assert alexander_function(zpres([[1, 1], [-1, 1]]), []) == 2
         assert seen == []
         m = Matrix(LAUR, [[T1, LAUR.one()], [LAUR.one(), LAUR.one()]])
-        assert LAUR.eq(alexander_function(m, []),
-                       parse_element(LAUR, "t1 - 1"))
+        assert alexander_function(m, []) == parse_element(LAUR, "t1 - 1")
         assert seen == [LAUR]
 
 
@@ -458,8 +457,7 @@ def printed(rep):
 
 def same_report(rep, want):
     """printed(...) equal and the unit equal in the report's ring."""
-    return (printed(rep) == printed(want)
-            and rep.alexander.ring.eq(rep.unit, want.unit))
+    return printed(rep) == printed(want) and rep.unit == want.unit
 
 
 class TestZHFirstCompare:
@@ -490,7 +488,7 @@ class TestZHFirstCompare:
                 assert same_report(rep, want[tag]), (k, tag)
                 ring, fn = _ring_change(h.group, tag)
                 nonzero[tag] += not rep.alexander.is_zero()
-                one_for_the_image[tag] += not ring.eq(rep.unit, fn(zh.unit))
+                one_for_the_image[tag] += rep.unit != fn(zh.unit)
             for order in (("qh", "zg"), ("zg", "zg")):
                 copy = replace(h)
                 for tag in order:

@@ -468,6 +468,11 @@ class TestUsageSurface:
         (["validate", "--bogus", "x"], "unrecognized arguments: --bogus"),
         (["cap", str(SHIPPED / "identity_n1.json"), "--in", "a,b"],
          "subset must be comma-separated integers, got 'a,b'"),
+        # refused before the file is read: a missing file gives the same line
+        (["alexander", str(SHIPPED / "bordered_mixed.json"), "--compare",
+          "--json"], "--json and --compare cannot be combined"),
+        (["alexander", "missing.json", "--json", "--compare"],
+         "--json and --compare cannot be combined"),
     ])
     def test_usage_error_line(self, capsys, argv, message):
         assert run(capsys, argv) == (64, "", f"usage error: {message}\n")
@@ -851,9 +856,20 @@ class TestBudgets:
         code, out, err = run(capsys, ["fn", str(path)])
         assert (code, out) == (1, "")
         assert err.count("\n") == 1
-        assert err.startswith("error: state sum over the budget "
+        assert err.startswith("error: kernel wedge: state sum over the budget "
                               f"MAX_STATES = {R.MAX_STATES}: ")
         assert err.endswith(" of 10\n")
+
+    def test_invariant_budget_error_has_no_prefix(self, capsys, tmp_path,
+                                                  wide_diagrams):
+        # draw 7 of the wide family: the kernel wedge answers, and fn stops
+        # in the invariant's own state sum, whose error keeps its plain form
+        path = tmp_path / "wide7.json"
+        path.write_text(dumps(wide_diagrams[7]))
+        code, out, err = run(capsys, ["fn", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("error: state sum over the budget MAX_STATES = "
+                       f"{R.MAX_STATES}: 65538 live states at row 23 of 28\n")
 
     def test_smith_normal_form_stops_at_the_budget(self, capsys, tmp_path):
         # the core Smith normal form of this closed 7 x 7 diagram grows its
