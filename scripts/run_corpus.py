@@ -6,7 +6,8 @@ often each identity was exercised nontrivially: gluing against composition
 (over Z, and with weights over Z[H], Q[H] and for the Z[H] and Z[G]
 functors, the weighted pairs biased toward nonzero composites),
 normalization invariance, and the determinant-functor comparison per
-coefficient ring.  It also checks the state-sum engine behind the
+coefficient ring, its unit over Z and Z[H] checked against the exact
+sign.  It also checks the state-sum engine behind the
 invariant matrix against generator enumeration, disjoint unions and
 identity chains included; the determinant built on the same state sum
 against a Leibniz sum over permutations; the invariant of closed diagrams,
@@ -85,7 +86,8 @@ from bsfloer.rings import (
     row_blocks,
     values_eq_up_to_unit,
 )
-from bsfloer.selftest import _random_piece, random_diagram, random_gluable_pair
+from bsfloer.selftest import (_random_piece, functor_sign, random_diagram,
+                              random_gluable_pair)
 
 
 @dataclass(frozen=True)
@@ -528,6 +530,9 @@ def sweep_units(cfg: SweepConfig) -> str:
 
 
 def sweep_compare(cfg: SweepConfig, ring: str) -> str:
+    """The compare over ring matches on every draw, and its unit over Z,
+    or the unit over Z[H] of a zg or qh draw, is the exact sign eps
+    wherever the invariant is nonzero."""
     rng = random.Random(cfg.seed * 7919 + 2 + cfg.rings.index(ring))
     nonzero = 0
     for k in range(cfg.diagrams_per_ring):
@@ -535,6 +540,11 @@ def sweep_compare(cfg: SweepConfig, ring: str) -> str:
         rep = compare_bsda_alexander(h, ring)
         if not rep.match:
             raise SystemExit(f"{ring} comparison mismatch at diagram {k}")
+        signed = rep if ring in ("z", "zh") else compare_bsda_alexander(h, "zh")
+        if signed.bsda.entries and signed.unit != signed.bsda.ring.from_int(
+                functor_sign(h)):
+            raise SystemExit(f"{signed.ring} comparison unit at diagram {k} "
+                             "is not the exact sign")
         if not rep.bsda.is_zero():
             nonzero += 1
     return (f"compare[{ring}]: {cfg.diagrams_per_ring} diagrams ok, "

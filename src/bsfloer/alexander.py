@@ -25,12 +25,36 @@ Over Z[G] and Q[H] the functor is evaluated over Z[H] and mapped entrywise
 by the ring change the invariant uses; ring maps commute with determinants.
 
 The functor and the comparison read the normalized incidence compiled from
-h (bsda.normalized_incidence).  The comparison over Z[G] or Q[H] is made
-over Z[H] first, where the units are the trivial ones +-t^f*s^k.  A ring
-map sends units to units, so a match there is a match of the images, and
-the unit is the image of the Z[H] unit, except where the mapped functor
-vanishes: there it is one, on the whole map over Z[G] and per component
-over Q[H], as the search over the image ring gives it.  Only when the Z[H]
+h (bsda.normalized_incidence), of A circles and B beta rows, d = B - A.
+The comparison first tests the exact sign: functor = eps * invariant entry
+by entry, eps = (-1)^(d*(n1 + A + 1)).  Why: a term of entry (I, J)'s
+determinant gives each beta row a circle or an appended column, so the
+terms are the generators of normalize(h) with occupied in-arcs I and
+out-arcs J^c; let x = |I| and y = |J^c|, so x + y = d.  A term's sign and
+the generator's (-1)^grading (bsda docstring) differ by three parities:
+x, as an appended in-arc column reads -1 where its point reads +1 (out-arc
+columns and points both read -1); y*(A + x), as the columns list the
+out-arcs after the circles and the in-arcs, where the total alpha order
+lists them first; and the correction (A + n1)*x.  The functor's own sign
+adds inv(J, J^c), which the grading has too, and c*y with c = n1 - d.  As
+x + y = d and x*x = x mod 2, x + y*(A + x) + (A + n1)*x + c*y reduces to
+d*(n1 + A + 1), one sign for the whole map.  In the core counts,
+a = A - n0 - n1 circles and b = B - n0 - n1 rows (h's own unless h is a
+normalize output), it reads b + n0*(a + b) + a*b.  Weights change nothing:
+the appended columns and the new rows carry the identity weight, and a
+term multiplies the weights of its generator's points.  Two zero maps keep
+unit one, a match gives eps, and only a failed test runs
+exterior.eq_up_to_global_unit, the unit search: a FAIL verdict, or any
+other unit, comes from that search.
+
+The comparison over Z[G] or Q[H] is made over Z[H] first, where the units
+are the trivial ones +-t^f*s^k.  A ring map sends units to units, so a
+match there is a match of the images, and the unit is the image of the
+Z[H] unit, except where the mapped functor vanishes: there it is one, on
+the whole map over Z[G] and per component over Q[H], as the search over
+the image ring gives it.  A Z[H] match with unit +-1 gives the image
+functor as the image invariant or its negation, since a ring map commutes
+with negation; only another unit maps the functor too.  Only when the Z[H]
 compare fails are the images searched: for m outside {1, 2, 3, 4, 6} Z[H]
 has more units than the trivial ones (Higman), and a unit of the image
 need not lift.  One slot keeps the Z[H] stage of the last diagram compared
@@ -266,10 +290,22 @@ def _unit_image(ring, u, g: X.GradedMap):
     return u if g.entries else ring.one()
 
 
+def _sign_parity(inc: NormalizedIncidence) -> int:
+    """eps = (-1)^this: d*(n1 + A + 1) mod 2 (module docstring)."""
+    return (len(inc.rows) - len(inc.circles)) * (inc.circles.stop + 1) & 1
+
+
 def _stage(h: HeegaardDiagram, base: str) -> tuple:
-    """(invariant, functor, *their compare) of normalize(h) over base."""
+    """(invariant, functor, *their compare) of normalize(h) over base: the
+    exact sign first, the unit search only when it fails (module
+    docstring)."""
     inc = normalized_incidence(h, base == "zh")
     f, g = bsda_map(h, base, inc), alexander_functor(h, base, inc)
+    ring, fe, unit = f.ring, f.entries, f.ring.one()
+    if fe and _sign_parity(inc):
+        fe, unit = {k: ring.neg(v) for k, v in fe.items()}, ring.neg(unit)
+    if g.entries == fe:
+        return f, g, True, unit
     return (f, g, *X.eq_up_to_global_unit(g, f))
 
 
@@ -278,12 +314,14 @@ _LAST_ZH: tuple = (None, None)  # (h, _stage(h, "zh")), read and set whole
 
 def compare_bsda_alexander(h: HeegaardDiagram,
                            ring_tag: str = "z") -> CompareReport:
-    """Compute both maps of normalize(h) from one incidence, compare up to
-    a unit; a normalize output is its own normalization.  Over Z[G] and Q[H]
-    both maps are built and compared over Z[H], then mapped by one ring
-    change; the unit is the image of the Z[H] unit, and only a failed Z[H]
-    compare searches the images (module docstring).  zg and qh reuse the
-    Z[H] stage of the last zg or qh call on this very h (one entry only)."""
+    """Compute both maps of normalize(h) from one incidence and compare
+    them, the exact sign first (module docstring); a normalize output is
+    its own normalization.  Over Z[G] and Q[H] both maps are built and
+    compared over Z[H], then the invariant is mapped by one ring change,
+    and a Z[H] unit of +-1 gives the image functor as +- the image
+    invariant; the unit is the image of the Z[H] unit, and only a failed
+    Z[H] compare searches the images.  zg and qh reuse the Z[H] stage of
+    the last zg or qh call on this very h (one entry only)."""
     global _LAST_ZH
     if ring_tag not in RING_TAGS:
         raise ValueError(f"ring must be one of {RING_TAGS}")
@@ -295,8 +333,16 @@ def compare_bsda_alexander(h: HeegaardDiagram,
         stage = _stage(h, "zh")
         _LAST_ZH = (h, stage)
     f, g, ok, unit = stage
+    one = f.ring.one()
     ring, fn = _ring_change(h.group, ring_tag)
-    f, g = map_transform(f, ring, fn), map_transform(g, ring, fn)
+    image = map_transform(f, ring, fn)
+    if ok and unit == one:
+        g = image
+    elif ok and unit == f.ring.neg(one):
+        g = X.map_neg(image)
+    else:
+        g = map_transform(g, ring, fn)
+    f = image
     if ok:
         unit = _unit_image(ring, fn(unit), g)
     else:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exterior as X
-from .diagram import HeegaardDiagram, normalized_roles, reinterpret_one_sided
+from .diagram import HeegaardDiagram, reinterpret_one_sided, role_rows
 from .exterior import _arcs
 from .rings import ZZ, GroupRing, augmentation, det, group_ring, state_sums
 
@@ -175,20 +175,27 @@ class Incidence:
     degree = property(lambda self: self.circles.stop - len(self.rows))
 
 
+def _rows(h: HeegaardDiagram, weighted: bool, coeff, shift: int) -> tuple:
+    """(ring, the beta rows of h in stored order, {position + shift:
+    coefficient}), in one pass over the points; incidence states coeff."""
+    ring = weight_ring(h) if weighted else ZZ
+    coeff = coeff or ((lambda p: {p.weight: p.sign}) if weighted
+                      else (lambda p: p.sign))
+    pos = {aid: q + shift for q, aid in enumerate(h.alpha_order())}
+    rows: dict = {bid: {} for bid in h.beta_ids()}
+    for p in h.points:
+        row, q, c = rows[p.beta], pos[p.alpha], coeff(p)
+        row[q] = ring.add(row[q], c) if q in row else c
+    return ring, tuple(rows.values())
+
+
 def incidence(h: HeegaardDiagram, weighted: bool = False,
               coeff=None) -> Incidence:
     """One pass over the points of h.  A coefficient sums coeff(point) over
     the points of one (beta, alpha) pair: by default the point's sign over
     Z, or over Z[H] when weighted, its sign times its weight."""
-    ring = weight_ring(h) if weighted else ZZ
-    coeff = coeff or ((lambda p: {p.weight: p.sign}) if weighted
-                      else (lambda p: p.sign))
-    pos = {aid: q for q, aid in enumerate(h.alpha_order())}
-    rows: dict = {bid: {} for bid in h.beta_ids()}
-    for p in h.points:
-        row, q, c = rows[p.beta], pos[p.alpha], coeff(p)
-        row[q] = ring.add(row[q], c) if q in row else c
-    return Incidence(ring, tuple(rows.values()), range(h.n1, h.n1 + h.a), h.n0)
+    ring, rows = _rows(h, weighted, coeff, 0)
+    return Incidence(ring, rows, range(h.n1, h.n1 + h.a), h.n0)
 
 
 class NormalizedIncidence(Incidence):
@@ -196,19 +203,19 @@ class NormalizedIncidence(Incidence):
 
 
 def normalized_incidence(h: HeegaardDiagram, weighted: bool = False):
-    """The incidence of diagram.normalize(h) in key order, not building it:
-    incidence(h) on a normalize output, else the Incidence docstring's rule."""
-    inc, n1, n0 = incidence(h, weighted), h.n1, h.n0
-    try:
-        normalized_roles(h)
-        return NormalizedIncidence(inc.ring, inc.rows, inc.circles, n0)
-    except ValueError:      # not a normalize output
-        pass
-    unit, ins = inc.ring.from_int, inc.circles.stop + n1    # ins: 2*n1 + a
-    rows = ([{n1 + j: unit(1), j: unit(-1)} for j in range(n1)]
-            + [{q + n1: c for q, c in row.items()} for row in inc.rows]
-            + [{ins + i: unit(-1), ins + n0 + i: unit(1)} for i in range(n0)])
-    return NormalizedIncidence(inc.ring, tuple(rows), range(n1, ins + n0), n0)
+    """The incidence of diagram.normalize(h) in key order, not building it,
+    in one pass over the points: incidence(h) on a normalize output (its
+    role_rows name n1 newOut and n0 newIn rows), else the Incidence
+    docstring's rule, with its two unit coefficients built once."""
+    n1, n0, a, roles = h.n1, h.n0, h.a, role_rows(h)
+    own = roles is not None and (len(roles[0]), len(roles[2])) == (n1, n0)
+    ring, rows = _rows(h, weighted, None, 0 if own else n1)
+    if own:
+        return NormalizedIncidence(ring, rows, range(n1, n1 + a), n0)
+    one, minus, ins = ring.one(), ring.from_int(-1), 2 * n1 + a
+    rows = ([{n1 + j: one, j: minus} for j in range(n1)] + list(rows)
+            + [{ins + i: minus, ins + n0 + i: one} for i in range(n0)])
+    return NormalizedIncidence(ring, tuple(rows), range(n1, ins + n0), n0)
 
 
 def _state_sums(inc: Incidence, signed: bool = True) -> dict:

@@ -7,6 +7,7 @@ component decomposition of the torsion fixtures.
 
 import re
 from dataclasses import replace
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -57,6 +58,7 @@ from bsfloer.rings import (
     parse_element,
     values_eq_up_to_unit,
 )
+from bsfloer.selftest import _random_piece, functor_sign, random_diagram
 
 
 def zpres(rows):
@@ -503,6 +505,8 @@ class TestZHFirstCompare:
                 assert same_report(rep, wants[j][tag]), (k, j, tag)
 
     def test_failed_zh_compare_falls_back_to_the_search(self, monkeypatch):
+        import bsfloer.alexander as A
+
         names = ("bordered_mixed", "torsion_vanishing", "weighted_free2",
                  "weighted_torsion3", "annulus_n3_weighted")
         lib = fixture_library()
@@ -515,6 +519,9 @@ class TestZHFirstCompare:
             rings.append(f.ring.name)
             return (False, None) if len(rings) == 1 else real(f, g)
 
+        # the wrong sign fails the exact test, so the Z[H] search runs
+        parity = A._sign_parity
+        monkeypatch.setattr(A, "_sign_parity", lambda inc: 1 - parity(inc))
         monkeypatch.setattr(X, "eq_up_to_global_unit", zh_fails)
         for (h, tag), want in zip(cases, wants):
             rings.clear()
@@ -548,6 +555,9 @@ class TestZHFirstCompare:
 
         changes, compares, calls, built = [], [], [], []
         ring_change, eq = A._ring_change, X.eq_up_to_global_unit
+        # the wrong sign fails the exact test, so the Z[H] search runs
+        parity = A._sign_parity
+        monkeypatch.setattr(A, "_sign_parity", lambda inc: 1 - parity(inc))
 
         def counting_change(group, tag):
             changes.append(tag)
@@ -674,6 +684,77 @@ class TestZHFirstCompare:
         assert [(id(h), b) for h, b in stages] == [(id(h), "zh")
                                                    for h in (h1, h2, h1, h2)]
         assert A._LAST_ZH[0] is h2
+
+
+@lru_cache(maxsize=1)
+def sign_corpus():
+    """The 26 fixtures, 600 random pieces over Z^0..2 x Z/{1, 2, 3, 4, 6},
+    the normalize outputs of both, normalized identities on 5 and 6 arcs,
+    and glued chains with 5 arcs a side."""
+    import random
+
+    from bsfloer.diagram import braid_diagram, concat_arcs, glue
+
+    rng = random.Random(38)
+    groups = [GroupDescriptor(r, m) for r in range(3) for m in (1, 2, 3, 4, 6)]
+    hs = [h for h, _ in fixture_library().values()]
+    hs += [random_diagram(rng, group=groups[k % len(groups)])
+           for k in range(600)]
+    hs += [normalize(h) for h in hs]
+    hs += [normalize(identity_diagram(interval_arcs(k))) for k in (5, 6)]
+    z2, z3 = interval_arcs(2), interval_arcs(3)
+    z5 = concat_arcs(z2, z3)
+    for group in (GroupDescriptor(0), GroupDescriptor(1, 3)):
+        swap = glue(braid_diagram(z3, z2, group), braid_diagram(z2, z3, group))
+        hs += [swap, normalize(swap)]
+        for _ in range(6):
+            piece = _random_piece(rng, z5, z5, ["same"] * 5, group)
+            hs.append(glue(identity_diagram(z5, group), piece))
+            hs.append(glue(braid_diagram(z2, z3, group), piece))
+    return hs
+
+
+class TestExactSign:
+    """The functor is eps (selftest.functor_sign) times the invariant of
+    normalize(h), entry by entry, and the compare reports eps without the
+    unit search (module docstring of bsfloer.alexander)."""
+
+    def test_functor_is_eps_times_the_invariant(self):
+        nonzero = 0
+        for k, h in enumerate(sign_corpus()):
+            eps, hn = functor_sign(h), normalize(h)
+            for tag in ("z", "zh"):
+                f, g = bsda_map(hn, tag), alexander_functor(h, tag)
+                want = f if eps == 1 else X.map_neg(f)
+                assert g.entries == want.entries, (k, tag)
+                nonzero += bool(g.entries)
+        assert nonzero >= 1200
+
+    def test_compare_reports_eps(self):
+        nonzero = 0
+        for k, h in enumerate(sign_corpus()):
+            for tag in ("z", "zh"):
+                rep = compare_bsda_alexander(h, tag)
+                assert rep.match, (k, tag)
+                if rep.bsda.entries:
+                    eps = rep.bsda.ring.from_int(functor_sign(h))
+                    assert rep.unit == eps, (k, tag)
+                    nonzero += 1
+        assert nonzero >= 1200
+
+    def test_no_unit_search_on_the_corpus(self, monkeypatch):
+        searched = []
+        real = X.eq_up_to_global_unit
+
+        def counting(f, g):
+            searched.append(f.ring.name)
+            return real(f, g)
+
+        monkeypatch.setattr(X, "eq_up_to_global_unit", counting)
+        for h in sign_corpus():
+            for tag in RING_TAGS:
+                assert compare_bsda_alexander(h, tag).match
+        assert searched == []
 
 
 class TestNormalizedIncidenceRoute:
